@@ -1,24 +1,22 @@
 #!/usr/bin/env python
-"""Generate ``BENCH_kernel.json``: columnar vs incremental vs rebuild.
+"""Generate ``BENCH_kernel.json``: columnar vs rebuild.
 
-Measures, for each SLRH variant on the 240-task comparison workload (the
-same workload ``BENCH_plan_cache.json`` was measured on), the best-of-N
-wall time of a full ``map()`` under the three kernel modes:
+Measures, for each SLRH variant on a 240-task paper-scaled workload, the
+best-of-N wall time of a full ``map()`` under the two kernel modes:
 
 * ``columnar`` — flat-array candidate scoring over the delta-maintained
   pool (the default path, ``REPRO_KERNEL=columnar``);
-* ``incremental`` — delta-maintained object pools without the flat
-  columns (``REPRO_KERNEL=incremental``);
-* ``rebuild`` — from-scratch pool construction per (tick, machine), the
-  differential oracle behind ``REPRO_KERNEL=rebuild``.
+* ``rebuild`` — the paper's loop as written: from-scratch pool
+  construction per (tick, machine), every plan computed afresh (the
+  differential oracle behind ``REPRO_KERNEL=rebuild``, and the path every
+  ledgered run takes).
 
 Mode runs are interleaved within each repeat so frequency scaling and
-cache warmth hit every mode equally.  Before timing anything it asserts
-byte-identity of all three modes' mappings on the measured scenario — a
-benchmark of a wrong answer is worse than no benchmark.  Two acceptance
-criteria are recorded in the document and enforced with exit status 1
-when missed at the 240-task scale: aggregate mean rebuild/incremental
-speedup >= 1.5x, and per-variant incremental/columnar speedup >= 1.5x.
+cache warmth hit both modes equally.  The mappings of both modes must be
+byte-identical on the measured scenario — a benchmark of a wrong answer
+is worse than no benchmark.  One acceptance criterion is recorded in the
+document and enforced with exit status 1 when missed at the 240-task
+scale: aggregate mean rebuild/columnar speedup >= 1.5x.
 
 Usage::
 
@@ -52,8 +50,6 @@ from repro.workload.scenario import paper_scaled_suite  # noqa: E402
 SCHEMA = "repro.bench/1"
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
 CRITERION_SPEEDUP = 1.5
-#: Per-variant incremental/columnar floor at the 240-task scale.
-CRITERION_COLUMNAR = 1.5
 
 ALPHA, BETA = 0.5, 0.2
 
@@ -77,41 +73,35 @@ def measure(n_tasks: int, repeats: int, seed: int) -> dict:
 
     per_heuristic: dict[str, dict] = {}
     speedups: list[float] = []
-    columnar_speedups: dict[str, float] = {}
     for variant, cls in SLRH_VARIANTS.items():
         timings = {mode: float("inf") for mode in KERNEL_MODES}
         payloads: dict[str, bytes] = {}
         perfs: dict[str, dict] = {}
         # Interleave the modes within each repeat: frequency scaling and
-        # cache warmth then bias every mode equally, keeping the ratios
-        # (the quantity the criteria gate on) stable on noisy runners.
+        # cache warmth then bias both modes equally, keeping the ratio
+        # (the quantity the criterion gates on) stable on noisy runners.
         for _ in range(repeats):
             for mode in KERNEL_MODES:
                 elapsed, payloads[mode], perfs[mode] = _one_map_seconds(
                     variant, scenario, weights, mode
                 )
                 timings[mode] = min(timings[mode], elapsed)
-        for mode in KERNEL_MODES:
-            if payloads[mode] != payloads["rebuild"]:
-                raise SystemExit(
-                    f"{cls.name}: {mode} and rebuild mappings differ — "
-                    "refusing to benchmark a broken kernel"
-                )
-        speedup = round(timings["rebuild"] / timings["incremental"], 3)
+        if payloads["columnar"] != payloads["rebuild"]:
+            raise SystemExit(
+                f"{cls.name}: columnar and rebuild mappings differ — "
+                "refusing to benchmark a broken kernel"
+            )
+        speedup = round(timings["rebuild"] / timings["columnar"], 3)
         speedups.append(speedup)
-        columnar_speedup = round(
-            timings["incremental"] / timings["columnar"], 3
-        )
-        columnar_speedups[cls.name] = columnar_speedup
-        inc_perf = perfs["incremental"]
-        reuse = inc_perf.get("pool.reuse_hits", 0.0)
-        invalidated = inc_perf.get("pool.invalidations", 0.0)
+        perf = perfs["columnar"]
+        reuse = perf.get("pool.reuse_hits", 0.0)
+        invalidated = perf.get("pool.invalidations", 0.0)
         per_heuristic[cls.name] = {
             "columnar_best_seconds": round(timings["columnar"], 4),
-            "incremental_best_seconds": round(timings["incremental"], 4),
             "rebuild_best_seconds": round(timings["rebuild"], 4),
             "speedup": speedup,
-            "columnar_speedup": columnar_speedup,
+            "columnar_plan_pairs": perf.get("plan.pairs", 0.0),
+            "rebuild_plan_pairs": perfs["rebuild"].get("plan.pairs", 0.0),
             "pool_reuse_hits": reuse,
             "pool_invalidations": invalidated,
             "pool_reuse_rate": round(reuse / (reuse + invalidated), 4)
@@ -120,8 +110,7 @@ def measure(n_tasks: int, repeats: int, seed: int) -> dict:
         }
         print(
             f"{cls.name}: rebuild {timings['rebuild']:.3f}s -> "
-            f"incremental {timings['incremental']:.3f}s ({speedup:.2f}x) -> "
-            f"columnar {timings['columnar']:.3f}s ({columnar_speedup:.2f}x, "
+            f"columnar {timings['columnar']:.3f}s ({speedup:.2f}x, "
             f"reuse rate {per_heuristic[cls.name]['pool_reuse_rate']:.0%})"
         )
 
@@ -144,11 +133,8 @@ def measure(n_tasks: int, repeats: int, seed: int) -> dict:
         "kernel_speedup": {
             "per_heuristic": per_heuristic,
             "aggregate_mean": aggregate,
-            "criterion": f">= {CRITERION_SPEEDUP}x aggregate at the "
-            f"{n_tasks}-task scale, byte-identical mappings",
-            "columnar_criterion": f"incremental/columnar >= "
-            f"{CRITERION_COLUMNAR}x per SLRH variant at the "
-            f"{n_tasks}-task scale, byte-identical mappings",
+            "criterion": f"rebuild/columnar >= {CRITERION_SPEEDUP}x aggregate "
+            f"at the {n_tasks}-task scale, byte-identical mappings",
         },
     }
 
@@ -165,25 +151,14 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
     aggregate = doc["kernel_speedup"]["aggregate_mean"]
     print(f"aggregate mean speedup {aggregate:.2f}x -> {args.out}")
-    failed = False
     if args.n_tasks >= 240 and aggregate < CRITERION_SPEEDUP:
         print(
             f"FAIL: aggregate {aggregate:.2f}x below the "
             f"{CRITERION_SPEEDUP}x criterion",
             file=sys.stderr,
         )
-        failed = True
-    if args.n_tasks >= 240:
-        for name, entry in doc["kernel_speedup"]["per_heuristic"].items():
-            if entry["columnar_speedup"] < CRITERION_COLUMNAR:
-                print(
-                    f"FAIL: {name} columnar speedup "
-                    f"{entry['columnar_speedup']:.2f}x below the "
-                    f"{CRITERION_COLUMNAR}x criterion",
-                    file=sys.stderr,
-                )
-                failed = True
-    return 1 if failed else 0
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

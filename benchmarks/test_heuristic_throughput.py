@@ -22,24 +22,17 @@ def scenario(scale):
     return scale.suite().scenario(0, 0, "A")
 
 
-CACHE_IDS = {True: "cache-on", False: "cache-off"}
-
-
-@pytest.mark.parametrize("plan_cache", [True, False], ids=CACHE_IDS.get)
 @pytest.mark.parametrize("cls", [SLRH1, SLRH2, SLRH3], ids=lambda c: c.name)
-def test_slrh_variant_throughput(benchmark, scenario, cls, plan_cache):
-    scheduler = cls(SlrhConfig(weights=WEIGHTS, plan_cache=plan_cache))
+def test_slrh_variant_throughput(benchmark, scenario, cls):
+    scheduler = cls(SlrhConfig(weights=WEIGHTS))
     result = benchmark(scheduler.map, scenario)
     assert result.schedule.n_mapped > 0
-    assert result.schedule.plan_cache_enabled is plan_cache
 
 
-@pytest.mark.parametrize("plan_cache", [True, False], ids=CACHE_IDS.get)
-def test_maxmax_throughput(benchmark, scenario, plan_cache):
-    scheduler = MaxMaxScheduler(MaxMaxConfig(weights=WEIGHTS, plan_cache=plan_cache))
+def test_maxmax_throughput(benchmark, scenario):
+    scheduler = MaxMaxScheduler(MaxMaxConfig(weights=WEIGHTS))
     result = benchmark(scheduler.map, scenario)
     assert result.schedule.n_mapped > 0
-    assert result.schedule.plan_cache_enabled is plan_cache
 
 
 def test_minmin_throughput(benchmark, scenario):

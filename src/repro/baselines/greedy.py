@@ -27,7 +27,6 @@ from repro.sim.schedule import Schedule
 from repro.sim.trace import MappingTrace
 from repro.util.timing import Stopwatch
 from repro.workload.scenario import Scenario
-from repro.workload.versions import PRIMARY, SECONDARY
 
 #: Placeholder weights recorded on greedy results (greedy ignores ObjFn).
 _GREEDY_WEIGHTS = Weights(1.0, 0.0, 0.0)
@@ -65,11 +64,10 @@ class GreedyScheduler:
             task = next(topo)
             best_plan = None
             for machine in range(scenario.n_machines):
-                for version in (PRIMARY, SECONDARY):
-                    plan = schedule.plan(
-                        task, version, machine,
-                        not_before=0.0, insertion=self.insertion,
-                    )
+                # (primary, secondary) from one shared channel-slot search.
+                for plan in schedule.plan_versions(
+                    task, machine, not_before=0.0, insertion=self.insertion
+                ):
                     if not plan.feasible:
                         continue
                     if best_plan is None or plan.finish < best_plan.finish - 1e-12:

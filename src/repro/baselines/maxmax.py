@@ -46,10 +46,6 @@ class MaxMaxConfig:
     insertion: bool = True
     #: AET-term semantics of the objective (ablation; see ObjectiveFunction).
     aet_mode: str = "tent"
-    #: Reuse tentative plans across rounds when the state they depend on is
-    #: unchanged (see the plan cache in :mod:`repro.sim.schedule`).  Mapping
-    #: results are identical either way; disabling is for benchmarking.
-    plan_cache: bool = True
     #: Machine-stage selection rule.  ``"completion"`` (default) assigns
     #: each candidate (subtask, version) its minimum-completion-time
     #: machine, mirroring the [IbK77] Min-Min structure the paper says
@@ -75,7 +71,7 @@ class MaxMaxScheduler:
         """Map *scenario* from scratch, or finish a partially-built
         *schedule* (the session engine's final-state mapping)."""
         if schedule is None:
-            schedule = Schedule(scenario, plan_cache=self.config.plan_cache)
+            schedule = Schedule(scenario)
         elif schedule.scenario is not scenario:
             raise ValueError("schedule was built for a different scenario")
         checker = FeasibilityChecker(scenario, comm_reserve=self.config.comm_reserve)
@@ -87,6 +83,12 @@ class MaxMaxScheduler:
         completion_stage = self.config.machine_stage == "completion"
         if self.config.machine_stage not in ("completion", "objective"):
             raise ValueError(f"unknown machine_stage {self.config.machine_stage!r}")
+        insertion = self.config.insertion
+        n_machines = scenario.n_machines
+        # The kernel's static plan memo re-prices each (task, machine) pair
+        # only when a commit could have changed it.
+        kernel = SchedulingKernel(schedule, None, objective)
+        plans = kernel.static_plans
 
         def select() -> tuple:
             """One Max-Max round: the best (subtask, version, machine)
@@ -94,25 +96,23 @@ class MaxMaxScheduler:
             best_plan = None
             best_score = -float("inf")
             pool_size = 0
-            ready = sorted(schedule.ready_tasks())
-            for task in ready:
-                for version in (PRIMARY, SECONDARY):
+            for task in schedule.ready_sorted():
+                # One plan pair per (task, machine), fetched on first use.
+                pairs: list = [None] * n_machines
+                for vi, version in enumerate((PRIMARY, SECONDARY)):
                     # Machine stage: the candidate's plan on each
                     # machine; under "completion" only the
                     # minimum-completion-time machine survives, under
                     # "objective" every machine competes directly.
                     stage_plan = None
-                    for machine in range(scenario.n_machines):
+                    for machine in range(n_machines):
                         trace.note_machine_scan()
                         if not checker.is_feasible(schedule, task, machine, version):
                             continue
-                        plan = schedule.plan(
-                            task,
-                            version,
-                            machine,
-                            not_before=0.0,
-                            insertion=self.config.insertion,
-                        )
+                        pair = pairs[machine]
+                        if pair is None:
+                            pair = pairs[machine] = plans(task, machine, insertion)
+                        plan = pair[vi]
                         if not plan.feasible:
                             continue
                         pool_size += 1
@@ -142,7 +142,6 @@ class MaxMaxScheduler:
                             best_plan = stage_plan
             return best_plan, pool_size
 
-        kernel = SchedulingKernel(schedule, None, objective)
         stopwatch = Stopwatch()
         with stopwatch:
             kernel.run_static(

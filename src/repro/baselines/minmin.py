@@ -20,7 +20,6 @@ from repro.sim.schedule import ExecutionPlan, Schedule
 from repro.sim.trace import MappingTrace
 from repro.util.timing import Stopwatch
 from repro.workload.scenario import Scenario
-from repro.workload.versions import PRIMARY, SECONDARY
 
 from repro.baselines.greedy import _GREEDY_WEIGHTS
 
@@ -33,14 +32,15 @@ class MinMinScheduler:
     def __init__(self, insertion: bool = True) -> None:
         self.insertion = insertion
 
-    def _best_plan_for_task(self, schedule: Schedule, task: int) -> ExecutionPlan | None:
+    def _best_plan_for_task(
+        self, kernel: SchedulingKernel, task: int
+    ) -> ExecutionPlan | None:
         """Minimum-completion-time plan for *task* over all machines."""
         best: ExecutionPlan | None = None
-        for machine in range(schedule.scenario.n_machines):
-            for version in (PRIMARY, SECONDARY):
-                plan = schedule.plan(
-                    task, version, machine, not_before=0.0, insertion=self.insertion
-                )
+        for machine in range(kernel.schedule.scenario.n_machines):
+            # (primary, secondary): the primary when affordable, else the
+            # secondary.
+            for plan in kernel.static_plans(task, machine, self.insertion):
                 if not plan.feasible:
                     continue
                 if best is None or plan.finish < best.finish - 1e-12:
@@ -58,19 +58,21 @@ class MinMinScheduler:
         elif schedule.scenario is not scenario:
             raise ValueError("schedule was built for a different scenario")
         trace = MappingTrace()
+        # The kernel's static plan memo re-prices each (task, machine) pair
+        # only when a commit could have changed it.
+        kernel = SchedulingKernel(schedule, None, None)
 
         def select() -> tuple:
             """One Min-Min round: the smallest-MCT ready subtask."""
             best: ExecutionPlan | None = None
-            for task in sorted(schedule.ready_tasks()):
-                plan = self._best_plan_for_task(schedule, task)
+            for task in schedule.ready_sorted():
+                plan = self._best_plan_for_task(kernel, task)
                 if plan is None:
                     continue
                 if best is None or plan.finish < best.finish - 1e-12:
                     best = plan
             return best, 0
 
-        kernel = SchedulingKernel(schedule, None, None)
         stopwatch = Stopwatch()
         with stopwatch:
             kernel.run_static(select, trace, note_ticks=True)

@@ -24,7 +24,6 @@ from repro.sim.schedule import ExecutionPlan, Schedule
 from repro.sim.trace import MappingTrace
 from repro.util.timing import Stopwatch
 from repro.workload.scenario import Scenario
-from repro.workload.versions import PRIMARY, SECONDARY
 
 
 class _TopologicalMapper:
@@ -56,8 +55,8 @@ class _TopologicalMapper:
 
     def _first_feasible(self, schedule: Schedule, task: int) -> ExecutionPlan | None:
         for machine in self._choose_machine(schedule, task):
-            for version in (PRIMARY, SECONDARY):
-                plan = schedule.plan(task, version, machine, insertion=False)
+            # (primary, secondary) from one shared channel-slot search.
+            for plan in schedule.plan_versions(task, machine, insertion=False):
                 if plan.feasible:
                     return plan
         return None

@@ -1,10 +1,22 @@
 """Flat-array candidate pools: the kernel's columnar hot path.
 
-:class:`ColumnarPool` maintains exactly the state of
-:class:`repro.core.kernel.CandidatePool` — one delta-maintained pool slot
-per (machine, task) with the same cleanliness certificates — but stores it
-in parallel ``array`` columns indexed by integer ids instead of per-entry
-Python objects.  The per-tick scan then runs on index arithmetic:
+:class:`ColumnarPool` maintains one delta-maintained pool slot per
+(machine, task), stored in parallel ``array`` columns indexed by integer
+ids instead of per-entry Python objects.  A slot is *clean* — reusable
+without re-planning — while its cleanliness certificates hold:
+
+* the task's parent epoch is unchanged (its parents' assignments did not
+  move);
+* the touch counter of every machine its plans read (the target plus the
+  parents' machines — exactly the set a commit can move) is unchanged;
+* for slots holding plans, a later ``not_before`` provably yields the same
+  plans: the data-ready floor dominates both clocks and every planned
+  transfer starts at/after the new clock (gap searches are monotone in
+  their lower bound).
+
+Churn (offline/online flips, rollbacks, external debits) has no precise
+delta and is handled wholesale by :meth:`ColumnarPool.invalidate_all`.
+The per-tick scan runs on index arithmetic:
 
 * slot lookup is ``machine * n_tasks + task`` into flat columns (kind,
   generation, parent-epoch, planning clock, data-ready, comm floor,
@@ -16,19 +28,19 @@ Python objects.  The per-tick scan then runs on index arithmetic:
   energy margin — the plan's TEC delta — and finish time) and inlines the
   objective arithmetic of :meth:`ObjectiveFunction.after_plan` verbatim:
   the same float operations in the same order, so scores are
-  bit-identical to the object path's;
+  bit-identical to :func:`repro.core.pool.select_candidate`'s;
 * candidate ordering is one stable descending sort over the score column.
   Members are gathered in ascending task order and CPython's sort is
   stable under ``reverse=True`` (equal keys keep their original order),
-  so the result is exactly the object pools' ``(-score, task)`` order.
+  so the result is exactly :func:`~repro.core.pool.build_candidate_pool`'s
+  ``(-score, task)`` order.
 
 The *dirty* path — entries whose certificates fail — is a **fused
 replan**: the same decisions as ``Schedule._plan_pair`` +
 :func:`repro.core.pool.select_candidate`, open-coded without the wrapper
-layers.  It makes the identical plan-cache probes (``_comm_entry_valid``
-→ ``_shift_comms`` → ``_plan_comms_floor``) so the channel-slot reuse
-discipline is byte-for-byte the object path's, then finishes the pair in
-flat arithmetic:
+layers.  It runs the same channel-slot search
+(``Schedule._plan_comms_floor``), then finishes the pair in flat
+arithmetic:
 
 * machine budgets, the rule-(b) gate, the offline set and the execution
   calendar tail are hoisted once per build — nothing mutates during a
@@ -39,18 +51,11 @@ flat arithmetic:
   the same order), and only the *winning* version's
   :class:`~repro.sim.schedule.ExecutionPlan` is materialised — the loser
   exists as column facts and is rebuilt on demand if a later aggregate
-  shift flips the selection;
-* the plan-cache writeback stores the same comm facts the generic path
-  would (so incremental-mode code and the SLRH-2 stale-pool walk reuse
-  them), with ``entry.pair = None`` — the pair layer is superseded by the
-  columns.
+  shift flips the selection.
 
-Columnar mode therefore re-plans exactly the same entries as incremental
-mode; the ``pool.reuse_hits`` / ``pool.invalidations`` / ``pool.members``
-counters are identical across the two (pinned by the differential fuzz in
-``tests/test_kernel.py``), and the speedup is pure constant factor — on
-the clean path, inside every replan, and in the kernel's stall-tick
-fast-forward — never fewer or different replans.
+Pools, plans and scores are pinned identical to
+:func:`~repro.core.pool.build_candidate_pool` by the differential fuzz in
+``tests/test_kernel.py``, and whole mappings to the ``rebuild`` kernel.
 """
 
 from __future__ import annotations
@@ -63,11 +68,7 @@ from repro.core.feasibility import FeasibilityChecker
 from repro.core.objective import ObjectiveFunction
 from repro.core.pool import Candidate
 from repro.obs.spans import NULL_SPAN, NULL_TRACER, NullTracer, Tracer
-
-# The fused replan is a twin of Schedule._plan_pair: it shares the plan
-# cache (same entry type, same validity helpers) rather than growing a
-# second, subtly different one.
-from repro.sim.schedule import ExecutionPlan, Schedule, _PlanCacheEntry
+from repro.sim.schedule import ExecutionPlan, Schedule
 from repro.workload.versions import Version
 
 __all__ = ["ColumnarPool"]
@@ -79,7 +80,8 @@ _SECONDARY = Version.SECONDARY
 #: exact generic arithmetic.
 _BUDGET_SLACK = 1 + 1e-12
 
-# Slot kinds: the kernel's pool-entry states plus "never written".
+# Slot kinds: never written, a scored candidate, a task whose tentative
+# plans are all energy-infeasible, and a rule-(b) reject (never planned).
 _EMPTY, _CANDIDATE, _NO_VERSION, _RULE_B = -1, 0, 1, 2
 
 #: aet_mode -> branch index for the inline scorer (see ObjectiveFunction).
@@ -93,13 +95,13 @@ _AET_MODES = {
 
 
 class ColumnarPool:
-    """Columnar drop-in for :class:`repro.core.kernel.CandidatePool`.
+    """Delta-maintained candidate pools, one per machine (see module
+    docstring).
 
-    Same contract: :meth:`pool_for` materialises the ordered pool U plus
-    the earliest unreleased-task release time, the owner reports commits
-    via :meth:`note_commit` and calls :meth:`invalidate_all` after any
-    other mutation.  Mappings and pool counters are byte-identical to the
-    object pools in every mode.
+    :meth:`pool_for` materialises the ordered pool U plus the earliest
+    unreleased-task release time; the owner reports commits via
+    :meth:`note_commit` and calls :meth:`invalidate_all` after any other
+    mutation.
     """
 
     def __init__(
@@ -150,7 +152,9 @@ class ColumnarPool:
         self._dep_ids = array("i", [0]) * (n_machines * total)
         self._dep_stamps = array("q", [0]) * (n_machines * total)
         self._dep_n = array("i", [0]) * size
-        # Per-machine event counters (see CandidatePool._touch).
+        # Per-machine event counters: bumped for every machine a commit
+        # touches (calendars, energy, reserves).  Slot stamps against
+        # these prove "nothing my plans read has moved".
         self._touch = array("q", [0]) * n_machines
         # Release-time column: the schedule's *live* per-task release list
         # (streamed arrivals move entries in place), aliased rather than
@@ -307,9 +311,6 @@ class ColumnarPool:
         # calendar tail are loop constants — the per-replan
         # available_energy / earliest_gap calls of the generic path
         # collapse to float compares against these.
-        cache_on = schedule.plan_cache_enabled
-        plan_cache = schedule._plan_cache
-        cache_key = (machine, False)
         exec_tail = schedule.exec_timeline[machine].tail
         offline_set = schedule.offline
         machine_offline = machine in offline_set
@@ -324,8 +325,6 @@ class ColumnarPool:
         thresh[machine] = rb_gate
         required = checker.required_energy
         required_memo = checker._required
-        comm_valid = schedule._comm_entry_valid
-        shift_comms = schedule._shift_comms
         comms_floor = schedule._plan_comms_floor
         exec_facts_fn = schedule.exec_facts
         exec_static = schedule._exec_static
@@ -336,7 +335,7 @@ class ColumnarPool:
         facts_col = self._facts
         req1_col = self._req1
         wc_col = self._wc
-        n_hit = n_shift = n_miss = 0
+        n_pairs = 0
         members: list[int] = []  # slot indices, gathered in task order
         min_release: float | None = None
         reused = invalidated = 0
@@ -366,10 +365,10 @@ class ColumnarPool:
                             clean = False
                             break
                     if clean and k == _CANDIDATE and not_before != nb_col[idx]:
-                        # Clock rule — identical to CandidatePool: stored
-                        # plans survive a clock advance only when the
-                        # data-ready floor dominates both clocks and every
-                        # planned transfer starts at/after the new clock.
+                        # Clock rule (see module docstring): stored plans
+                        # survive a clock advance only when the data-ready
+                        # floor dominates both clocks and every planned
+                        # transfer starts at/after the new clock.
                         enb = nb_col[idx]
                         dr = ready_col[idx]
                         if not (
@@ -479,9 +478,8 @@ class ColumnarPool:
                         members.append(idx)
                     continue
                 invalidated += 1
-                epoch = epochs[task]
                 slot_gen[idx] = gen
-                epoch_col[idx] = epoch
+                epoch_col[idx] = epochs[task]
                 req = req1_col[idx]
                 if req is None:
                     req = required_memo.get((task, machine, _SECONDARY))
@@ -492,53 +490,15 @@ class ColumnarPool:
                     kind[idx] = _RULE_B
                     pairs[idx] = None
                     cands[idx] = None
-                    deps = {machine}
-                    for p in parents[task]:
-                        deps.add(assignments[p].machine)
                 else:
                     # -- fused replan: _plan_pair + select_candidate without
-                    # the wrapper layers.  Identical plan-cache probes, then
+                    # the wrapper layers: the same channel-slot search, then
                     # flat arithmetic against the per-build hoists.
-                    entry = None
-                    pcomms = None
-                    dr_floor = 0.0
-                    local_floor = 0.0
-                    if cache_on:
-                        per_task = plan_cache.get(task)
-                        if per_task is not None:
-                            entry = per_task.get(cache_key)
-                        if entry is not None:
-                            if comm_valid(entry, machine, not_before, epoch):
-                                n_hit += 1
-                                pcomms = entry.comms
-                                dr_floor = entry.dr_floor
-                                min_comm = entry.min_comm_start
-                            else:
-                                shifted = shift_comms(
-                                    entry, machine, not_before, epoch
-                                )
-                                if shifted is not None:
-                                    n_shift += 1
-                                    pcomms, dr_floor = shifted
-                                    min_comm = entry.min_comm_start
-                                else:
-                                    entry = None
-                    if pcomms is None:
-                        n_miss += 1
-                        pcomms, dr_floor, local_floor = comms_floor(
-                            task, machine, not_before
-                        )
-                        min_comm = (
-                            min(c.start for c in pcomms) if pcomms else math.inf
-                        )
-                    # A surviving entry certifies the parents' assignments,
-                    # so its dep_machines IS {machine} ∪ parent machines.
-                    if entry is not None:
-                        deps = entry.dep_machines
-                    else:
-                        deps = {machine}
-                        for p in parents[task]:
-                            deps.add(assignments[p].machine)
+                    n_pairs += 1
+                    pcomms, dr_floor = comms_floor(task, machine, not_before)
+                    min_comm = (
+                        min(c.start for c in pcomms) if pcomms else math.inf
+                    )
                     # max() (not a bare compare) so signed-zero floors stay
                     # bitwise identical to the generic path's data_ready.
                     data_ready = max(not_before, dr_floor)
@@ -554,52 +514,36 @@ class ColumnarPool:
                         if facts is None:
                             facts = exec_facts_fn(task, machine)
                         facts_col[idx] = facts
-                    d0 = d1 = None
                     vf0 = vf1 = False
                     if not offline:
-                        # A surviving entry proves the parents' assignments
-                        # are unchanged and transfer energies never move in
-                        # a shift, so its stored demand dicts are
-                        # bit-identical to fresh ones (see _plan_pair).
-                        if entry is not None:
-                            d0, d1 = entry.demands
-                        if d0 is None or d1 is None:
-                            # _net_energy_demand for both versions in one
-                            # walk: per-dict float operations in exactly the
-                            # generic order, the per-version worst-case
-                            # outgoing reserve from its memo.
-                            d0 = {machine: facts[0][1]}
-                            d1 = {machine: facts[1][1]}
-                            for c in pcomms:
-                                src = c.src
-                                ce = c.energy
-                                d0[src] = d0.get(src, 0.0) + ce
-                                d1[src] = d1.get(src, 0.0) + ce
-                            if hold_reserves:
-                                for p in parents[task]:
-                                    src = assignments[p].machine
-                                    rel = edge_reserve.get((p, task), 0.0)
-                                    d0[src] = d0.get(src, 0.0) - rel
-                                    d1[src] = d1.get(src, 0.0) - rel
-                                w01 = wc_col[idx]
-                                if w01 is None:
-                                    w0 = wc_memo.get(
-                                        (task, machine, _PRIMARY)
-                                    )
-                                    if w0 is None:
-                                        w0 = wc_outgoing(
-                                            task, machine, _PRIMARY
-                                        )
-                                    w1 = wc_memo.get(
-                                        (task, machine, _SECONDARY)
-                                    )
-                                    if w1 is None:
-                                        w1 = wc_outgoing(
-                                            task, machine, _SECONDARY
-                                        )
-                                    w01 = wc_col[idx] = (w0, w1)
-                                d0[machine] += w01[0]
-                                d1[machine] += w01[1]
+                        # _net_energy_demand for both versions in one walk:
+                        # per-dict float operations in exactly the generic
+                        # order, the per-version worst-case outgoing reserve
+                        # from its memo.
+                        d0 = {machine: facts[0][1]}
+                        d1 = {machine: facts[1][1]}
+                        for c in pcomms:
+                            src = c.src
+                            ce = c.energy
+                            d0[src] = d0.get(src, 0.0) + ce
+                            d1[src] = d1.get(src, 0.0) + ce
+                        if hold_reserves:
+                            for p in parents[task]:
+                                src = assignments[p].machine
+                                rel = edge_reserve.get((p, task), 0.0)
+                                d0[src] = d0.get(src, 0.0) - rel
+                                d1[src] = d1.get(src, 0.0) - rel
+                            w01 = wc_col[idx]
+                            if w01 is None:
+                                w0 = wc_memo.get((task, machine, _PRIMARY))
+                                if w0 is None:
+                                    w0 = wc_outgoing(task, machine, _PRIMARY)
+                                w1 = wc_memo.get((task, machine, _SECONDARY))
+                                if w1 is None:
+                                    w1 = wc_outgoing(task, machine, _SECONDARY)
+                                w01 = wc_col[idx] = (w0, w1)
+                            d0[machine] += w01[0]
+                            d1[machine] += w01[1]
                         # _demand_shortfall's verdict, against the hoisted
                         # budgets (nothing commits mid-build).
                         vf0 = True
@@ -716,29 +660,12 @@ class ColumnarPool:
                     feas0[idx] = 1 if vf0 else 0
                     feas1[idx] = 1 if vf1 else 0
                     token_col[idx] = token
-                    if cache_on:
-                        if entry is None:
-                            entry = self._new_cache_entry(
-                                task,
-                                machine,
-                                not_before,
-                                pcomms,
-                                dr_floor,
-                                local_floor,
-                                min_comm,
-                                epoch,
-                                deps,
-                            )
-                        # The pair layer is superseded by the columns: a
-                        # later generic probe (e.g. SLRH-2's stale-pool
-                        # walk) reuses the comm facts and demands through
-                        # _plan_pair, never a stale pair.
-                        entry.pair = None
-                        entry.pair_nb = not_before
-                        entry.demands = (d0, d1)
                 # Certificate stamps: the target machine plus every parent's
                 # machine — exactly the set a commit can move.  Order is
                 # irrelevant: validity is a conjunction over the set.
+                deps = {machine}
+                for p in parents[task]:
+                    deps.add(assignments[p].machine)
                 db = dep_base + dep_off[task]
                 d = 0
                 for j in deps:
@@ -757,135 +684,24 @@ class ColumnarPool:
             perf.inc("pool.reuse_hits", reused)
         if invalidated:
             perf.inc("pool.invalidations", invalidated)
-        # Plan-cache bookkeeping, batched per build (the fused path never
-        # takes a pair hit — its pair layer lives in the columns).
-        if n_hit:
-            perf.inc("plan.cache.comm_hit", n_hit)
-        if n_shift:
-            perf.inc("plan.cache.comm_shift", n_shift)
-        if n_miss:
-            perf.inc("plan.cache.comm_miss", n_miss)
-        n_pairs = n_hit + n_shift + n_miss
         if n_pairs:
-            perf.inc("plan.cache.pair_miss", n_pairs)
             perf.inc("plan.pairs", n_pairs)
         return pool, min_release
 
-    def _new_cache_entry(
-        self,
-        task: int,
-        machine: int,
-        not_before: float,
-        comms: tuple,
-        dr_floor: float,
-        local_floor: float,
-        min_comm: float,
-        epoch: int,
-        deps: set[int],
-    ) -> _PlanCacheEntry:
-        """Create and register a plan-cache entry carrying the comm facts a
-        generic ``_plan_pair`` miss would store — same validity
-        certificates, same replay facts — so incremental-mode code can keep
-        reusing entries the fused paths write (and vice versa)."""
-        schedule = self.schedule
-        in_tl = schedule.in_channel[machine]
-        entry = _PlanCacheEntry()
-        entry.parent_epoch = epoch
-        entry.insertion = False
-        entry.comms = comms
-        entry.dr_floor = dr_floor
-        entry.comm_nb = not_before
-        entry.min_comm_start = min_comm
-        entry.in_version = entry.base_in_version = in_tl.version
-        entry.in_release = in_tl.release_version
-        entry.local_floor = local_floor
-        if comms:
-            out_channel = schedule.out_channel
-            assignments = schedule.assignments
-            seen: dict[int, tuple[int, int]] = {}
-            lb_floors = []
-            base_starts = []
-            window_ends = []
-            # Immutable replay facts (see _shift_comms), one pass.
-            for c in comms:
-                src = c.src
-                if src not in seen:
-                    otl = out_channel[src]
-                    seen[src] = (otl.version, otl.release_version)
-                lb_floors.append(assignments[c.parent].finish)
-                start = c.start
-                base_starts.append(start)
-                we = out_channel[src].next_busy_start_after(start)
-                wi = in_tl.next_busy_start_after(start)
-                window_ends.append(we if we <= wi else wi)
-            entry.out_versions = tuple(
-                (src, v, rel) for src, (v, rel) in seen.items()
-            )
-            entry.base_out_versions = tuple(
-                (src, v) for src, (v, rel) in seen.items()
-            )
-            entry.lb_floors = tuple(lb_floors)
-            entry.base_starts = tuple(base_starts)
-            entry.window_ends = tuple(window_ends)
-        else:
-            entry.out_versions = ()
-            entry.base_out_versions = ()
-            entry.lb_floors = ()
-            entry.base_starts = ()
-            entry.window_ends = ()
-        entry.dep_machines = tuple(sorted(deps))
-        schedule._plan_cache.setdefault(task, {})[(machine, False)] = entry
-        return entry
-
-    def replan(self, task: int, version, machine: int, not_before: float):
+    def replan(
+        self, task: int, version: Version, machine: int, not_before: float
+    ) -> ExecutionPlan:
         """Fused twin of :meth:`Schedule.plan` for the stale-pool walk
-        (SLRH-2): the same plan-cache probes, demand verdicts and placement
-        as the generic path, materialising only the requested version's
-        plan.  Every committed plan is byte-identical to the generic
-        path's; infeasible plans carry an empty ``reason`` string — the
-        kernel reads reasons only into a decision ledger, and ledgered
+        (SLRH-2): the same channel-slot search, demand verdicts and
+        placement as the generic path, materialising only the requested
+        version's plan.  Every committed plan is byte-identical to the
+        generic path's; infeasible plans carry an empty ``reason`` string —
+        the kernel reads reasons only into a decision ledger, and ledgered
         runs never take this path (the kernel falls back to
         ``Schedule.plan``)."""
         schedule = self.schedule
-        perf = schedule.perf
-        vi = 0 if version is _PRIMARY else 1
-        epoch = schedule.parent_epochs()[task]
-        cache_on = schedule.plan_cache_enabled
-        entry = None
-        pcomms = None
-        dr_floor = 0.0
-        local_floor = 0.0
-        min_comm = math.inf
-        if cache_on:
-            per_task = schedule._plan_cache.get(task)
-            if per_task is not None:
-                entry = per_task.get((machine, False))
-            if entry is not None:
-                if schedule._comm_entry_valid(entry, machine, not_before, epoch):
-                    perf.inc("plan.cache.comm_hit")
-                    pcomms = entry.comms
-                    dr_floor = entry.dr_floor
-                    min_comm = entry.min_comm_start
-                else:
-                    shifted = schedule._shift_comms(
-                        entry, machine, not_before, epoch
-                    )
-                    if shifted is not None:
-                        perf.inc("plan.cache.comm_shift")
-                        pcomms, dr_floor = shifted
-                        min_comm = entry.min_comm_start
-                    else:
-                        entry = None
-        if pcomms is None:
-            perf.inc("plan.cache.comm_miss")
-            pcomms, dr_floor, local_floor = schedule._plan_comms_floor(
-                task, machine, not_before
-            )
-            for c in pcomms:
-                if c.start < min_comm:
-                    min_comm = c.start
-        perf.inc("plan.cache.pair_miss")
-        perf.inc("plan.pairs")
+        schedule.perf.inc("plan.pairs")
+        pcomms, dr_floor = schedule._plan_comms_floor(task, machine, not_before)
         data_ready = max(not_before, dr_floor)
         offline_set = schedule.offline
         offline = machine in offline_set
@@ -897,25 +713,18 @@ class ColumnarPool:
         facts = schedule._exec_static.get((task, machine))
         if facts is None:
             facts = schedule.exec_facts(task, machine)
-        d0 = d1 = None
+        duration, exec_energy = facts[0 if version is _PRIMARY else 1]
         feasible = False
         if not offline:
-            if entry is not None:
-                d0, d1 = entry.demands
-            if d0 is None or d1 is None:
-                d0 = schedule._net_energy_demand(
-                    task, machine, _PRIMARY, facts[0][1], pcomms
-                )
-                d1 = schedule._net_energy_demand(
-                    task, machine, _SECONDARY, facts[1][1], pcomms
-                )
             avail = schedule.available_energy
+            demand = schedule._net_energy_demand(
+                task, machine, version, exec_energy, pcomms
+            )
             feasible = True
-            for j, amount in (d0 if vi == 0 else d1).items():
+            for j, amount in demand.items():
                 if amount > avail(j) * _BUDGET_SLACK + 1e-12:
                     feasible = False
                     break
-        duration, exec_energy = facts[vi]
         if feasible:
             # Append-only placement at the (post-commit) calendar tail.
             start = max(data_ready, schedule.exec_timeline[machine].tail)
@@ -936,24 +745,4 @@ class ColumnarPool:
             "feasible": feasible,
             "reason": "",
         })
-        if cache_on:
-            if entry is None:
-                deps = {machine}
-                assignments = schedule.assignments
-                for p in schedule.scenario.dag.parents[task]:
-                    deps.add(assignments[p].machine)
-                entry = self._new_cache_entry(
-                    task,
-                    machine,
-                    not_before,
-                    pcomms,
-                    dr_floor,
-                    local_floor,
-                    min_comm,
-                    epoch,
-                    deps,
-                )
-            entry.pair = None
-            entry.pair_nb = not_before
-            entry.demands = (d0, d1)
         return plan

@@ -10,13 +10,14 @@ round loop (:meth:`run_static`) for the static baselines.  The SLRH
 variants collapse into :class:`TickPolicy` values answering "how many
 commits per machine per tick, and do we re-score between commits".
 
-Incremental candidate pools
----------------------------
+Candidate pools
+---------------
 The paper's loop (§IV) rebuilds the candidate pool U from scratch for
 every (tick, machine).  Profiling shows most ticks are stalls: nothing
 became eligible, nothing changed, yet every ready task is re-planned and
-re-scored.  :class:`CandidatePool` instead maintains one pool entry per
-(machine, task) and re-plans only entries dirtied by an **event**:
+re-scored.  The default ``columnar`` mode instead keeps one
+delta-maintained pool (:class:`repro.core.columnar.ColumnarPool`) and
+re-plans only entries dirtied by an **event**:
 
 * a commit — touches the target machine's execution/in-channel calendars
   and energy, every sending machine's out-channel and energy, and the
@@ -25,9 +26,9 @@ re-scored.  :class:`CandidatePool` instead maintains one pool entry per
 * the tick moving ``not_before`` — an entry survives the clock advance
   only when its certificates prove a fresh plan would be byte-identical
   (its data-ready floor dominates both clocks and every planned transfer
-  starts at/after the new clock, mirroring the plan cache's rules);
+  starts at/after the new clock);
 * churn (offline/online flips, rollbacks, external debits) — handled
-  wholesale by :meth:`CandidatePool.invalidate_all`, which :meth:`run`
+  wholesale by :meth:`ColumnarPool.invalidate_all`, which :meth:`run`
   performs on entry so a kernel persisted across churn segments re-bases
   against whatever happened in between.
 
@@ -47,31 +48,36 @@ stall ticks in between cost an availability check instead of a pool
 build.  Data-ready times are nondecreasing in the planning clock (gap
 searches are monotone in their lower bound), so a sleep can only ever be
 *conservative* — waking early is harmless, and the serve that follows
-re-derives eligibility from scratch.
+re-derives eligibility from scratch.  :meth:`SchedulingKernel.run` also
+fast-forwards runs of stall ticks (every machine unavailable or asleep)
+in one tight loop.
 
-Columnar pools
---------------
-The default ``columnar`` mode (``REPRO_KERNEL=columnar``) keeps exactly
-the :class:`CandidatePool` maintenance discipline but stores the pool
-state in flat parallel arrays (:class:`repro.core.columnar.ColumnarPool`)
-— certificate checks and re-scoring become index arithmetic, candidate
-ordering a single stable argsort over the score column — and lets
-:meth:`SchedulingKernel.run` fast-forward runs of stall ticks (every
-machine unavailable or asleep) in one tight loop.  Both replicate the
-object path's float arithmetic operation-for-operation, so mappings,
-trace counters and pool counters are byte-identical across all modes.
+The differential oracle
+-----------------------
+``REPRO_KERNEL=rebuild`` (or ``SlrhConfig(kernel="rebuild")``) runs the
+paper's loop as written: a from-scratch pool per (tick, machine), every
+tentative plan computed afresh.  Mappings are byte-identical across the
+two modes for every heuristic (pinned by ``tests/test_kernel.py`` and the
+``kernel-differential`` CI job).  The decision ledger records per-tick
+rejection history that only exists when pools are actually rebuilt, so
+ledgered runs always use the rebuild path — observability never changes
+the mapping, and the hot path never pays for it.
 
-Differential oracles
+The static plan memo
 --------------------
-``REPRO_KERNEL=incremental`` keeps the delta-maintained object pools and
-``REPRO_KERNEL=rebuild`` (or ``SlrhConfig(kernel=...)``) the original
-from-scratch pool construction as reference implementations; mappings
-are byte-identical across the three modes for every heuristic (pinned by
-``tests/test_kernel.py`` and the ``kernel-differential`` CI job).  The
-decision ledger records per-tick rejection history that only exists when
-pools are actually rebuilt, so ledgered runs always use the rebuild path
-— observability never changes the mapping, and the hot path never pays
-for it.
+Max-Max and Min-Min re-price every ready (task, machine) pair in every
+round, and a round commits exactly one plan.  :meth:`SchedulingKernel.
+run_static` therefore keeps one memo for the duration of the call, read
+through :meth:`SchedulingKernel.static_plans`.  A static run only ever
+*commits* — nothing is released, unassigned, re-timed or taken offline —
+so calendars only gain reservations, and a memoised pair whose comm and
+exec slots are all still free is exactly what a fresh search returns: a
+gap search returns the earliest fit, and added busy time cannot open an
+earlier one.  Each lookup also re-checks both versions' energy verdicts
+against their stored demands (an infeasible version additionally pins
+the budgets its reason text quotes; any change re-plans), append-only
+placement re-plans whenever the execution calendar moved (it sits at the
+calendar tail), and a committed task's entries are dropped.
 """
 
 from __future__ import annotations
@@ -85,16 +91,14 @@ from repro.core.columnar import ColumnarPool
 from repro.core.constants import EPSILON
 from repro.core.feasibility import FeasibilityChecker
 from repro.core.objective import ObjectiveFunction
-from repro.core.pool import Candidate, build_candidate_pool, select_candidate
+from repro.core.pool import Candidate, build_candidate_pool
 from repro.obs.ledger import ENERGY_INFEASIBLE, LOST_ON_SCORE, OUTSIDE_HORIZON
 from repro.obs.spans import NULL_SPAN, NULL_TRACER, NullTracer, Tracer
 from repro.sim.clock import SimulationClock
 from repro.sim.schedule import ExecutionPlan, Schedule
 from repro.sim.trace import MappingTrace
-from repro.workload.versions import SECONDARY
 
 __all__ = [
-    "CandidatePool",
     "ColumnarPool",
     "KERNEL_MODES",
     "SchedulingKernel",
@@ -102,10 +106,9 @@ __all__ = [
     "resolve_kernel_mode",
 ]
 
-#: The three kernel modes: ``columnar`` (flat-array pools, the default),
-#: ``incremental`` (delta-maintained object pools) and ``rebuild``
-#: (from-scratch pools — the differential oracle).
-KERNEL_MODES = ("columnar", "incremental", "rebuild")
+#: The kernel modes: ``columnar`` (delta-maintained flat-array pools, the
+#: default) and ``rebuild`` (from-scratch pools — the differential oracle).
+KERNEL_MODES = ("columnar", "rebuild")
 
 
 def resolve_kernel_mode(override: str | None = None, *, ledger: bool = False) -> str:
@@ -120,8 +123,6 @@ def resolve_kernel_mode(override: str | None = None, *, ledger: bool = False) ->
     mode = str(mode).strip().lower()
     if mode in ("", "columnar", "col", "flat"):
         return "columnar"
-    if mode in ("incremental", "inc", "delta", "1", "on"):
-        return "incremental"
     if mode in ("rebuild", "full", "oracle", "0", "off"):
         return "rebuild"
     raise ValueError(
@@ -150,229 +151,45 @@ class TickPolicy:
             raise ValueError("max_commits must be >= 1 (or None)")
 
 
-# Pool-entry states: a scored candidate, a task whose tentative plans are
-# all energy-infeasible, and a rule-(b) reject (never planned at all).
-_CANDIDATE, _NO_VERSION, _RULE_B = 0, 1, 2
+#: The energy-budget comparison scale of Schedule._demand_shortfall.
+_BUDGET_SLACK = 1 + 1e-12
 
 
-class _PoolEntry:
-    """One delta-maintained pool slot for a (machine, task) pair.
-
-    Cleanliness certificates: the task's parent epoch, the touch-counter
-    stamps of every machine the entry's plans read (target + parents'
-    machines — exactly the set a commit can move), and — for entries that
-    hold plans — the clock rule under which a later ``not_before`` provably
-    yields byte-identical plans.  ``_RULE_B`` and ``_NO_VERSION`` verdicts
-    are clock-independent (they hinge on energy state only), so they skip
-    the clock rule.
-    """
+class _MemoEntry:
+    """One static-memo slot: a plan pair plus the facts that prove it is
+    still what a fresh search would return (see the module docstring)."""
 
     __slots__ = (
-        "kind", "parent_epoch", "dep_machines", "dep_stamps",
-        "nb", "data_ready", "min_comm_start", "pair", "cand", "token",
+        "pair", "demands", "pins", "exec_version", "in_version", "out_versions",
     )
-
-
-class CandidatePool:
-    """Incrementally maintained candidate pools, one per machine.
-
-    :meth:`pool_for` materialises the same ordered pool that
-    :func:`repro.core.pool.build_candidate_pool` would build from scratch
-    — pinned by the Hypothesis equivalence test in ``tests/test_kernel.py``
-    — re-planning only dirtied entries.  The owner must report every
-    commit via :meth:`note_commit` and call :meth:`invalidate_all` after
-    any other mutation (rollbacks, offline flips, external debits).
-    """
 
     def __init__(
         self,
         schedule: Schedule,
-        checker: FeasibilityChecker,
-        objective: ObjectiveFunction,
+        machine: int,
+        pair: tuple[ExecutionPlan, ExecutionPlan],
+        demands: tuple[dict[int, float] | None, dict[int, float] | None],
     ) -> None:
-        self.schedule = schedule
-        self.checker = checker
-        self.objective = objective
-        n_machines = schedule.scenario.n_machines
-        self._entries: list[dict[int, _PoolEntry]] = [{} for _ in range(n_machines)]
-        # Per-machine event counters: bumped for every machine a commit
-        # touches (calendars, energy, reserves).  Entry stamps against
-        # these prove "nothing my plans read has moved".
-        self._touch = [0] * n_machines
-        # Aggregate state (T100, TEC, AET) the current scores were computed
-        # at; scores are recomputed — with fresh-path arithmetic — whenever
-        # it moves, since every commit shifts every candidate's score.
-        self._agg: tuple[int, float, float] | None = None
-        self._token = 0
-
-    def invalidate_all(self) -> None:
-        """Drop every entry — the big hammer for events without a precise
-        delta (churn offline/online, rollbacks, external debits)."""
-        for per_machine in self._entries:
-            per_machine.clear()
-        self._agg = None
-
-    def note_release(self, task: int) -> None:
-        """A streamed arrival moved *task*'s release time: retire its
-        entries.  (A held task is release-gated out of every pool, so none
-        should exist — clearing is defensive symmetry with
-        :meth:`note_commit`.)  Entries for other tasks never read a
-        neighbour's release, so they survive untouched — this is the
-        precise delta that lets a session keep its pool across arrivals."""
-        for per_machine in self._entries:
-            per_machine.pop(task, None)
-
-    def note_machine_return(self, machine: int) -> None:
-        """A lost machine rejoined the grid: give it a fresh touch epoch.
-
-        Bumping the counter dirties every surviving entry whose plans read
-        *machine* (their stamps no longer match), and clearing the
-        machine's own entry table forces its pools to be re-derived from
-        the post-rejoin grid instead of any pre-loss leftovers.  Without
-        the bump a rejoin is invisible to the certificate scheme — touch
-        counters only ever move on commits — so stale entries could
-        survive the offline window (pinned against the rebuild oracle by
-        ``tests/test_session.py``)."""
-        self._touch[machine] += 1
-        self._entries[machine].clear()
-        self._agg = None
-
-    def note_commit(self, plan: ExecutionPlan) -> None:
-        """Record a commit's footprint: bump the touch counter of every
-        machine it mutated and retire the committed task's entries."""
-        schedule = self.schedule
-        touched = {plan.machine}
-        for p in schedule.scenario.dag.parents[plan.task]:
-            touched.add(schedule.assignments[p].machine)
-        touch = self._touch
-        for j in touched:
-            touch[j] += 1
-        for per_machine in self._entries:
-            per_machine.pop(plan.task, None)
-
-    def _deps(self, task: int, machine: int) -> tuple[int, ...]:
-        schedule = self.schedule
-        return tuple(
-            sorted(
-                {machine}
-                | {
-                    schedule.assignments[p].machine
-                    for p in schedule.scenario.dag.parents[task]
-                }
+        self.pair = pair
+        d0, d1 = demands
+        # Offline plans are dead whatever the budgets: no demands to check.
+        self.demands = None if d0 is None or d1 is None else (d0, d1)
+        # Per version: None for a feasible plan, else the (machine,
+        # available, reserved) budgets an infeasible plan's reason quotes.
+        self.pins: list[tuple[tuple[int, float, float], ...] | None] = [
+            None
+            if plan.feasible or demand is None
+            else tuple(
+                (j, schedule.available_energy(j), schedule.reserved_energy(j))
+                for j in demand
             )
+            for plan, demand in zip(pair, demands)
+        ]
+        self.exec_version = schedule.exec_timeline[machine].version
+        self.in_version = schedule.in_channel[machine].version
+        self.out_versions = tuple(
+            schedule.out_channel[c.src].version for c in pair[0].comms
         )
-
-    def pool_for(
-        self, machine: int, not_before: float, tracer: Tracer | NullTracer = NULL_TRACER
-    ) -> tuple[list[Candidate], float | None]:
-        """The ordered pool U for *machine* at *not_before*, plus the
-        earliest release time among ready-but-unreleased tasks (``None``
-        when there is none) — the kernel's wake-up hint."""
-        schedule = self.schedule
-        perf = schedule.perf
-        agg = schedule.aggregate_state()
-        if agg != self._agg:
-            self._agg = agg
-            self._token += 1
-        token = self._token
-        entries = self._entries[machine]
-        touch = self._touch
-        epochs = schedule.parent_epochs()
-        objective = self.objective
-        checker = self.checker
-        pool: list[Candidate] = []
-        min_release: float | None = None
-        reused = invalidated = 0
-        span = (
-            tracer.span("pool.delta", machine=machine, clock=not_before)
-            if tracer.enabled
-            else NULL_SPAN
-        )
-        release_times = schedule.release_times_view()
-        with span, perf.timer("phase.pool_seconds"):
-            for task in schedule.ready_tasks():
-                release = release_times[task]
-                if release > not_before + EPSILON:
-                    if min_release is None or release < min_release:
-                        min_release = release
-                    continue
-                entry = entries.get(task)
-                if entry is not None and entry.parent_epoch == epochs[task]:
-                    clean = True
-                    stamps = entry.dep_stamps
-                    for k, j in enumerate(entry.dep_machines):
-                        if touch[j] != stamps[k]:
-                            clean = False
-                            break
-                    if clean and entry.kind == _CANDIDATE and not_before != entry.nb:
-                        # The clock moved.  The stored plans survive only if
-                        # a fresh computation provably matches: the data-ready
-                        # floor dominates both clocks (so data_ready — and the
-                        # execution slot behind it — is unchanged) and every
-                        # planned transfer starts at/after the new clock (gap
-                        # searches are monotone in their lower bound, so a
-                        # still-legal earliest train stays earliest).
-                        if not (
-                            not_before > entry.nb
-                            and entry.data_ready > entry.nb
-                            and entry.data_ready >= not_before
-                            and entry.min_comm_start >= not_before
-                        ):
-                            clean = False
-                else:
-                    clean = False
-                if clean:
-                    reused += 1
-                    if entry.kind == _CANDIDATE:
-                        if entry.token != token:
-                            # Aggregates moved: re-score both versions with
-                            # the fresh path's exact arithmetic and re-run
-                            # the selection — a changed makespan can flip
-                            # the version choice, and float ordering must
-                            # be recomputed, never patched.
-                            entry.cand = select_candidate(
-                                schedule, objective, task, entry.pair
-                            )
-                            entry.token = token
-                        pool.append(entry.cand)
-                    continue
-                invalidated += 1
-                if not checker.is_feasible(schedule, task, machine, SECONDARY):
-                    entry = _PoolEntry()
-                    entry.kind = _RULE_B
-                    entry.parent_epoch = epochs[task]
-                    entry.dep_machines = self._deps(task, machine)
-                    entry.dep_stamps = tuple(touch[j] for j in entry.dep_machines)
-                    entry.pair = None
-                    entry.cand = None
-                    entries[task] = entry
-                    continue
-                pair = schedule.plan_versions(task, machine, not_before=not_before)
-                cand = select_candidate(schedule, objective, task, pair)
-                entry = _PoolEntry()
-                entry.kind = _CANDIDATE if cand is not None else _NO_VERSION
-                entry.parent_epoch = epochs[task]
-                entry.dep_machines = self._deps(task, machine)
-                entry.dep_stamps = tuple(touch[j] for j in entry.dep_machines)
-                entry.nb = not_before
-                entry.data_ready = pair[0].data_ready
-                entry.min_comm_start = min(
-                    (c.start for c in pair[0].comms), default=math.inf
-                )
-                entry.pair = pair
-                entry.cand = cand
-                entry.token = token
-                entries[task] = entry
-                if cand is not None:
-                    pool.append(cand)
-            pool.sort(key=lambda c: (-c.score, c.task))
-        perf.inc("pool.builds")
-        perf.inc("pool.members", len(pool))
-        if reused:
-            perf.inc("pool.reuse_hits", reused)
-        if invalidated:
-            perf.inc("pool.invalidations", invalidated)
-        return pool, min_release
 
 
 class SchedulingKernel:
@@ -380,7 +197,7 @@ class SchedulingKernel:
 
     One kernel serves one :class:`~repro.sim.schedule.Schedule`; the churn
     engine keeps a kernel alive across segments and every :meth:`run`
-    re-bases the incremental pool against whatever happened in between.
+    re-bases the columnar pool against whatever happened in between.
     """
 
     def __init__(
@@ -389,7 +206,7 @@ class SchedulingKernel:
         checker: FeasibilityChecker | None,
         objective: ObjectiveFunction | None,
         *,
-        mode: str = "incremental",
+        mode: str = "columnar",
         machine_order: str = "index",
         decision_latency_seconds: float = 0.0,
     ) -> None:
@@ -407,11 +224,14 @@ class SchedulingKernel:
         # The index-order scan list is immutable and shared across ticks
         # (round-robin rotates it, battery re-sorts it per tick).
         self._order = list(range(n_machines))
-        if checker is not None and mode != "rebuild":
-            pool_cls = ColumnarPool if mode == "columnar" else CandidatePool
-            self.pool = pool_cls(schedule, checker, objective)
-        else:
-            self.pool = None
+        self.pool = (
+            ColumnarPool(schedule, checker, objective)
+            if checker is not None and objective is not None and mode == "columnar"
+            else None
+        )
+        # The static plan memo (see module docstring): task -> (machine,
+        # insertion) -> _MemoEntry, alive only inside run_static.
+        self._memo: dict[int, dict[tuple[int, bool], _MemoEntry]] | None = None
         # Per-machine sleep state, stored as the *raw* event times the last
         # serve observed (earliest unreleased-task release, earliest pool
         # data-ready) rather than a precomputed wake tick: the asleep test
@@ -513,12 +333,7 @@ class SchedulingKernel:
         # scan machinery.  Guarded to the untraced, unledgered hot path;
         # the loop evaluates the exact same availability/sleep predicates
         # per tick, so counters and mappings are byte-identical.
-        fast = (
-            self.mode == "columnar"
-            and self.pool is not None
-            and not tracing
-            and trace.ledger is None
-        )
+        fast = self.pool is not None and not tracing and trace.ledger is None
         tick_index = 0
         while tick_index < max_ticks:
             if stop_cycle is not None and clock.cycle >= stop_cycle:
@@ -734,8 +549,8 @@ class SchedulingKernel:
         # byte-identical for every committable plan but skips the reason
         # strings of dead ones — usable exactly when no ledger listens.
         fused_replan = (
-            getattr(self.pool, "replan", None)
-            if replan and ledger is None
+            self.pool.replan
+            if replan and ledger is None and self.pool is not None
             else None
         )
         for index, candidate in enumerate(pool):
@@ -842,6 +657,82 @@ class SchedulingKernel:
 
     # -- clockless mode (the static baselines) ------------------------------
 
+    def static_plans(
+        self, task: int, machine: int, insertion: bool
+    ) -> tuple[ExecutionPlan, ExecutionPlan]:
+        """The (primary, secondary) plan pair for *task* on *machine* at
+        clock 0 — :meth:`Schedule.plan_versions` semantics, served from
+        the static plan memo while :meth:`run_static` runs (see the module
+        docstring) and computed afresh otherwise."""
+        schedule = self.schedule
+        memo = self._memo
+        if memo is None:
+            return schedule.plan_versions(task, machine, 0.0, insertion)
+        per_task = memo.get(task)
+        if per_task is None:
+            per_task = memo[task] = {}
+        key = (machine, insertion)
+        entry = per_task.get(key)
+        if entry is not None and self._memo_valid(entry, machine, insertion):
+            return entry.pair
+        pair, demands = schedule._plan_pair(task, machine, 0.0, insertion)
+        per_task[key] = _MemoEntry(schedule, machine, pair, demands)
+        return pair
+
+    def _memo_valid(self, entry: _MemoEntry, machine: int, insertion: bool) -> bool:
+        """Whether *entry* is still exactly what a fresh search returns.
+        Calendars only gain reservations during a static run, so a slot
+        still free is still the earliest fit; timeline versions skip the
+        freeness test on calendars nothing touched."""
+        schedule = self.schedule
+        pair = entry.pair
+        exec_tl = schedule.exec_timeline[machine]
+        if exec_tl.version != entry.exec_version:
+            # Append-only placement sits at the calendar tail, which any
+            # reservation moves; dead plans carry no placement.
+            if not insertion:
+                return False
+            for plan in pair:
+                if plan.feasible and not exec_tl.is_free(plan.start, plan.finish):
+                    return False
+            entry.exec_version = exec_tl.version
+        comms = pair[0].comms
+        if comms:
+            in_tl = schedule.in_channel[machine]
+            if in_tl.version != entry.in_version:
+                for c in comms:
+                    if not in_tl.is_free(c.start, c.finish):
+                        return False
+                entry.in_version = in_tl.version
+            out_channel = schedule.out_channel
+            stale = False
+            for c, version in zip(comms, entry.out_versions):
+                out_tl = out_channel[c.src]
+                if out_tl.version != version:
+                    if not out_tl.is_free(c.start, c.finish):
+                        return False
+                    stale = True
+            if stale:
+                entry.out_versions = tuple(
+                    out_channel[c.src].version for c in comms
+                )
+        demands = entry.demands
+        if demands is not None:
+            available = schedule.available_energy
+            for demand, pins in zip(demands, entry.pins):
+                if pins is None:
+                    for j, amount in demand.items():
+                        if amount > available(j) * _BUDGET_SLACK + 1e-12:
+                            return False
+                else:
+                    for j, avail, reserved in pins:
+                        if (
+                            available(j) != avail
+                            or schedule.reserved_energy(j) != reserved
+                        ):
+                            return False
+        return True
+
     def run_static(
         self,
         select: Callable[[], tuple[ExecutionPlan | None, int]],
@@ -856,26 +747,33 @@ class SchedulingKernel:
         *select* is a zero-argument callable returning ``(plan, pool_size)``
         — the round's winning plan (``None`` stops the loop) and, when
         *record_commits*, the candidate count to stamp on the trace record.
-        The kernel owns the loop, the commit, and the trace bookkeeping;
+        The kernel owns the loop, the commit, the trace bookkeeping and the
+        static plan memo *select* may read through :meth:`static_plans`;
         the heuristic owns only its selection rule.
         """
         schedule = self.schedule
-        while not schedule.is_complete:
-            if note_ticks:
-                trace.note_tick()
-            plan, pool_size = select()
-            if plan is None:
-                if note_empty_pool:
-                    trace.note_empty_pool()
-                break
-            schedule.commit(plan)
-            if record_commits:
-                trace.record_commit(
-                    clock=0.0,
-                    plan=plan,
-                    objective=self.objective.of_schedule(schedule),
-                    pool_size=pool_size,
-                    t100=schedule.t100,
-                    tec=schedule.total_energy_consumed,
-                    aet=schedule.makespan,
-                )
+        memo: dict[int, dict[tuple[int, bool], _MemoEntry]] = {}
+        self._memo = memo
+        try:
+            while not schedule.is_complete:
+                if note_ticks:
+                    trace.note_tick()
+                plan, pool_size = select()
+                if plan is None:
+                    if note_empty_pool:
+                        trace.note_empty_pool()
+                    break
+                schedule.commit(plan)
+                memo.pop(plan.task, None)
+                if record_commits:
+                    trace.record_commit(
+                        clock=0.0,
+                        plan=plan,
+                        objective=self.objective.of_schedule(schedule),
+                        pool_size=pool_size,
+                        t100=schedule.t100,
+                        tec=schedule.total_energy_consumed,
+                        aet=schedule.makespan,
+                    )
+        finally:
+            self._memo = None

@@ -64,10 +64,10 @@ def select_candidate(
     """Score the feasible members of *plans* and return the best as a
     :class:`Candidate` (``None`` if no plan is feasible).
 
-    This is the version-selection rule shared by every pool construction
-    path — the from-scratch build below and the incremental re-scoring in
-    :mod:`repro.core.kernel` — so a candidate's score and version choice
-    are computed by exactly one piece of float arithmetic everywhere.
+    This is the version-selection rule of the from-scratch build below;
+    :class:`repro.core.columnar.ColumnarPool` open-codes the same float
+    arithmetic in the same order, so a candidate's score and version
+    choice are identical on both kernel paths.
     """
     best: Candidate | None = None
     for plan in plans:

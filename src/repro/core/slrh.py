@@ -68,11 +68,6 @@ class SlrhConfig:
     #: energy first (spreads energy drain), ``round_robin`` rotates the
     #: starting machine every tick (spreads the first-pick advantage).
     machine_order: str = "index"
-    #: Reuse tentative :class:`~repro.sim.schedule.ExecutionPlan`s across
-    #: pool evaluations when the state they depend on is unchanged (see
-    #: the plan cache in :mod:`repro.sim.schedule`).  Mapping results are
-    #: identical either way; disabling is for benchmarking.
-    plan_cache: bool = True
     #: Cycles the mapper itself needs to produce a decision.  §IV warns
     #: that "the execution time of the heuristic in a real-time field
     #: application ... could lead to significantly larger minimum ΔT
@@ -88,11 +83,10 @@ class SlrhConfig:
     #: records are per-tick history that only exists when pools are
     #: actually rebuilt.
     ledger: bool = False
-    #: Candidate-pool maintenance mode: ``"columnar"`` (flat-array pools —
-    #: the default), ``"incremental"`` (delta-maintained object pools), or
-    #: ``"rebuild"`` (from-scratch every serve — the differential oracle);
-    #: ``None`` reads ``$REPRO_KERNEL``.  The mapping is byte-identical in
-    #: every mode; see :mod:`repro.core.kernel`.
+    #: Candidate-pool maintenance mode: ``"columnar"`` (delta-maintained
+    #: flat-array pools — the default) or ``"rebuild"`` (from-scratch every
+    #: serve — the differential oracle); ``None`` reads ``$REPRO_KERNEL``.
+    #: The mapping is byte-identical in both; see :mod:`repro.core.kernel`.
     kernel: str | None = None
 
 
@@ -192,7 +186,7 @@ class SlrhScheduler:
         """A :class:`~repro.core.kernel.SchedulingKernel` for *schedule*
         under this scheduler's configuration.  :meth:`map` builds one per
         run; the churn engine builds one per *schedule* and threads it
-        through every segment so the incremental pool survives in between.
+        through every segment so the columnar pool survives in between.
         """
         cfg = self.config
         scenario = schedule.scenario
@@ -255,7 +249,7 @@ class SlrhScheduler:
         if tracer is None:
             tracer = NULL_TRACER
         if schedule is None:
-            schedule = Schedule(scenario, plan_cache=cfg.plan_cache, tracer=tracer)
+            schedule = Schedule(scenario, tracer=tracer)
         elif schedule.scenario is not scenario:
             raise ValueError("schedule was built for a different scenario")
         elif tracer is not NULL_TRACER:

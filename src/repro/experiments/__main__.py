@@ -8,7 +8,7 @@ Usage::
 
     python -m repro.experiments map (--scenario FILE | --generate N [--seed S])
                                     [--heuristic NAME] [--alpha A --beta B]
-                                    [--kernel columnar|incremental|rebuild]
+                                    [--kernel columnar|rebuild]
                                     [--out PATH|-] [--ndjson]
                                     [--trace-out TRACE.json] [--ledger-out LOG.ndjson]
 
@@ -102,11 +102,11 @@ def map_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--alpha", type=float, default=None, help="objective α")
     parser.add_argument("--beta", type=float, default=None, help="objective β")
     parser.add_argument(
-        "--kernel", default=None, choices=("columnar", "incremental", "rebuild"),
+        "--kernel", default=None, choices=("columnar", "rebuild"),
         help="candidate-pool maintenance mode for the scheduling kernel "
         "(default: $REPRO_KERNEL or 'columnar'; mappings are byte-identical "
-        "in every mode — 'rebuild' is the differential oracle, 'incremental' "
-        "the object-graph delta pool, 'columnar' the flat-array hot path)",
+        "in both — 'columnar' is the delta-maintained hot path, 'rebuild' "
+        "the paper's from-scratch loop and the differential oracle)",
     )
     parser.add_argument(
         "--out", default="-",

@@ -80,7 +80,6 @@ def _measure_cell(
         delta_t_cycles=delta_t,
         horizon_cycles=horizon,
         kernel="rebuild",
-        plan_cache=False,
     )
     best_session = best_scratch = float("inf")
     session_outcome = scratch_outcome = None

@@ -6,8 +6,8 @@ negotiates the standard text format with ``Accept: text/plain`` or
 ``?format=prom`` and gets this module's rendering of the same snapshot:
 
 * **counters** → ``counter`` metrics, suffixed ``_total`` per convention
-  (``plan.cache.pair_hit`` → ``repro_plan_cache_pair_hit_total``);
-* **gauges** and the ``derived`` rates → ``gauge`` metrics;
+  (``plan.pairs`` → ``repro_plan_pairs_total``);
+* **gauges** → ``gauge`` metrics;
 * **histograms** → ``summary`` metrics: one ``{quantile="..."}`` sample
   per exact nearest-rank percentile plus ``_sum`` and ``_count``.
 
@@ -71,7 +71,7 @@ def render_prometheus(doc: Mapping) -> str:
     """Render a :func:`repro.perf.perf_document` as exposition text.
 
     Accepts the full ``repro.perf/2`` document (``counters`` / ``gauges``
-    / ``derived`` / ``histograms`` sections, each optional).
+    / ``histograms`` sections, each optional).
     """
     out: list[str] = []
 
@@ -88,13 +88,6 @@ def render_prometheus(doc: Mapping) -> str:
         emit(name, "counter", f"repro.perf counter {raw}", [("", value)])
     for raw, value in sorted(doc.get("gauges", {}).items()):
         emit(sanitize_metric_name(raw), "gauge", f"repro.perf gauge {raw}", [("", value)])
-    for raw, value in sorted(doc.get("derived", {}).items()):
-        emit(
-            sanitize_metric_name(raw),
-            "gauge",
-            f"repro.perf derived rate {raw}",
-            [("", value)],
-        )
     for raw, summary in sorted(doc.get("histograms", {}).items()):
         name = sanitize_metric_name(raw)
         samples: list[tuple[str, float]] = []

@@ -9,7 +9,7 @@ Completed spans accumulate on the :class:`Tracer` (relative to its
 creation instant) and export as Chrome trace-event JSON — load the file
 in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing`` and the
 whole mapping is visible as a flame chart: ``map`` → per-``kernel.tick``
-→ ``pool.delta`` (incremental candidate maintenance) or ``pool.build``
+→ ``pool.columnar`` (delta-maintained candidate pool) or ``pool.build``
 (full rebuild) / ``select`` / ``commit``, exactly the §IV inner loop as
 the :class:`repro.core.kernel.SchedulingKernel` drives it.
 Span nesting needs no explicit stack: overlapping complete ("X") events
@@ -23,7 +23,7 @@ The **null tracer** (:data:`NULL_TRACER`) is the disabled path threaded
 through the hot loops: its :meth:`~NullTracer.span` returns one shared
 no-op context manager, so instrumentation costs two cheap calls per
 span site and allocates nothing.  The hottest sites (per-candidate
-``select``, per-scan ``pool.build``/``pool.delta``, per-tick
+``select``, per-scan ``pool.build``/``pool.columnar``, per-tick
 ``kernel.tick``) go further and
 branch on ``tracer.enabled`` before even building the span's kwargs —
 when disabled they pay a single attribute check (see :data:`NULL_SPAN`).  ``Tracer`` instances are single-thread

@@ -3,8 +3,7 @@
 The ROADMAP north star is a mapper that runs "as fast as the hardware
 allows"; you cannot steer that without measuring it.  :class:`PerfCounters`
 is a tiny flat registry of named ``float`` accumulators shared by the hot
-paths (plan-cache hits/misses, plans computed, pool sizes, per-phase wall
-time).  Every :class:`~repro.sim.schedule.Schedule` owns one; heuristics
+paths (plans computed, pool sizes and reuse, per-phase wall time).  Every :class:`~repro.sim.schedule.Schedule` owns one; heuristics
 snapshot it into :class:`~repro.sim.trace.MappingTrace` at the end of a
 mapping, and the experiment drivers merge the snapshots upward so a whole
 weight-search study (possibly spread over worker processes) reduces to one
@@ -14,12 +13,10 @@ Counter namespace (dotted, flat):
 
 ``plan.pairs``
     (task, machine) plan pairs computed from scratch (the hot path).
-``plan.cache.comm_hit`` / ``plan.cache.comm_miss``
-    Comm-plan reuse — the channel-slot search was skipped / re-run.
-``plan.cache.pair_hit`` / ``plan.cache.pair_miss``
-    Full plan-pair reuse (comm plan *and* exec/energy verdicts).
 ``pool.builds`` / ``pool.members``
     Candidate pools built and their total membership.
+``pool.reuse_hits`` / ``pool.invalidations``
+    Columnar pool slots reused as-is / re-planned (the delta rate).
 ``pool.empty_ticks`` / ``tick.count``
     Heuristic ticks whose pools all came up empty, and total ticks run
     (surfaced from :class:`~repro.sim.trace.MappingTrace` so the ratio is
@@ -275,49 +272,23 @@ def merge_snapshots(snapshots: Iterable[Mapping[str, float]]) -> dict[str, float
     return total.snapshot()
 
 
-def hit_rate(counters: Mapping[str, float], prefix: str) -> float:
-    """``<prefix>_hit / (<prefix>_hit + <prefix>_miss)`` (NaN when unused)."""
-    hits = counters.get(f"{prefix}_hit", 0.0)
-    misses = counters.get(f"{prefix}_miss", 0.0)
-    total = hits + misses
-    return hits / total if total else float("nan")
-
-
-def comm_reuse_rate(counters: Mapping[str, float]) -> float:
-    """Fraction of comm-plan lookups that skipped the channel-slot search
-    (cache hit or shift replay); NaN when the cache was unused."""
-    hits = counters.get("plan.cache.comm_hit", 0.0)
-    shifts = counters.get("plan.cache.comm_shift", 0.0)
-    misses = counters.get("plan.cache.comm_miss", 0.0)
-    total = hits + shifts + misses
-    return (hits + shifts) / total if total else float("nan")
-
-
 def perf_document(
     counters: Mapping[str, float],
     gauges: Mapping[str, float] | None = None,
     histograms: Mapping[str, dict] | None = None,
     **context,
 ) -> dict:
-    """The :data:`PERF_SCHEMA` document for *counters* (plus derived hit
-    rates, optional gauge/histogram sections and *context* metadata).
+    """The :data:`PERF_SCHEMA` document for *counters* (plus optional
+    gauge/histogram sections and *context* metadata).
 
     *histograms* maps names to :meth:`Histogram.summary` dicts.  The gauge
     and histogram sections appear only when provided, so counter-only
-    artefacts keep the original four-key layout.
+    artefacts keep the three-key layout.
     """
     doc = {
         "schema": PERF_SCHEMA,
         "context": dict(context),
         "counters": {k: counters[k] for k in sorted(counters)},
-        "derived": {
-            "plan_cache_comm_hit_rate": hit_rate(counters, "plan.cache.comm"),
-            "plan_cache_pair_hit_rate": hit_rate(counters, "plan.cache.pair"),
-            # A comm *shift* (replaying the cached transfer train at a
-            # later clock) also skips the channel-slot search, so reuse =
-            # (hit + shift) / (hit + shift + miss).
-            "plan_cache_comm_reuse_rate": comm_reuse_rate(counters),
-        },
     }
     if gauges is not None:
         doc["gauges"] = {k: gauges[k] for k in sorted(gauges)}

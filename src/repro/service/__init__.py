@@ -9,9 +9,9 @@ from the stdlib on top of the existing engine:
 * :mod:`repro.service.registry` — content-addressed scenario store
   (``sha256:`` of the canonical scenario bytes) with an LRU of
   deserialised :class:`~repro.workload.scenario.Scenario` objects;
-* :mod:`repro.service.jobs` — admission control (bounded queue → HTTP
-  429), request batching over a persistent
-  :class:`~repro.util.parallel.WorkerPool`, graceful drain, and the live
+* :mod:`repro.service.jobs` — admission control (bounded per-shard queues
+  → HTTP 429), scenario-affine routing over the shard layer
+  (:class:`~repro.service.jobs.ShardRouter`), graceful drain, and the live
   :mod:`repro.perf` registry (counters + gauges + latency histograms);
 * :mod:`repro.service.worker` — the picklable mapping executor shared by
   in-process and process-pool execution;
@@ -33,15 +33,15 @@ surfaces dispatch through the same registry and encode through
 from repro.service.jobs import (
     DrainingError,
     Job,
-    JobManager,
     QueueFullError,
+    ShardRouter,
 )
 from repro.service.registry import ScenarioRegistry
 
 __all__ = [
     "DrainingError",
     "Job",
-    "JobManager",
     "QueueFullError",
     "ScenarioRegistry",
+    "ShardRouter",
 ]

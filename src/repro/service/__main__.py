@@ -62,8 +62,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scenario-cache", default=None, metavar="N",
                         help="deserialised scenarios kept hot per shard "
                         "(default: $REPRO_SCENARIO_CACHE or 8)")
-    parser.add_argument("--batch-max", type=int, default=None,
-                        help=argparse.SUPPRESS)  # pre-shard flag, now inert
     parser.add_argument("--max-sessions", type=int, default=DEFAULT_MAX_SESSIONS,
                         help="bound on live streaming sessions (429 beyond it)")
     parser.add_argument("--session-idle", type=float, default=DEFAULT_IDLE_TIMEOUT,

@@ -83,12 +83,16 @@ from repro.io.serialization import canonical_json_bytes
 from repro.obs.log import enabled as _obs_enabled
 from repro.obs.log import get_logger
 from repro.obs.prom import render_prometheus
-from repro.service.jobs import DrainingError, Job, JobManager, QueueFullError
+from repro.service.jobs import DrainingError, Job, QueueFullError, ShardRouter
 from repro.service.sessions import SessionLimitError, SessionManager
 from repro.session import event_from_dict
 
 #: Seconds between NDJSON ``status`` heartbeats while a job is pending.
 EVENT_HEARTBEAT_SECONDS = 1.0
+
+#: Largest request body the daemon reads (a |T| = 1024 scenario document
+#: is about 0.17 MB); a longer declared ``Content-Length`` gets a 413.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 _LOG = get_logger("service.http")
 
@@ -112,7 +116,7 @@ class ServiceServer(ThreadingHTTPServer):
     def __init__(
         self,
         address: tuple[str, int],
-        manager: JobManager,
+        manager: ShardRouter,
         quiet: bool = True,
         sessions: SessionManager | None = None,
     ) -> None:
@@ -133,7 +137,7 @@ class ServiceServer(ThreadingHTTPServer):
 def make_server(
     host: str,
     port: int,
-    manager: JobManager,
+    manager: ShardRouter,
     quiet: bool = True,
     sessions: SessionManager | None = None,
 ) -> ServiceServer:
@@ -155,7 +159,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             super().log_message(fmt, *args)
 
     @property
-    def manager(self) -> JobManager:
+    def manager(self) -> ShardRouter:
         return self.server.manager
 
     def send_response(self, code: int, message: str | None = None) -> None:
@@ -205,12 +209,43 @@ class ServiceHandler(BaseHTTPRequestHandler):
             headers["Retry-After"] = str(int(extra["retry_after"]))
         self._send_json(status, {"error": message, **extra}, extra_headers=headers)
 
-    def _read_body(self) -> dict | None:
+    def _read_raw_body(self) -> bytes | None:
+        """The request body, or ``None`` once a 400 (negative or
+        non-integer ``Content-Length``) or 413 (above
+        :data:`MAX_BODY_BYTES`) has been sent.  A refused body is never
+        read, so the reply closes the connection."""
+        declared = self.headers.get("Content-Length", "0")
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            raw = self.rfile.read(length) if length else b""
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send_json(
+                400,
+                {"error": f"bad Content-Length {declared!r}"},
+                extra_headers={"Connection": "close"},
+            )
+            return None
+        if length > MAX_BODY_BYTES:
+            self._send_json(
+                413,
+                {
+                    "error": f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit",
+                    "max_bytes": MAX_BODY_BYTES,
+                },
+                extra_headers={"Connection": "close"},
+            )
+            return None
+        return self.rfile.read(length) if length else b""
+
+    def _read_body(self) -> dict | None:
+        raw = self._read_raw_body()
+        if raw is None:
+            return None
+        try:
             doc = json.loads(raw) if raw else {}
-        except (ValueError, json.JSONDecodeError):
+        except ValueError:
             self._error(400, "request body must be a JSON object")
             return None
         if not isinstance(doc, dict):
@@ -368,11 +403,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if sessions.draining:
             self._error(503, "service is draining; not accepting session events")
             return
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-            raw = self.rfile.read(length) if length else b""
-        except ValueError:
-            self._error(400, "bad Content-Length")
+        raw = self._read_raw_body()
+        if raw is None:
             return
         events = []
         for lineno, line in enumerate(raw.splitlines(), start=1):

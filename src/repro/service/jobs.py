@@ -32,8 +32,7 @@ depth, last heartbeat) for ``/healthz``.
 
 A crashed shard child fails its in-flight job (surfaced as a ``failed``
 job with the crash message — never a hang), stays dead, and flips
-``/healthz`` to 503.  :class:`JobManager` remains as the single-shard
-compatibility constructor older callers and tests use.
+``/healthz`` to 503.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from repro.perf import PerfCounters, merge_registries
 from repro.service.registry import ScenarioRegistry
 from repro.service.shard import InlineShard, ProcessShard
 from repro.service.worker import configure_scenario_cache
-from repro.util.parallel import resolve_jobs, resolve_shards
+from repro.util.parallel import resolve_shards
 
 #: Fallback per-job seconds used for Retry-After before any job finished.
 _DEFAULT_JOB_SECONDS = 1.0
@@ -614,35 +613,3 @@ class ShardRouter:
             histograms=merged.histograms_summary(),
             **context,
         )
-
-
-class JobManager(ShardRouter):
-    """Single-dispatcher compatibility constructor over the shard layer.
-
-    Pre-shard callers built ``JobManager(registry, n_jobs=…)`` around one
-    dispatcher thread and a worker pool; ``n_jobs`` now sizes the shard
-    layer directly (1 worker → 1 inline shard, N workers → N shard
-    processes).  ``batch_max`` is accepted and validated for
-    compatibility but inert: shards dispatch one job at a time, and
-    per-scenario batching is subsumed by affine routing (every job for a
-    scenario already lands on the shard holding it hot).
-    """
-
-    def __init__(
-        self,
-        registry: ScenarioRegistry,
-        n_jobs: int | str | None = None,
-        max_queue: int = 64,
-        batch_max: int | None = None,
-        max_jobs_kept: int = 1024,
-    ) -> None:
-        if batch_max is not None and batch_max < 1:
-            raise ValueError("batch_max must be >= 1")
-        n_shards = resolve_jobs(n_jobs)
-        super().__init__(
-            registry,
-            shards=n_shards,
-            max_queue=max_queue,
-            max_jobs_kept=max_jobs_kept,
-        )
-        self.batch_max = batch_max

@@ -358,7 +358,6 @@ def run_session_loadgen(
         "max_cycle": max_cycle,
         "levels": results,
         "metrics_after": {
-            "derived": metrics.get("derived", {}),
             "gauges": metrics.get("gauges", {}),
             "histograms": metrics.get("histograms", {}),
             "counters": {
@@ -401,7 +400,6 @@ def run_loadgen(
         "max_retries": max_retries,
         "levels": results,
         "metrics_after": {
-            "derived": metrics.get("derived", {}),
             "gauges": metrics.get("gauges", {}),
             "histograms": metrics.get("histograms", {}),
             "counters": {

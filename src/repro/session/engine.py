@@ -8,7 +8,7 @@ candidate pool (``note_arrival`` / ``note_rejoin`` / ``note_disturbance``)
 and every replanning segment runs with ``rebase=False``, so the pool is
 never rebuilt from scratch unless the differential oracle mode
 (``SlrhConfig(kernel="rebuild")``) is forced.  Mappings are byte-identical
-across all three kernel modes and to :func:`repro.sim.churn.run_with_churn`
+across both kernel modes and to :func:`repro.sim.churn.run_with_churn`
 on the same loss/join timeline — pinned by ``tests/test_session.py``.
 
 Scheduler families differ in *when* planning happens:
@@ -114,9 +114,8 @@ class SessionEngine:
                 "SLRH-family scheduler; static baselines have no clock"
             )
         config = getattr(scheduler, "config", None)
-        plan_cache = getattr(config, "plan_cache", True)
         self.cycle_seconds = getattr(config, "cycle_seconds", CYCLE_SECONDS)
-        self.schedule = Schedule(scenario, plan_cache=plan_cache)
+        self.schedule = Schedule(scenario)
         for task in self.pending:
             self.schedule.set_release(task, math.inf)
         self.kernel = (

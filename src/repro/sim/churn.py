@@ -122,11 +122,11 @@ def run_with_churn(
     for ev in events:
         if not 0 <= ev.machine < scenario.n_machines:
             raise IndexError(f"no machine {ev.machine}")
-    schedule = Schedule(scenario, plan_cache=scheduler.config.plan_cache)
+    schedule = Schedule(scenario)
     ordered = sorted(events, key=lambda e: e.cycle)
 
     # One kernel lives across every segment: each `map` re-bases the
-    # incremental candidate pool against whatever the events in between
+    # columnar candidate pool against whatever the events in between
     # did to the schedule (rollbacks, offline flips, sunk-energy debits).
     kernel = scheduler.make_kernel(schedule)
     records: list[ChurnRecord] = []

@@ -214,7 +214,7 @@ def run_with_machine_loss(
         re-mapping pass (which resumes at *loss_cycle*).  Each pass runs
         on its own :class:`repro.core.kernel.SchedulingKernel` — the
         rebuilt schedule lives on a *reduced* scenario, so the initial
-        pass's incremental pool cannot carry over (contrast
+        pass's columnar pool cannot carry over (contrast
         :func:`repro.sim.churn.run_with_churn`, which keeps machine
         indexing stable and threads one kernel through every segment).
     loss_cycle:

@@ -24,23 +24,15 @@ dynamic machine-loss engine), provided none of its children are mapped.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.constants import EPSILON
 from repro.grid.energy import EnergyLedger
 from repro.obs.spans import NULL_TRACER
 from repro.perf import PerfCounters
-from repro.sim.timeline import _EPS, IntervalTimeline, earliest_common_gap
+from repro.sim.timeline import IntervalTimeline, earliest_common_gap
 from repro.workload.scenario import Scenario
 from repro.workload.versions import Version
-
-
-def _plan_cache_default() -> bool:
-    """Plan caching defaults on; ``REPRO_PLAN_CACHE=0`` disables it."""
-    return os.environ.get("REPRO_PLAN_CACHE", "1").strip().lower() not in (
-        "0", "off", "false", "no",
-    )
 
 
 @dataclass(frozen=True)
@@ -138,44 +130,6 @@ class ExecutionPlan:
         return self.finish - self.start
 
 
-class _PlanCacheEntry:
-    """One memoised planning result for a (task, machine, insertion) triple.
-
-    Two layers of reuse, validated lazily at lookup time:
-
-    * the **comm plan** (the expensive channel-slot search) — valid while
-      the parents' assignments are unchanged (``parent_epoch``), the
-      requested ``not_before`` does not precede any cached transfer start,
-      and every channel calendar it read is either unchanged (version
-      match) or has only *gained* reservations since (release counter
-      match) that leave every cached transfer slot free — reservations
-      only shrink gaps, so a still-free earliest slot stays earliest;
-    * the **full plan pair** — additionally requires the target machine's
-      execution calendar to be compatible (same rule; append-only
-      placement depends on the calendar tail, so any mutation invalidates
-      it), the offline state of every involved machine to be unchanged,
-      and the plans' energy verdicts to be reproducible: feasible plans
-      recheck their stored per-machine demand against current available
-      energy, infeasible ones additionally pin the exact energy values
-      their reason string embeds.
-    """
-
-    __slots__ = (
-        "parent_epoch", "dep_machines", "insertion",
-        "comms", "dr_floor", "min_comm_start", "comm_nb",
-        "in_version", "in_release", "out_versions",
-        "pair", "pair_nb", "exec_version", "exec_release",
-        "offline", "offline_sig", "demands", "infeas_sig",
-        # Immutable creation-time facts backing the comm-train *replay*
-        # (see Schedule._shift_comms): per-comm lower-bound floors and
-        # original starts, the free-window ends around those starts, the
-        # data-ready floor excluding transfers, and the exact channel
-        # versions the windows were read from.
-        "lb_floors", "base_starts", "window_ends", "local_floor",
-        "base_in_version", "base_out_versions",
-    )
-
-
 class Schedule:
     """Mutable mapping state for one scenario (see module docstring).
 
@@ -200,7 +154,6 @@ class Schedule:
         self,
         scenario: Scenario,
         hold_comm_reserves: bool = True,
-        plan_cache: bool | None = None,
         perf: PerfCounters | None = None,
         tracer=None,
     ) -> None:
@@ -212,16 +165,9 @@ class Schedule:
         #: unless a caller opts into tracing, so span sites cost two no-op
         #: calls on the default path.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.plan_cache_enabled = (
-            _plan_cache_default() if plan_cache is None else plan_cache
-        )
-        # task -> (machine, insertion) -> _PlanCacheEntry; dropped per task
-        # at commit, validated lazily against timeline versions and
-        # energy/offline signatures at every lookup.
-        self._plan_cache: dict[int, dict[tuple[int, bool], _PlanCacheEntry]] = {}
         # Per-task epoch of the *parents'* assignments: bumped for every
-        # child when a task commits or unassigns.  Equality proves a cached
-        # comm plan's inputs (parent machine/version/finish) are unchanged
+        # child when a task commits or unassigns.  Equality proves a pool
+        # entry's comm inputs (parent machine/version/finish) are unchanged
         # without rebuilding a signature tuple per lookup.
         self._parent_epoch = [0] * scenario.n_tasks
         # (task, machine, version) -> summed worst-case outgoing transfer
@@ -392,10 +338,6 @@ class Schedule:
                 f"task {task} is already mapped; its release cannot move"
             )
         self._release_times[task] = at
-        # A cached comm plan stores local_floor — the release at planning
-        # time — as an immutable replay fact, so the task's entries are
-        # stale the moment the release moves.
-        self._plan_cache.pop(task, None)
 
     def exec_facts(self, task: int, machine: int) -> tuple[tuple[float, float], ...]:
         """Static ``(duration, energy)`` per version for (*task*, *machine*)
@@ -490,14 +432,13 @@ class Schedule:
 
     def _plan_comms_floor(
         self, task: int, machine: int, not_before: float
-    ) -> tuple[tuple[PlannedComm, ...], float, float]:
+    ) -> tuple[tuple[PlannedComm, ...], float]:
         """Schedule *task*'s incoming transfers onto *machine* (tentative).
 
-        Returns ``(comms, dr_floor, local_floor)`` where ``dr_floor`` is
-        the data-ready time *excluding* the ``not_before`` clamp (release
-        time, local parent finishes, transfer finishes) and ``local_floor``
-        is the same excluding transfer finishes as well — the caller's
-        effective data ready is ``max(not_before, dr_floor)``.  Incoming
+        Returns ``(comms, dr_floor)`` where ``dr_floor`` is the data-ready
+        time *excluding* the ``not_before`` clamp (release time, local
+        parent finishes, transfer finishes) — the caller's effective data
+        ready is ``max(not_before, dr_floor)``.  Incoming
         transfer sizes depend on the *parents'* committed versions only, so
         one comm plan serves both candidate versions of the task.
 
@@ -524,7 +465,7 @@ class Schedule:
         out_views: dict[int, IntervalTimeline] = {}
         in_view: IntervalTimeline | None = None
         pending: PlannedComm | None = None
-        # Hot path (both kernel modes funnel through here): inline
+        # Hot path (every planning path funnels through here): inline
         # data_bits / transfer_time on their hoisted operands — the same
         # arithmetic on the same values, minus the call layers.
         data_sizes = scenario.data_sizes
@@ -569,7 +510,7 @@ class Schedule:
         for c in comms:
             if c.finish > dr_floor:
                 dr_floor = c.finish
-        return tuple(comms), dr_floor, local_floor
+        return tuple(comms), dr_floor
 
     def _check_plannable(self, task: int, machine: int) -> None:
         if task in self.assignments:
@@ -579,336 +520,23 @@ class Schedule:
         if not 0 <= machine < self.scenario.n_machines:
             raise IndexError(f"no machine {machine}")
 
-    def _comm_entry_valid(
-        self,
-        entry: _PlanCacheEntry,
-        machine: int,
-        not_before: float,
-        parent_epoch: int,
-    ) -> bool:
-        """Whether *entry*'s cached comm plan is exactly what a fresh
-        channel-slot search at *not_before* would produce."""
-        if entry.parent_epoch != parent_epoch:
-            return False
-        if not entry.comms:
-            # No transfers were (or would be) scheduled: the plan reads no
-            # channel calendar and is independent of not_before.
-            return True
-        # Gap searches are monotone in not_before: a cached slot at or
-        # after the new clock is still the earliest one.  An *earlier*
-        # clock could admit earlier slots — recompute.
-        if not (
-            not_before == entry.comm_nb
-            or (not_before > entry.comm_nb and entry.min_comm_start >= not_before)
-        ):
-            return False
-        # Channel calendars: exact version match, or reservations-only
-        # drift (release counter unchanged) that leaves every cached slot
-        # free.  Added busyness cannot open earlier slots, so a still-free
-        # earliest slot stays the earliest; frees could, so any release
-        # forces a recompute.
-        in_tl = self.in_channel[machine]
-        in_stale = in_tl.version != entry.in_version
-        if in_stale and in_tl.release_version != entry.in_release:
-            return False
-        stale_srcs: set[int] | None = None
-        for src, version, release in entry.out_versions:
-            tl = self.out_channel[src]
-            if tl.version != version:
-                if tl.release_version != release:
-                    return False
-                if stale_srcs is None:
-                    stale_srcs = set()
-                stale_srcs.add(src)
-        if in_stale or stale_srcs:
-            for c in entry.comms:
-                if in_stale and not in_tl.is_free(c.start, c.finish):
-                    return False
-                if (
-                    stale_srcs is not None
-                    and c.src in stale_srcs
-                    and not self.out_channel[c.src].is_free(c.start, c.finish)
-                ):
-                    return False
-            # Re-stamp at the current versions: no release happened since
-            # the entry was built, so future lookups may fast-path again.
-            entry.in_version = in_tl.version
-            entry.out_versions = tuple(
-                (src, self.out_channel[src].version, release)
-                for src, version, release in entry.out_versions
-            )
-            # Re-base the replay certificate too (see _shift_comms): every
-            # slot was just verified free on the *current* calendars, so
-            # re-measuring the free window around each — it can only have
-            # shrunk — lets a later clock still replay the train instead of
-            # falling back to a full channel-slot search.
-            entry.base_starts = tuple(c.start for c in entry.comms)
-            entry.window_ends = tuple(
-                min(
-                    self.out_channel[c.src].next_busy_start_after(c.start),
-                    in_tl.next_busy_start_after(c.start),
-                )
-                for c in entry.comms
-            )
-            entry.base_in_version = in_tl.version
-            entry.base_out_versions = tuple(
-                (src, version) for src, version, release in entry.out_versions
-            )
-        return True
-
-    def _shift_comms(
-        self,
-        entry: _PlanCacheEntry,
-        machine: int,
-        not_before: float,
-        parent_epoch: int,
-    ) -> tuple[tuple[PlannedComm, ...], float] | None:
-        """Replay the cached comm train at a *later* clock without any
-        channel-slot search; ``None`` forces a full recompute.
-
-        A fresh search at ``not_before`` places each transfer at the
-        earliest point ≥ its lower bound (parent finish / clock) that
-        avoids the raw channel calendars and the transfers planned before
-        it.  The replay computes the earliest point avoiding the
-        *re-placed* earlier transfers in O(#comms²) float arithmetic, then
-        certifies raw-channel freeness from a free window observed around
-        the cached slot: the new slot must sit at/after the window anchor
-        (everything from there to the window end is free) and end inside
-        the window.  Any position below the new slot overlaps a re-placed
-        transfer, so the fresh search would reject it too — the replayed
-        train is exactly the fresh result.  When a channel is unchanged
-        since the window was measured (``base_*`` version match) the stored
-        window is used verbatim; otherwise the certificate is re-derived on
-        the *current* calendars — the cached slot must still be free, and
-        the window around it is re-measured — so arbitrary channel drift
-        (even releases) never poisons the replay, it merely tightens the
-        window anchor to the slot's current start.
-        """
-        if entry.parent_epoch != parent_epoch:
-            return None
-        if not entry.comms or not_before <= entry.comm_nb:
-            return None
-        in_tl = self.in_channel[machine]
-        in_fresh = in_tl.version == entry.base_in_version
-        stale_srcs: set[int] = {
-            src
-            for src, version in entry.base_out_versions
-            if self.out_channel[src].version != version
-        }
-        placed: list[PlannedComm] = []
-        anchors: list[float] = []
-        windows: list[float] = []
-        network = self.scenario.network
-        for k, c in enumerate(entry.comms):
-            # Recompute the duration exactly as the fresh path does
-            # (``c.finish - c.start`` can differ in the last ulp once the
-            # train has been re-based to a different start).
-            duration = network.transfer_time(c.src, c.dst, c.bits)
-            start = entry.lb_floors[k]
-            if not_before > start:
-                start = not_before
-            # Mirror the gap search's conflict rule against the re-placed
-            # earlier transfers (they all share the target's in-channel).
-            moved = True
-            while moved:
-                moved = False
-                for t in placed:
-                    if t.start < start + duration - _EPS and t.finish > start + _EPS:
-                        start = t.finish
-                        moved = True
-            if in_fresh and c.src not in stale_srcs:
-                anchor = entry.base_starts[k]
-                window_end = entry.window_ends[k]
-            else:
-                out_tl = self.out_channel[c.src]
-                if not (
-                    in_tl.is_free(c.start, c.finish)
-                    and out_tl.is_free(c.start, c.finish)
-                ):
-                    # The cached slot itself was taken (or partially so):
-                    # a fresh search genuinely lands elsewhere.
-                    return None
-                anchor = c.start
-                window_end = min(
-                    out_tl.next_busy_start_after(c.start),
-                    in_tl.next_busy_start_after(c.start),
-                )
-            if start < anchor:
-                # Below the observed-free window: raw freeness unknown.
-                return None
-            if start + duration > window_end + _EPS:
-                # Would cross into known-busy channel time.
-                return None
-            anchors.append(anchor)
-            windows.append(window_end)
-            placed.append(
-                c
-                if start == c.start
-                else _new_planned_comm(
-                    c.parent,
-                    c.child,
-                    c.src,
-                    c.dst,
-                    c.bits,
-                    start,
-                    start + duration,
-                    c.energy,
-                )
-            )
-        comms = tuple(placed)
-        dr_floor = entry.local_floor
-        for c in comms:
-            if c.finish > dr_floor:
-                dr_floor = c.finish
-        entry.comms = comms
-        entry.dr_floor = dr_floor
-        entry.comm_nb = not_before
-        entry.min_comm_start = min(c.start for c in comms)
-        # Every window is now known valid under the *current* calendars
-        # (stored ones by version match, re-derived ones by direct
-        # verification) — re-base so the next replay can fast-path.
-        entry.base_starts = tuple(anchors)
-        entry.window_ends = tuple(windows)
-        entry.base_in_version = in_tl.version
-        entry.base_out_versions = tuple(
-            (src, self.out_channel[src].version)
-            for src, version in entry.base_out_versions
-        )
-        # data_ready moved with the clock: the exec placement (and with it
-        # the cached pair) must be recomputed.
-        entry.pair = None
-        return comms, dr_floor
-
-    def _cached_pair(
-        self, entry: _PlanCacheEntry, machine: int, not_before: float
-    ) -> tuple[ExecutionPlan, ExecutionPlan] | None:
-        """The cached plan pair, iff byte-identical (start times,
-        feasibility verdicts, reasons) to a fresh computation at
-        *not_before*; ``None`` forces a recompute.
-
-        Only called once :meth:`_comm_entry_valid` has established that the
-        cached comm plan matches a fresh one at *not_before*.
-        """
-        if entry.pair is None:
-            return None
-        exec_tl = self.exec_timeline[machine]
-        if exec_tl.version != entry.exec_version:
-            # Append-only placement (SLRH) sits at the calendar tail, which
-            # any mutation moves.  Hole-filling (insertion) placement only
-            # needs both cached slots still free, provided nothing was
-            # released since — added reservations cannot open earlier holes.
-            if not entry.insertion:
-                return None
-            if exec_tl.release_version != entry.exec_release:
-                return None
-            if not (
-                exec_tl.is_free(entry.pair[0].start, entry.pair[0].finish)
-                and exec_tl.is_free(entry.pair[1].start, entry.pair[1].finish)
-            ):
-                return None
-            entry.exec_version = exec_tl.version
-        offline = self.offline
-        for i, m in enumerate(entry.dep_machines):
-            if (m in offline) != entry.offline_sig[i]:
-                return None
-        if not entry.offline:
-            # Reproduce the energy verdicts exactly.  A feasible plan stays
-            # feasible (reason "") iff its per-machine demand still fits; an
-            # infeasible plan's reason string embeds exact energy values, so
-            # those must be unchanged for a byte-identical recompute.
-            for v in (0, 1):
-                sig = entry.infeas_sig[v]
-                if sig is None:
-                    for j, amount in entry.demands[v].items():
-                        if amount > self.available_energy(j) * (1 + 1e-12) + 1e-12:
-                            return None
-                else:
-                    for j, avail, reserved in sig:
-                        if (
-                            self.available_energy(j) != avail
-                            or self._reserved[j] != reserved
-                        ):
-                            return None
-        if not_before == entry.pair_nb or (
-            not_before > entry.pair_nb and entry.dr_floor >= not_before
-        ):
-            # data_ready = max(not_before, dr_floor) is unchanged: either
-            # the clock did not move, or the dr_floor dominates both clocks.
-            return entry.pair
-        if not_before > entry.pair_nb:
-            # The clock advanced past dr_floor, so data_ready = not_before.
-            # A feasible plan keeps its exec slot iff the slot starts
-            # at/after the new clock: the gap search is monotone in its
-            # lower bound — everything before a returned slot was rejected,
-            # and raising the bound cannot make a rejected position fit —
-            # so a fresh search returns the same slot.  A dead plan carries
-            # no placement (its start pins to data_ready), so it re-bases
-            # unconditionally; its duration comes from the static exec
-            # facts, exactly the arithmetic of a fresh computation.
-            for p in entry.pair:
-                if p.feasible and not_before > p.start:
-                    return None
-            exec_facts = self._exec_static[(entry.pair[0].task, machine)]
-            pair = tuple(
-                replace(p, data_ready=not_before)
-                if p.feasible
-                else replace(
-                    p,
-                    start=not_before,
-                    finish=not_before + exec_facts[vi][0],
-                    data_ready=not_before,
-                )
-                for vi, p in enumerate(entry.pair)
-            )
-            entry.pair = pair
-            entry.pair_nb = not_before
-            return pair
-        return None
-
     def _plan_pair(
         self,
         task: int,
         machine: int,
         not_before: float,
         insertion: bool,
-    ) -> tuple[ExecutionPlan, ExecutionPlan]:
-        """Compute (or fetch from the plan cache) the (primary, secondary)
-        plan pair for *task* on *machine* — see :meth:`plan_versions`."""
+    ) -> tuple[
+        tuple[ExecutionPlan, ExecutionPlan],
+        tuple[dict[int, float] | None, dict[int, float] | None],
+    ]:
+        """Compute the (primary, secondary) plan pair for *task* on
+        *machine* — see :meth:`plan_versions` — together with each
+        version's per-machine net energy demand (``None`` when a machine
+        involved is offline: such a plan is dead whatever the budgets)."""
         self._check_plannable(task, machine)
-        scenario = self.scenario
-        perf = self.perf
-
-        entry: _PlanCacheEntry | None = None
-        comms: tuple[PlannedComm, ...] | None = None
-        dr_floor = 0.0
-        if self.plan_cache_enabled:
-            per_task = self._plan_cache.get(task)
-            if per_task is not None:
-                entry = per_task.get((machine, insertion))
-            if entry is not None:
-                epoch = self._parent_epoch[task]
-                if self._comm_entry_valid(entry, machine, not_before, epoch):
-                    pair = self._cached_pair(entry, machine, not_before)
-                    if pair is not None:
-                        perf.inc("plan.cache.pair_hit")
-                        return pair
-                    perf.inc("plan.cache.comm_hit")
-                    comms, dr_floor = entry.comms, entry.dr_floor
-                else:
-                    shifted = self._shift_comms(entry, machine, not_before, epoch)
-                    if shifted is not None:
-                        perf.inc("plan.cache.comm_shift")
-                        comms, dr_floor = shifted
-                    else:
-                        entry = None
-        if comms is None:
-            perf.inc("plan.cache.comm_miss")
-            comms, dr_floor, local_floor = self._plan_comms_floor(
-                task, machine, not_before
-            )
-        perf.inc("plan.cache.pair_miss")
-        perf.inc("plan.pairs")
-
+        self.perf.inc("plan.pairs")
+        comms, dr_floor = self._plan_comms_floor(task, machine, not_before)
         data_ready = max(not_before, dr_floor)
         offline = machine in self.offline or any(c.src in self.offline for c in comms)
         comm_energy = sum(c.energy for c in comms)
@@ -916,33 +544,17 @@ class Schedule:
         exec_facts = self.exec_facts(task, machine)
         plans = []
         demands: list[dict[int, float] | None] = []
-        infeas_sig: list[tuple | None] = []
         for vi, version in enumerate((Version.PRIMARY, Version.SECONDARY)):
             duration, exec_energy = exec_facts[vi]
+            demand: dict[int, float] | None = None
             if offline:
                 reason = f"machine {machine} (or a required sender) is offline"
-                demands.append(None)
-                infeas_sig.append(None)
             else:
-                # A surviving entry (comm hit or shift) proves the parents'
-                # assignments are unchanged, and transfer durations — hence
-                # energies — never move in a shift, so the stored demand
-                # dict is bit-identical to a fresh one.
-                demand = entry.demands[vi] if entry is not None else None
-                if demand is None:
-                    demand = self._net_energy_demand(
-                        task, machine, version, exec_energy, comms
-                    )
-                reason = self._demand_shortfall(demand)
-                demands.append(demand)
-                infeas_sig.append(
-                    tuple(
-                        (j, self.available_energy(j), self._reserved[j])
-                        for j in demand
-                    )
-                    if reason
-                    else None
+                demand = self._net_energy_demand(
+                    task, machine, version, exec_energy, comms
                 )
+                reason = self._demand_shortfall(demand)
+            demands.append(demand)
             if reason:
                 # Dead plan: it can never be committed or scored, so the
                 # calendar gap search is wasted work — anchor it at its
@@ -968,66 +580,7 @@ class Schedule:
                     reason=reason,
                 )
             )
-        pair = (plans[0], plans[1])
-
-        if self.plan_cache_enabled:
-            if entry is None:
-                entry = _PlanCacheEntry()
-                entry.parent_epoch = self._parent_epoch[task]
-                entry.insertion = insertion
-                entry.comms = comms
-                entry.dr_floor = dr_floor
-                entry.comm_nb = not_before
-                entry.min_comm_start = (
-                    min(c.start for c in comms) if comms else float("inf")
-                )
-                in_tl = self.in_channel[machine]
-                entry.in_version = in_tl.version
-                entry.in_release = in_tl.release_version
-                seen: dict[int, tuple[int, int]] = {}
-                for c in comms:
-                    out_tl = self.out_channel[c.src]
-                    seen[c.src] = (out_tl.version, out_tl.release_version)
-                entry.out_versions = tuple(
-                    (src, version, release)
-                    for src, (version, release) in seen.items()
-                )
-                # Immutable replay facts (see _shift_comms).
-                entry.local_floor = local_floor
-                entry.lb_floors = tuple(
-                    self.assignments[c.parent].finish for c in comms
-                )
-                entry.base_starts = tuple(c.start for c in comms)
-                entry.window_ends = tuple(
-                    min(
-                        self.out_channel[c.src].next_busy_start_after(c.start),
-                        in_tl.next_busy_start_after(c.start),
-                    )
-                    for c in comms
-                )
-                entry.base_in_version = in_tl.version
-                entry.base_out_versions = tuple(
-                    (src, version) for src, (version, release) in seen.items()
-                )
-                entry.dep_machines = tuple(
-                    sorted(
-                        {machine}
-                        | {
-                            self.assignments[p].machine
-                            for p in scenario.dag.parents[task]
-                        }
-                    )
-                )
-                self._plan_cache.setdefault(task, {})[(machine, insertion)] = entry
-            entry.pair = pair
-            entry.pair_nb = not_before
-            entry.exec_version = exec_timeline.version
-            entry.exec_release = exec_timeline.release_version
-            entry.offline = offline
-            entry.offline_sig = tuple(m in self.offline for m in entry.dep_machines)
-            entry.demands = (demands[0], demands[1])
-            entry.infeas_sig = (infeas_sig[0], infeas_sig[1])
-        return pair
+        return (plans[0], plans[1]), (demands[0], demands[1])
 
     def plan(
         self,
@@ -1053,9 +606,8 @@ class Schedule:
         when some machine's battery cannot cover the required debits; such a
         plan must not be committed.
 
-        Both versions are planned and cached together (the channel-slot
-        search is shared), so asking for the sibling version afterwards is
-        nearly free.
+        Both versions are planned together (the channel-slot search is
+        shared); callers that want both should use :meth:`plan_versions`.
 
         Raises
         ------
@@ -1063,7 +615,7 @@ class Schedule:
             If *task* is already mapped or has unmapped parents (callers
             draw from :meth:`ready_tasks`, so this indicates a logic error).
         """
-        pair = self._plan_pair(task, machine, not_before, insertion)
+        pair = self._plan_pair(task, machine, not_before, insertion)[0]
         if version is Version.PRIMARY:
             return pair[0]
         if version is Version.SECONDARY:
@@ -1084,15 +636,9 @@ class Schedule:
         both candidate versions — this is the hot path of the SLRH pool
         evaluation, which prices every pool member at both versions each
         tick.  Returns (primary_plan, secondary_plan), semantically equal
-        to two :meth:`plan` calls.
-
-        Results are memoised in the plan cache (see DESIGN.md): a pool
-        member whose parents, target machine, touched channels and energy
-        state are unchanged since the last evaluation reuses its cached
-        plans instead of re-running the search.  Disable with
-        ``plan_cache=False`` at construction or ``REPRO_PLAN_CACHE=0``.
+        to two :meth:`plan` calls.  Every call computes afresh.
         """
-        return self._plan_pair(task, machine, not_before, insertion)
+        return self._plan_pair(task, machine, not_before, insertion)[0]
 
     # -- mutation ---------------------------------------------------------------
 
@@ -1116,9 +662,6 @@ class Schedule:
             raise ValueError(f"plan no longer affordable: {shortfall}")
 
         scenario = self.scenario
-        # The task leaves the plannable set; timeline version bumps and
-        # energy signatures lazily invalidate every other affected entry.
-        self._plan_cache.pop(plan.task, None)
         self.perf.inc("commit.count")
         # Reserve calendars first (reservation errors leave energy intact).
         self.exec_timeline[plan.machine].reserve(plan.start, plan.finish)

@@ -28,25 +28,17 @@ class IntervalTimeline:
     """Sorted set of non-overlapping half-open busy intervals.
 
     Every successful mutation bumps :attr:`version`, a monotonically
-    increasing counter; :meth:`release` additionally bumps
-    :attr:`release_version`.  The plan cache in
-    :class:`~repro.sim.schedule.Schedule` keys cached channel-slot searches
-    on the versions of the timelines they read, so invalidation is exactly
-    as wide as the calendars a commit actually touched.  The split counter
-    lets the cache exploit that :meth:`reserve` only ever *adds* busyness:
-    while ``release_version`` is unchanged, a cached slot that is still
-    free is still the earliest fit, no matter how many reservations landed
-    elsewhere.
+    increasing counter.  The static round loop's plan memo
+    (:meth:`repro.core.kernel.SchedulingKernel.static_plans`) compares it
+    to skip re-checking slots on calendars nothing has touched.
     """
 
-    __slots__ = ("_busy", "version", "release_version")
+    __slots__ = ("_busy", "version")
 
     def __init__(self) -> None:
         self._busy: list[tuple[float, float]] = []
         #: Mutation counter — incremented by :meth:`reserve` / :meth:`release`.
         self.version: int = 0
-        #: Counts :meth:`release` calls only (frees can open earlier slots).
-        self.release_version: int = 0
 
     # -- queries ----------------------------------------------------------
 
@@ -76,12 +68,6 @@ class IntervalTimeline:
         if i + 1 < len(self._busy) and self._busy[i + 1][0] < end - _EPS:
             return False
         return True
-
-    def next_busy_start_after(self, t: float) -> float:
-        """Start of the first busy interval beginning strictly after *t*
-        (``inf`` when none) — the end of the free window around a slot."""
-        i = bisect_right(self._busy, (t, float("inf")))
-        return self._busy[i][0] if i < len(self._busy) else float("inf")
 
     def has_work_at_or_after(self, t: float) -> bool:
         """Whether any busy interval ends after *t* (i.e. the resource is
@@ -151,7 +137,6 @@ class IntervalTimeline:
             if abs(s - start) <= _EPS and abs(e - end) <= _EPS:
                 del self._busy[i]
                 self.version += 1
-                self.release_version += 1
                 return
             if s > start + _EPS:
                 break
@@ -162,7 +147,6 @@ class IntervalTimeline:
         dup = IntervalTimeline()
         dup._busy = list(self._busy)
         dup.version = self.version
-        dup.release_version = self.release_version
         return dup
 
 

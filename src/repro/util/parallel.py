@@ -14,15 +14,10 @@ spelling) resolves to :func:`os.cpu_count`.
 Two entry points:
 
 * :func:`parallel_starmap` — one-shot fan-out; spins an executor up and
-  down around a single batch (the batch drivers' historical behaviour).
-* :class:`WorkerPool` — a *persistent* pool for long-running callers: the
-  executor is created lazily on first use and reused across batches, so
-  steady-state request batches don't pay process-startup cost.
-  ``parallel_starmap(..., pool=...)`` routes a batch through an existing
-  pool.
+  down around a single batch.
 * :class:`ShardProcess` — a single *long-lived*, *stateful* child process
-  driven over a command pipe with a result queue coming back.  Unlike the
-  executor pools above, the child keeps process-resident state between
+  driven over a command pipe with a result queue coming back.  Unlike an
+  executor pool, the child keeps process-resident state between
   calls (the :mod:`repro.service` shard layer parks hot deserialised
   scenarios and live session kernels there).  Calls are synchronous RPCs
   serialised by a lock; a dead child is *detected* (liveness polled while
@@ -232,94 +227,20 @@ class ShardProcess:
         self._results.cancel_join_thread()
 
 
-class WorkerPool:
-    """A reusable process pool with the :func:`parallel_starmap` contract.
-
-    The underlying :class:`~concurrent.futures.ProcessPoolExecutor` is
-    created lazily on the first batch whose effective job count exceeds 1
-    and then *kept* until :meth:`shutdown` — unlike
-    :func:`parallel_starmap`'s historical one-executor-per-call behaviour.
-    With ``n_jobs == 1`` no executor ever exists and every batch runs
-    serially in the calling thread, which keeps single-worker deployments
-    (and tests) free of process-spawn latency while preserving bit-exact
-    results at any job count.
-
-    Thread-safe: concurrent :meth:`starmap` calls from several dispatcher
-    threads share one executor.
-    """
-
-    def __init__(self, n_jobs: JobsLike = None) -> None:
-        self.n_jobs = resolve_jobs(n_jobs)
-        self._lock = threading.Lock()
-        self._executor = None
-        self._closed = False
-
-    def _ensure_executor(self):
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("WorkerPool is shut down")
-            if self._executor is None:
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._executor = ProcessPoolExecutor(max_workers=self.n_jobs)
-            return self._executor
-
-    @property
-    def started(self) -> bool:
-        """Whether the underlying executor has been created."""
-        return self._executor is not None
-
-    def starmap(
-        self,
-        fn: Callable[..., T],
-        argtuples: Iterable[Sequence],
-        chunksize: int | None = None,
-    ) -> list[T]:
-        """Order-preserving ``[fn(*args) for args in argtuples]`` over the
-        persistent pool (serial in-process when ``n_jobs == 1``)."""
-        argtuples = [tuple(args) for args in argtuples]
-        if self.n_jobs == 1 or len(argtuples) <= 1:
-            return [fn(*args) for args in argtuples]
-        if chunksize is None:
-            chunksize = max(1, len(argtuples) // (4 * self.n_jobs))
-        executor = self._ensure_executor()
-        return list(executor.map(fn, *zip(*argtuples), chunksize=chunksize))
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop the executor (idempotent); the pool is unusable afterwards."""
-        with self._lock:
-            self._closed = True
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=wait)
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-
 def parallel_starmap(
     fn: Callable[..., T],
     argtuples: Iterable[Sequence],
     n_jobs: JobsLike = None,
     chunksize: int | None = None,
-    pool: WorkerPool | None = None,
 ) -> list[T]:
     """Order-preserving ``[fn(*args) for args in argtuples]``, fanned over
     a process pool when the effective job count exceeds 1.
 
     *fn* and every argument must be picklable (module-level functions,
     plain dataclasses).  Results come back in input order, so callers can
-    keep the deterministic merge logic of their serial loops.
-
-    With *pool*, the batch runs through that persistent :class:`WorkerPool`
-    (its job count wins and no per-call executor is created); otherwise an
+    keep the deterministic merge logic of their serial loops.  An
     executor is spun up and torn down around this one call.
     """
-    if pool is not None:
-        return pool.starmap(fn, argtuples, chunksize=chunksize)
     argtuples = [tuple(args) for args in argtuples]
     n_jobs = resolve_jobs(n_jobs)
     if n_jobs == 1 or len(argtuples) <= 1:
@@ -328,5 +249,5 @@ def parallel_starmap(
 
     if chunksize is None:
         chunksize = max(1, len(argtuples) // (4 * n_jobs))
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool_:
-        return list(pool_.map(fn, *zip(*argtuples), chunksize=chunksize))
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        return list(pool.map(fn, *zip(*argtuples), chunksize=chunksize))

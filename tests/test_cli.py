@@ -48,7 +48,10 @@ def test_module_invocation_subprocess():
 
 
 def test_jobs_auto_flag_resolves_to_cpu_count(monkeypatch, tmp_path):
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    # main() writes REPRO_JOBS into os.environ.  setenv (unlike delenv on
+    # an absent variable) records an undo, so the value cannot leak into
+    # later tests and fan their weight searches out over a process pool.
+    monkeypatch.setenv("REPRO_JOBS", "1")
     rc = main(["--scale", "smoke", "--only", "fig2", "--jobs", "auto",
                "--perf-out", "-", "--out", str(tmp_path / "r.txt")])
     assert rc == 0

@@ -1,18 +1,16 @@
-"""The scheduling kernel: mode resolution, pool-delta equivalence, and the
-byte-identity differential between the columnar, incremental and rebuild
-modes.
+"""The scheduling kernel: mode resolution, pool-delta equivalence, the
+byte-identity differential between the columnar and rebuild modes, and the
+static plan memo.
 
-The maintained candidate pools are optimisations with a proof obligation:
-for every heuristic, under any event sequence, the mapping they produce
-must be byte-identical to the from-scratch rebuild path (the differential
-oracle, ``REPRO_KERNEL=rebuild``) — and the columnar pool must additionally
-replicate the incremental pool's ``pool.*`` counters, since it claims the
-same maintenance discipline.  These tests pin those obligations three ways
-— a Hypothesis property test equating :meth:`ColumnarPool.pool_for` and
-:meth:`CandidatePool.pool_for` with :func:`build_candidate_pool` under
-random commit/advance/churn interleavings, whole-mapping byte identity for
-all six registry heuristics, and a churn replay driven through one
-persistent kernel.
+The columnar pool and the static plan memo are optimisations with a proof
+obligation: for every heuristic, under any event sequence, the mapping
+they produce must be byte-identical to the paper's from-scratch loop (the
+differential oracle, ``REPRO_KERNEL=rebuild``, which plans every pair
+afresh).  These tests pin that four ways — a Hypothesis property test
+equating :meth:`ColumnarPool.pool_for` with :func:`build_candidate_pool`
+under random commit/advance/churn interleavings, whole-mapping byte
+identity for all six registry heuristics, churn replays driven through one
+persistent kernel, and a memo-off differential for the static baselines.
 """
 
 import math
@@ -21,14 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.maxmax import MaxMaxConfig, MaxMaxScheduler
+from repro.baselines.minmin import MinMinScheduler
 from repro.core.columnar import ColumnarPool
 from repro.core.constants import EPSILON
 from repro.core.feasibility import FeasibilityChecker
 from repro.core.kernel import (
     KERNEL_MODES,
-    CandidatePool,
     SchedulingKernel,
     TickPolicy,
+    _MemoEntry,
     resolve_kernel_mode,
 )
 from repro.core.objective import ObjectiveFunction, Weights
@@ -37,13 +37,18 @@ from repro.core.slrh import SLRH1, SLRH2, SLRH3, SlrhConfig
 from repro.heuristics import HEURISTIC_NAMES, run_heuristic
 from repro.io.serialization import canonical_mapping_bytes
 from repro.sim.churn import ChurnEvent, run_with_churn
+from repro.session import SessionEngine, SessionEvent
 from repro.sim.clock import SimulationClock
 from repro.sim.schedule import Schedule
+from repro.sim.trace import MappingTrace
+from repro.sim.validate import validate_schedule
 from repro.workload.scenario import (
     generate_scenario,
     paper_scaled_grid,
     paper_scaled_spec,
+    paper_scaled_suite,
 )
+from repro.workload.versions import PRIMARY
 
 _WEIGHTS = Weights.from_alpha_beta(0.5, 0.2)
 _SCENARIOS = {}
@@ -69,16 +74,14 @@ class TestModeResolution:
 
     def test_override_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "rebuild")
-        assert resolve_kernel_mode("incremental") == "incremental"
+        assert resolve_kernel_mode("columnar") == "columnar"
 
     @pytest.mark.parametrize(
         "alias,mode",
         [
-            ("inc", "incremental"), ("delta", "incremental"),
-            ("1", "incremental"), ("on", "incremental"),
             ("full", "rebuild"), ("oracle", "rebuild"),
             ("0", "rebuild"), ("off", "rebuild"),
-            ("Rebuild", "rebuild"), (" incremental ", "incremental"),
+            ("Rebuild", "rebuild"), (" rebuild ", "rebuild"),
             ("col", "columnar"), ("flat", "columnar"),
             ("Columnar", "columnar"), (" columnar ", "columnar"),
         ],
@@ -90,13 +93,21 @@ class TestModeResolution:
         with pytest.raises(ValueError, match="unknown kernel mode"):
             resolve_kernel_mode("bogus")
 
+    @pytest.mark.parametrize("retired", ["incremental", "inc", "delta", "1", "on"])
+    def test_retired_object_pool_mode_raises(self, retired, monkeypatch):
+        """The object-pool mode and its aliases are gone: asking for it
+        names the two modes that remain."""
+        monkeypatch.setenv("REPRO_KERNEL", retired)
+        with pytest.raises(ValueError, match="columnar, rebuild"):
+            resolve_kernel_mode()
+
     def test_ledger_forces_rebuild(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "incremental")
-        assert resolve_kernel_mode("incremental", ledger=True) == "rebuild"
+        monkeypatch.setenv("REPRO_KERNEL", "columnar")
+        assert resolve_kernel_mode("columnar", ledger=True) == "rebuild"
 
     def test_scheduler_with_ledger_builds_rebuild_kernel(self, tiny_scenario):
         scheduler = SLRH1(
-            SlrhConfig(weights=_WEIGHTS, ledger=True, kernel="incremental")
+            SlrhConfig(weights=_WEIGHTS, ledger=True, kernel="columnar")
         )
         kernel = scheduler.make_kernel(Schedule(tiny_scenario))
         assert kernel.mode == "rebuild"
@@ -123,7 +134,7 @@ class TestConstruction:
             SchedulingKernel(schedule, None, None, machine_order="alphabetical")
 
     def test_modes_constant_covers_all_paths(self):
-        assert KERNEL_MODES == ("columnar", "incremental", "rebuild")
+        assert KERNEL_MODES == ("columnar", "rebuild")
 
     def test_map_rejects_foreign_kernel(self, tiny_scenario):
         scheduler = SLRH1(SlrhConfig(weights=_WEIGHTS))
@@ -153,55 +164,32 @@ def _pool_key(pool):
     ]
 
 
-#: The pool counters the columnar path must replicate exactly — they pin
-#: "same maintenance discipline", not just "same answer".
-_POOL_COUNTERS = ("pool.builds", "pool.reuse_hits", "pool.invalidations", "pool.members")
-
-
-def _pool_counter_snapshot(schedule):
-    perf = schedule.perf.snapshot()
-    return tuple(perf.get(key, 0) for key in _POOL_COUNTERS)
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=5),
     n=st.sampled_from([8, 12, 16]),
     data=st.data(),
 )
-def test_maintained_pools_match_rebuild_under_random_events(seed, n, data):
+def test_columnar_pool_matches_rebuild_under_random_events(seed, n, data):
     """THE kernel property: after any interleaving of commits, clock
-    advances, and churn-style invalidations, both maintained pools —
-    object-incremental and columnar — are identical (members, plans,
-    scores, order, wake-up hint) to a from-scratch build, and the columnar
-    pool's reuse/invalidation/member counters match the incremental
-    pool's delta for delta."""
+    advances, and churn-style invalidations, the columnar pool is
+    identical (members, plans, scores, order) to a from-scratch build."""
     scenario = _scenario(n, seed)
     schedule = Schedule(scenario)
     checker = FeasibilityChecker(scenario)
     objective = ObjectiveFunction.for_scenario(scenario, _WEIGHTS)
-    pool = CandidatePool(schedule, checker, objective)
     cpool = ColumnarPool(schedule, checker, objective)
     n_machines = scenario.n_machines
     offline: set[int] = set()
     nb = 0.0
 
     def check(machine: int) -> list:
-        before = _pool_counter_snapshot(schedule)
-        incremental, release_inc = pool.pool_for(machine, nb)
-        mid = _pool_counter_snapshot(schedule)
-        columnar, release_col = cpool.pool_for(machine, nb)
-        after = _pool_counter_snapshot(schedule)
+        columnar, _ = cpool.pool_for(machine, nb)
         oracle = build_candidate_pool(
             schedule, checker, objective, machine, not_before=nb
         )
-        assert _pool_key(incremental) == _pool_key(oracle)
         assert _pool_key(columnar) == _pool_key(oracle)
-        assert release_col == release_inc
-        inc_delta = tuple(m - b for m, b in zip(mid, before))
-        col_delta = tuple(a - m for a, m in zip(after, mid))
-        assert col_delta == inc_delta
-        return incremental
+        return columnar
 
     actions = data.draw(
         st.lists(
@@ -220,7 +208,6 @@ def test_maintained_pools_match_rebuild_under_random_events(seed, n, data):
                     st.integers(min_value=0, max_value=len(members) - 1)
                 )].plan
                 schedule.commit(plan)
-                pool.note_commit(plan)
                 cpool.note_commit(plan)
         elif action == "advance":
             nb += data.draw(st.floats(min_value=0.5, max_value=400.0))
@@ -232,7 +219,6 @@ def test_maintained_pools_match_rebuild_under_random_events(seed, n, data):
             else:
                 offline.add(machine)
                 schedule.set_offline(machine, True)
-            pool.invalidate_all()
             cpool.invalidate_all()
     # Final sweep: every online machine agrees with the oracle.
     for machine in range(n_machines):
@@ -250,7 +236,7 @@ def _map_with_mode(name: str, scenario, mode: str, monkeypatch):
 class TestByteIdentity:
     """Mapping bytes must not depend on the kernel mode — for any registry
     heuristic (the static baselines are mode-blind by construction; the
-    SLRH family is where the incremental pool earns its keep)."""
+    SLRH family is where the columnar pool earns its keep)."""
 
     @pytest.mark.parametrize("name", HEURISTIC_NAMES)
     def test_registry_heuristics_identical_across_modes(
@@ -260,9 +246,24 @@ class TestByteIdentity:
             mode: _map_with_mode(name, small_scenario, mode, monkeypatch)
             for mode in KERNEL_MODES
         }
-        oracle = canonical_mapping_bytes(results["rebuild"].schedule)
-        assert canonical_mapping_bytes(results["incremental"].schedule) == oracle
-        assert canonical_mapping_bytes(results["columnar"].schedule) == oracle
+        assert canonical_mapping_bytes(results["columnar"].schedule) == (
+            canonical_mapping_bytes(results["rebuild"].schedule)
+        )
+
+    @pytest.mark.parametrize("name", ["slrh3", "maxmax"])
+    def test_identical_across_seeds_and_cases(self, name, monkeypatch):
+        suite = paper_scaled_suite(20, n_etc=2, n_dag=1, seed=99)
+        for e in range(suite.n_etc):
+            for case in ("A", "C"):
+                scenario = suite.scenario(e, 0, case)
+                columnar, rebuild = (
+                    _map_with_mode(name, scenario, mode, monkeypatch)
+                    for mode in ("columnar", "rebuild")
+                )
+                assert canonical_mapping_bytes(columnar.schedule) == (
+                    canonical_mapping_bytes(rebuild.schedule)
+                )
+                validate_schedule(columnar.schedule)
 
     @pytest.mark.parametrize("cls", [SLRH1, SLRH2, SLRH3])
     def test_slrh_trace_counters_identical_across_modes(self, cls, small_scenario):
@@ -270,12 +271,11 @@ class TestByteIdentity:
         for mode in KERNEL_MODES:
             cfg = SlrhConfig(weights=_WEIGHTS, kernel=mode)
             traces[mode] = cls(cfg).map(small_scenario).trace
-        reb = traces["rebuild"]
-        oracle = (reb.ticks, reb.machine_scans, reb.empty_pool_ticks)
-        for mode in ("incremental", "columnar"):
-            got = traces[mode]
-            assert (got.ticks, got.machine_scans, got.empty_pool_ticks) == oracle
-            assert got.records == reb.records
+        reb, got = traces["rebuild"], traces["columnar"]
+        assert (got.ticks, got.machine_scans, got.empty_pool_ticks) == (
+            reb.ticks, reb.machine_scans, reb.empty_pool_ticks
+        )
+        assert got.records == reb.records
 
     @pytest.mark.parametrize("order", ["battery", "round_robin"])
     def test_machine_order_variants_identical_across_modes(
@@ -287,34 +287,28 @@ class TestByteIdentity:
             mappings[mode] = canonical_mapping_bytes(
                 SLRH2(cfg).map(small_scenario).schedule
             )
-        assert mappings["incremental"] == mappings["rebuild"]
         assert mappings["columnar"] == mappings["rebuild"]
 
-    @pytest.mark.parametrize("mode", ["incremental", "columnar"])
-    def test_maintained_kernels_actually_reuse_entries(self, mode, small_scenario):
-        result = SLRH1(SlrhConfig(weights=_WEIGHTS, kernel=mode)).map(
+    def test_columnar_kernel_actually_reuses_entries(self, small_scenario):
+        result = SLRH1(SlrhConfig(weights=_WEIGHTS, kernel="columnar")).map(
             small_scenario
         )
         perf = result.trace.perf
         assert perf.get("pool.reuse_hits", 0) > 0
         assert perf.get("pool.invalidations", 0) > 0
 
-    @pytest.mark.parametrize("cls", [SLRH1, SLRH2, SLRH3])
-    def test_pool_counters_identical_between_maintained_modes(
-        self, cls, small_scenario
-    ):
-        """Columnar must replan exactly the same dirty entries as the
-        incremental pool: its speedup comes from constant factors, never
-        from doing less maintenance work."""
-        perfs = {}
-        for mode in ("incremental", "columnar"):
-            result = cls(SlrhConfig(weights=_WEIGHTS, kernel=mode)).map(
-                small_scenario
-            )
-            perfs[mode] = result.trace.perf
-        for key in ("pool.builds", "pool.reuse_hits",
-                    "pool.invalidations", "pool.members"):
-            assert perfs["columnar"].get(key, 0) == perfs["incremental"].get(key, 0)
+    def test_rebuild_plans_every_pair_afresh(self, small_scenario):
+        """The oracle is the paper's from-scratch loop: it plans at least
+        one pair per pool member, where the columnar pool re-plans only
+        dirty slots."""
+        perfs = {
+            mode: SLRH1(SlrhConfig(weights=_WEIGHTS, kernel=mode))
+            .map(small_scenario)
+            .trace.perf
+            for mode in KERNEL_MODES
+        }
+        assert perfs["rebuild"]["plan.pairs"] >= perfs["rebuild"]["pool.members"]
+        assert perfs["columnar"]["plan.pairs"] < perfs["rebuild"]["plan.pairs"]
 
     def test_ledger_contents_match_rebuild(self, small_scenario):
         """A ledgered run (forced onto the rebuild path) must report the
@@ -342,31 +336,217 @@ class TestChurnDifferential:
         ChurnEvent(cycle=7, machine=3, kind="loss"),
     )
 
+    @staticmethod
+    def _outcomes(cls, scenario, events):
+        return {
+            mode: run_with_churn(
+                scenario, cls(SlrhConfig(weights=_WEIGHTS, kernel=mode)), list(events)
+            )
+            for mode in KERNEL_MODES
+        }
+
     @pytest.mark.parametrize("cls", [SLRH1, SLRH2, SLRH3])
     def test_churn_identical_across_modes(self, cls, small_scenario):
-        outcomes = {}
-        for mode in KERNEL_MODES:
-            scheduler = cls(SlrhConfig(weights=_WEIGHTS, kernel=mode))
-            outcomes[mode] = run_with_churn(
-                small_scenario, scheduler, list(self._EVENTS)
-            )
-        reb = outcomes["rebuild"]
-        oracle_bytes = canonical_mapping_bytes(reb.final.schedule)
-        oracle_counters = (
+        outcomes = self._outcomes(cls, small_scenario, self._EVENTS)
+        reb, got = outcomes["rebuild"], outcomes["columnar"]
+        assert canonical_mapping_bytes(got.final.schedule) == (
+            canonical_mapping_bytes(reb.final.schedule)
+        )
+        assert got.records == reb.records
+        assert got.final.trace.records == reb.final.trace.records
+        assert (
+            got.final.trace.ticks,
+            got.final.trace.machine_scans,
+            got.final.trace.empty_pool_ticks,
+        ) == (
             reb.final.trace.ticks,
             reb.final.trace.machine_scans,
             reb.final.trace.empty_pool_ticks,
         )
-        for mode in ("incremental", "columnar"):
-            got = outcomes[mode]
-            assert canonical_mapping_bytes(got.final.schedule) == oracle_bytes
-            assert got.records == reb.records
-            assert got.final.trace.records == reb.final.trace.records
-            assert (
-                got.final.trace.ticks,
-                got.final.trace.machine_scans,
-                got.final.trace.empty_pool_ticks,
-            ) == oracle_counters
+
+    @pytest.mark.parametrize("cls", [SLRH1, SLRH3], ids=lambda c: c.name)
+    def test_mid_run_loss_and_rejoin_replay(self, cls, small_scenario):
+        """Loss and rejoin well into the run roll back committed work:
+        timeline releases, offline flips and unassign's parent-epoch bumps
+        all land on a warm columnar pool."""
+        quarter = int(small_scenario.tau / 4 / 0.1)
+        events = (
+            ChurnEvent(cycle=quarter, machine=0, kind="loss"),
+            ChurnEvent(cycle=2 * quarter, machine=0, kind="join"),
+            ChurnEvent(cycle=2 * quarter + 5, machine=1, kind="loss"),
+        )
+        outcomes = self._outcomes(cls, small_scenario, events)
+        reb, got = outcomes["rebuild"], outcomes["columnar"]
+        assert got.final.schedule.assignments == reb.final.schedule.assignments
+        assert got.final.summary() | {"heuristic_seconds": 0} == (
+            reb.final.summary() | {"heuristic_seconds": 0}
+        )
+        assert [r.rolled_back for r in got.records] == [
+            r.rolled_back for r in reb.records
+        ]
+        assert any(r.rolled_back for r in got.records)
+        validate_schedule(got.final.schedule)
+
+
+def _always_miss(monkeypatch) -> None:
+    """Turn the static plan memo off: every lookup re-plans."""
+    monkeypatch.setattr(
+        SchedulingKernel,
+        "_memo_valid",
+        lambda self, entry, machine, insertion: False,
+    )
+
+
+_STATIC_MAPPERS = [
+    pytest.param(lambda: MaxMaxScheduler(MaxMaxConfig(weights=_WEIGHTS)), id="maxmax"),
+    pytest.param(
+        lambda: MaxMaxScheduler(MaxMaxConfig(weights=_WEIGHTS, insertion=False)),
+        id="maxmax-append",
+    ),
+    pytest.param(
+        lambda: MaxMaxScheduler(
+            MaxMaxConfig(weights=_WEIGHTS, machine_stage="objective")
+        ),
+        id="maxmax-objective",
+    ),
+    pytest.param(
+        lambda: MaxMaxScheduler(
+            MaxMaxConfig(weights=_WEIGHTS, insertion=False, machine_stage="objective")
+        ),
+        id="maxmax-objective-append",
+    ),
+    pytest.param(MinMinScheduler, id="minmin"),
+    pytest.param(lambda: MinMinScheduler(insertion=False), id="minmin-append"),
+]
+
+
+class TestStaticPlanMemo:
+    """The static round loop's plan memo returns exactly what fresh
+    planning would: the same mapping bytes with the memo as shipped and
+    with its validity check forced to miss on every lookup."""
+
+    @pytest.mark.parametrize("build", _STATIC_MAPPERS)
+    @pytest.mark.parametrize("case", ["A", "C"])
+    def test_memo_matches_fresh_planning(self, build, case, monkeypatch):
+        scenario = paper_scaled_suite(40, n_etc=1, n_dag=1, seed=11).scenario(
+            0, 0, case
+        )
+        shipped = build().map(scenario)
+        with monkeypatch.context() as m:
+            _always_miss(m)
+            fresh = build().map(scenario)
+        assert canonical_mapping_bytes(shipped.schedule) == (
+            canonical_mapping_bytes(fresh.schedule)
+        )
+        # The memo is live: it saved re-planning.
+        assert shipped.schedule.perf.get("plan.pairs") < (
+            fresh.schedule.perf.get("plan.pairs")
+        )
+
+    @pytest.mark.parametrize("build", _STATIC_MAPPERS)
+    @pytest.mark.parametrize("case", ["A", "B", "C"])
+    def test_every_lookup_equals_a_fresh_plan(self, build, case, monkeypatch):
+        """The memo's contract, checked lookup by lookup: every pair it
+        serves — reason strings included — equals a fresh search on the
+        current schedule.  Stronger than the mapping-bytes differential,
+        which a stale pair that never wins a round cannot fail."""
+        scenario = paper_scaled_suite(64, n_etc=1, n_dag=1, seed=1).scenario(
+            0, 0, case
+        )
+        served = SchedulingKernel.static_plans
+        lookups = 0
+
+        def checked(kernel, task, machine, insertion):
+            nonlocal lookups
+            lookups += 1
+            pair = served(kernel, task, machine, insertion)
+            fresh, _ = kernel.schedule._plan_pair(task, machine, 0.0, insertion)
+            assert pair == fresh, (task, machine, insertion)
+            return pair
+
+        monkeypatch.setattr(SchedulingKernel, "static_plans", checked)
+        build().map(scenario)
+        assert lookups > 0
+
+    @pytest.mark.parametrize("build", _STATIC_MAPPERS)
+    def test_session_final_state_map_on_partial_schedule(self, build, monkeypatch):
+        """A session's final-state static map runs on a partly mapped
+        schedule (an SLRH-1 prefix, rolled back at a machine loss) with
+        that machine offline."""
+        scenario = _scenario(24, 3)
+
+        def close_session() -> bytes:
+            engine = SessionEngine(scenario, build())
+            schedule = engine.schedule
+            SLRH1(SlrhConfig(weights=_WEIGHTS)).map(
+                scenario, schedule=schedule, stop_cycle=40
+            )
+            engine.apply(SessionEvent("machine_loss", 40, machine=1))
+            partial = schedule.n_mapped
+            assert 0 < partial < scenario.n_tasks and 1 in schedule.offline
+            engine.close()
+            assert schedule.n_mapped > partial
+            return canonical_mapping_bytes(schedule)
+
+        shipped = close_session()
+        with monkeypatch.context() as m:
+            _always_miss(m)
+            fresh = close_session()
+        assert shipped == fresh
+
+    @pytest.mark.parametrize(
+        "change",
+        ["in_channel", "out_channel", "exec_slot", "exec_tail", "energy"],
+    )
+    def test_each_check_rejects_the_change_it_guards(self, change, tiny_scenario):
+        """White-box, one check at a time: a memoised pair for a task with
+        one remote parent goes stale when its transfer slot is taken on
+        either channel, its execution slot (or, append-only, the calendar
+        tail) moves, or its energy verdict no longer holds.  Commits rarely
+        move one of these alone, so the end-to-end tests above cannot
+        single each check out."""
+        schedule = Schedule(tiny_scenario)
+        kernel = SchedulingKernel(schedule, None, None)
+        root = tiny_scenario.dag.roots[0]
+        schedule.commit(schedule.plan(root, PRIMARY, 0, insertion=True))
+        task, machine = 8, 1  # root's only child on machine 0 -> 1
+        insertion = change != "exec_tail"
+        pair, demands = schedule._plan_pair(task, machine, 0.0, insertion)
+        entry = _MemoEntry(schedule, machine, pair, demands)
+        (comm,) = pair[0].comms
+        assert pair[0].feasible and kernel._memo_valid(entry, machine, insertion)
+        if change == "in_channel":
+            schedule.in_channel[machine].reserve(comm.start, comm.finish)
+        elif change == "out_channel":
+            schedule.out_channel[comm.src].reserve(comm.start, comm.finish)
+        elif change == "exec_slot":
+            schedule.exec_timeline[machine].reserve(pair[0].start, pair[0].finish)
+        elif change == "exec_tail":
+            tail = schedule.exec_timeline[machine].tail
+            schedule.exec_timeline[machine].reserve(tail, pair[0].start)
+        else:
+            schedule.debit_external(machine, schedule.available_energy(machine))
+        assert not kernel._memo_valid(entry, machine, insertion)
+
+    def test_memo_lives_only_inside_run_static(self, small_scenario):
+        schedule = Schedule(small_scenario)
+        kernel = SchedulingKernel(schedule, None, None)
+        root = small_scenario.dag.roots[0]
+        # Outside a run every lookup is a fresh plan_versions call.
+        assert kernel.static_plans(root, 0, True) == schedule.plan_versions(
+            root, 0, insertion=True
+        )
+        assert kernel._memo is None
+        seen = []
+
+        def select():
+            seen.append(kernel.static_plans(root, 0, True))
+            seen.append(kernel.static_plans(root, 0, True))
+            return None, 0
+
+        kernel.run_static(select, MappingTrace())
+        assert seen[1] is seen[0]  # the second lookup is a memo hit
+        assert kernel._memo is None
 
 
 class TestSleepGate:
@@ -425,7 +605,7 @@ class TestSleepGate:
         schedule = Schedule(scenario)
         checker = FeasibilityChecker(scenario)
         objective = ObjectiveFunction.for_scenario(scenario, _WEIGHTS)
-        kernel = SchedulingKernel(schedule, checker, objective, mode="incremental")
+        kernel = SchedulingKernel(schedule, checker, objective, mode="columnar")
         kernel._wake_release[1] = 99.0
         kernel._wake_ready[1] = 99.0
         kernel._wake_all()
@@ -438,7 +618,7 @@ class TestSleepGate:
 class TestReleaseTimesDifferential:
     """generate_scenario leaves arrivals at 0.0; attaching staggered release
     times exercises the sleep/wake path (machines provably idle until the
-    next arrival) — all three kernels must still agree byte for byte,
+    next arrival) — both kernels must still agree byte for byte,
     including the tick counters the columnar fast-forward bulk-adds."""
 
     @pytest.mark.parametrize("cls", [SLRH1, SLRH2, SLRH3])
@@ -451,17 +631,11 @@ class TestReleaseTimesDifferential:
             results[mode] = cls(SlrhConfig(weights=_WEIGHTS, kernel=mode)).map(
                 scenario
             )
-        reb = results["rebuild"]
-        oracle = canonical_mapping_bytes(reb.schedule)
-        oracle_counters = (
+        reb, got = results["rebuild"], results["columnar"]
+        assert canonical_mapping_bytes(got.schedule) == (
+            canonical_mapping_bytes(reb.schedule)
+        )
+        assert got.trace.records == reb.trace.records
+        assert (got.trace.ticks, got.trace.machine_scans, got.trace.empty_pool_ticks) == (
             reb.trace.ticks, reb.trace.machine_scans, reb.trace.empty_pool_ticks
         )
-        for mode in ("incremental", "columnar"):
-            got = results[mode]
-            assert canonical_mapping_bytes(got.schedule) == oracle
-            assert got.trace.records == reb.trace.records
-            assert (
-                got.trace.ticks,
-                got.trace.machine_scans,
-                got.trace.empty_pool_ticks,
-            ) == oracle_counters

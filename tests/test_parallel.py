@@ -9,7 +9,7 @@ import pytest
 from repro.core.slrh import SLRH1, SlrhConfig
 from repro.tuning.sweeps import sweep_delta_t
 from repro.tuning.weight_search import search_weights
-from repro.util.parallel import WorkerPool, parallel_starmap, resolve_jobs
+from repro.util.parallel import parallel_starmap, resolve_jobs
 
 
 def _mul(a, b):
@@ -74,44 +74,6 @@ class TestParallelStarmap:
 
     def test_empty_input(self):
         assert parallel_starmap(_mul, [], n_jobs=2) == []
-
-
-class TestWorkerPool:
-    def test_serial_pool_never_spawns_processes(self):
-        pool = WorkerPool(n_jobs=1)
-        args = [(i, 2) for i in range(6)]
-        assert pool.starmap(_mul, args) == [2 * i for i in range(6)]
-        assert not pool.started
-        pool.shutdown()
-
-    def test_persistent_executor_is_reused_across_batches(self):
-        with WorkerPool(n_jobs=2) as pool:
-            first = pool.starmap(_mul, [(i, 3) for i in range(8)])
-            assert pool.started
-            executor = pool._executor
-            second = pool.starmap(_mul, [(i, 5) for i in range(8)])
-            assert pool._executor is executor  # same pool, no respawn
-            assert first == [3 * i for i in range(8)]
-            assert second == [5 * i for i in range(8)]
-
-    def test_matches_serial_results(self):
-        args = [(i, 11) for i in range(10)]
-        with WorkerPool(n_jobs=2) as pool:
-            assert pool.starmap(_mul, args) == parallel_starmap(_mul, args, n_jobs=1)
-
-    def test_shutdown_is_idempotent_and_final(self):
-        pool = WorkerPool(n_jobs=2)
-        pool.starmap(_mul, [(1, 2), (3, 4)])
-        pool.shutdown()
-        pool.shutdown()
-        with pytest.raises(RuntimeError):
-            pool.starmap(_mul, [(1, 2), (3, 4)])
-
-    def test_parallel_starmap_routes_through_given_pool(self):
-        with WorkerPool(n_jobs=1) as pool:
-            result = parallel_starmap(_mul, [(2, 3), (4, 5)], n_jobs=2, pool=pool)
-            assert result == [6, 20]
-            assert not pool.started  # the pool's own (serial) count won
 
 
 def _slrh1_factory(weights):

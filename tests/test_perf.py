@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 
 import pytest
 
@@ -12,8 +11,6 @@ from repro.perf import (
     PERF_SCHEMA,
     Histogram,
     PerfCounters,
-    comm_reuse_rate,
-    hit_rate,
     merge_snapshots,
     write_perf_json,
 )
@@ -62,40 +59,18 @@ class TestAggregation:
         merged = merge_snapshots([{"a": 1.0}, {}, {"a": 2.0, "b": 1.0}])
         assert merged == {"a": 3.0, "b": 1.0}
 
-    def test_hit_rate(self):
-        counters = {"plan.cache.pair_hit": 3.0, "plan.cache.pair_miss": 1.0}
-        assert hit_rate(counters, "plan.cache.pair") == 0.75
-        assert math.isnan(hit_rate({}, "plan.cache.pair"))
-
-    def test_comm_reuse_rate_counts_shifts(self):
-        counters = {
-            "plan.cache.comm_hit": 2.0,
-            "plan.cache.comm_shift": 2.0,
-            "plan.cache.comm_miss": 4.0,
-        }
-        assert comm_reuse_rate(counters) == 0.5
-        assert math.isnan(comm_reuse_rate({}))
-
 
 class TestWritePerfJson:
     def test_schema_layout(self, tmp_path):
         path = tmp_path / "perf.json"
-        counters = {
-            "plan.pairs": 10.0,
-            "plan.cache.comm_hit": 6.0,
-            "plan.cache.comm_miss": 2.0,
-        }
+        counters = {"plan.pairs": 10.0, "pool.builds": 6.0, "commit.count": 2.0}
         doc = write_perf_json(path, counters, scale="SMOKE", jobs=2)
         on_disk = json.loads(path.read_text())
-        assert on_disk.keys() == doc.keys() == {"schema", "context", "counters", "derived"}
+        assert on_disk.keys() == doc.keys() == {"schema", "context", "counters"}
         assert on_disk["counters"] == doc["counters"]
         assert doc["schema"] == PERF_SCHEMA
         assert doc["context"] == {"scale": "SMOKE", "jobs": 2}
         assert doc["counters"] == counters
-        assert doc["derived"]["plan_cache_comm_hit_rate"] == 0.75
-        assert doc["derived"]["plan_cache_comm_reuse_rate"] == 0.75
-        # pair cache unused here -> NaN survives the JSON round trip
-        assert math.isnan(doc["derived"]["plan_cache_pair_hit_rate"])
 
 
 class TestGauges:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -22,8 +23,8 @@ from repro.io.serialization import (
     scenario_digest,
     scenario_to_dict,
 )
-from repro.service.app import ServiceServer, make_server
-from repro.service.jobs import DrainingError, JobManager, QueueFullError
+from repro.service.app import MAX_BODY_BYTES, ServiceServer, make_server
+from repro.service.jobs import DrainingError, QueueFullError, ShardRouter
 from repro.service.registry import ScenarioRegistry
 
 
@@ -79,11 +80,11 @@ class TestScenarioRegistry:
 # job manager (no HTTP)
 
 
-class TestJobManager:
+class TestShardRouter:
     def test_submit_and_run(self):
         reg = ScenarioRegistry()
         sid, _ = reg.put(_scenario_doc())
-        manager = JobManager(reg, n_jobs=1, max_queue=4).start()
+        manager = ShardRouter(reg, shards=1, max_queue=4).start()
         try:
             job = manager.submit(sid, "slrh1", alpha=0.5, beta=0.2)
             assert job.done.wait(timeout=120)
@@ -98,7 +99,7 @@ class TestJobManager:
     def test_validation_happens_at_admission(self):
         reg = ScenarioRegistry()
         sid, _ = reg.put(_scenario_doc())
-        manager = JobManager(reg, n_jobs=1, max_queue=4)  # never started
+        manager = ShardRouter(reg, shards=1, max_queue=4)  # never started
         with pytest.raises(KeyError):
             manager.submit("sha256:unregistered", "slrh1")
         with pytest.raises(KeyError):
@@ -112,7 +113,7 @@ class TestJobManager:
         sid, _ = reg.put(_scenario_doc())
         # Dispatcher intentionally NOT started: the queue cannot drain, so
         # saturation is deterministic.
-        manager = JobManager(reg, n_jobs=1, max_queue=2)
+        manager = ShardRouter(reg, shards=1, max_queue=2)
         manager.submit(sid, "slrh1")
         manager.submit(sid, "slrh2")
         with pytest.raises(QueueFullError) as exc_info:
@@ -133,7 +134,7 @@ class TestJobManager:
     def test_drain_blocks_until_idle_then_rejects(self):
         reg = ScenarioRegistry()
         sid, _ = reg.put(_scenario_doc())
-        manager = JobManager(reg, n_jobs=1, max_queue=8).start()
+        manager = ShardRouter(reg, shards=1, max_queue=8).start()
         jobs = [manager.submit(sid, "greedy") for _ in range(3)]
         assert manager.drain(timeout=120)
         assert all(j.state == "succeeded" for j in jobs)
@@ -146,7 +147,7 @@ class TestJobManager:
     def test_metrics_document_schema(self):
         reg = ScenarioRegistry()
         sid, _ = reg.put(_scenario_doc())
-        manager = JobManager(reg, n_jobs=1, max_queue=4).start()
+        manager = ShardRouter(reg, shards=1, max_queue=4).start()
         try:
             manager.submit(sid, "slrh1").done.wait(timeout=120)
             doc = manager.metrics_document()
@@ -191,7 +192,7 @@ def _get(base, path, timeout=120):
 @pytest.fixture()
 def service():
     """A live service on an ephemeral port (serial worker, small queue)."""
-    manager = JobManager(ScenarioRegistry(), n_jobs=1, max_queue=16)
+    manager = ShardRouter(ScenarioRegistry(), shards=1, max_queue=16)
     server = make_server("127.0.0.1", 0, manager)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -303,13 +304,13 @@ class TestHTTPSurface:
         assert metrics["schema"] == "repro.perf/2"
         assert metrics["counters"]["service.completed"] == 2.0
         assert metrics["gauges"]["service.queue_depth"] == 0.0
-        assert 0.0 <= metrics["derived"]["plan_cache_comm_hit_rate"] <= 1.0
+        assert metrics["counters"]["plan.pairs"] > 0  # merged engine counters
         lat = metrics["histograms"]["service.request_seconds"]
         assert lat["count"] == 2
         assert lat["p50"] <= lat["p95"] <= lat["p99"]
 
     def test_queue_saturation_returns_429_over_http(self):
-        manager = JobManager(ScenarioRegistry(), n_jobs=1, max_queue=1)
+        manager = ShardRouter(ScenarioRegistry(), shards=1, max_queue=1)
         # Dispatcher NOT started: saturation is deterministic.
         server = ServiceServer(("127.0.0.1", 0), manager)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -341,6 +342,58 @@ class TestHTTPSurface:
             thread.join(timeout=10)
             server.server_close()
             manager.close(drain_timeout=0)
+
+
+def _raw_post(base: str, path: str, content_length: str, timeout: float = 5.0):
+    """Send only the request head of a POST declaring *content_length*
+    (no body) on a keep-alive connection and return (status, body) of the
+    reply — which must arrive within *timeout*, without the client ever
+    closing its side."""
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+        sock.sendall(
+            f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode()
+        )
+        reply = b""
+        while b"\r\n\r\n" not in reply:
+            chunk = sock.recv(65536)
+            assert chunk, "connection closed before a reply"
+            reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        while len(body) < int(headers["Content-Length"]):
+            body += sock.recv(65536)
+        assert headers.get("Connection") == "close"
+        return int(lines[0].split()[1]), json.loads(body)
+
+
+class TestBodyLimits:
+    """Every request body goes through one bounded reader: a negative or
+    non-integer Content-Length is a 400 and one past the cap a 413, both
+    answered without reading (or waiting for) the body."""
+
+    @pytest.mark.parametrize("path", ["/v1/map", "/v1/session/s1/events"])
+    def test_negative_length_is_400_without_waiting(self, service, path):
+        base, _ = service
+        status, doc = _raw_post(base, path, "-1", timeout=2.0)
+        assert status == 400
+        assert "Content-Length" in doc["error"]
+
+    def test_non_integer_length_is_400(self, service):
+        base, _ = service
+        status, doc = _raw_post(base, "/v1/scenarios", "lots", timeout=2.0)
+        assert status == 400
+        assert "lots" in doc["error"]
+
+    @pytest.mark.parametrize("path", ["/v1/scenarios", "/v1/session/s1/events"])
+    def test_oversized_length_is_413(self, service, path):
+        base, _ = service
+        status, doc = _raw_post(base, path, str(MAX_BODY_BYTES + 1), timeout=2.0)
+        assert status == 413
+        assert doc["max_bytes"] == MAX_BODY_BYTES
 
 
 class TestRetryAfterHeaderType:
@@ -381,7 +434,7 @@ class TestDifferentialDeterminism:
     @pytest.fixture(scope="class")
     def served_mappings(self):
         """Every registry heuristic served once for one fixed scenario+seed."""
-        manager = JobManager(ScenarioRegistry(), n_jobs=1, max_queue=32)
+        manager = ShardRouter(ScenarioRegistry(), shards=1, max_queue=32)
         server = make_server("127.0.0.1", 0, manager)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

@@ -31,7 +31,7 @@ from repro.session.events import validate_events
 from repro.sim.churn import ChurnEvent, run_with_churn
 
 WEIGHTS = Weights.from_alpha_beta(0.5, 0.2)
-KERNEL_MODES = ("columnar", "incremental", "rebuild")
+KERNEL_MODES = ("columnar", "rebuild")
 
 
 @pytest.fixture(scope="module")
@@ -300,7 +300,7 @@ class TestStreamingDifferential:
         )
         oracle = run_with_events(
             scenario,
-            _scheduler("slrh1", kernel="rebuild", plan_cache=False),
+            _scheduler("slrh1", kernel="rebuild"),
             events,
             persistent=False,
         )

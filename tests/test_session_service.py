@@ -20,7 +20,7 @@ from repro.io.serialization import (
     scenario_to_dict,
 )
 from repro.service.app import make_server
-from repro.service.jobs import JobManager
+from repro.service.jobs import ShardRouter
 from repro.service.registry import ScenarioRegistry
 from repro.service.sessions import SessionManager
 from repro.session import (
@@ -78,7 +78,7 @@ def make_service():
     started = []
 
     def _make(max_sessions=8, idle_timeout=900.0):
-        manager = JobManager(ScenarioRegistry(), n_jobs=1, max_queue=16)
+        manager = ShardRouter(ScenarioRegistry(), shards=1, max_queue=16)
         sessions = SessionManager(
             manager.registry,
             max_sessions=max_sessions,

@@ -177,7 +177,7 @@ class TestShardCountInvariance:
             for name in HEURISTIC_NAMES:
                 assert sharded[name] == baseline[name], (n_shards, name)
 
-    @pytest.mark.parametrize("kernel", ["columnar", "incremental", "rebuild"])
+    @pytest.mark.parametrize("kernel", ["columnar", "rebuild"])
     def test_kernel_modes_identical_across_shard_counts(self, kernel, monkeypatch):
         # Shard children inherit the environment through fork, so the
         # kernel mode pins itself in every process the same way.
