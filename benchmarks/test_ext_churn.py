@@ -9,7 +9,7 @@ from conftest import once
 from repro.core.objective import Weights
 from repro.core.slrh import SLRH1, SlrhConfig
 from repro.experiments.reporting import format_table
-from repro.sim.churn import ChurnEvent, run_with_churn
+from repro.session import SessionEvent, run_with_events
 from repro.sim.validate import validate_schedule
 
 WEIGHTS = Weights.from_alpha_beta(0.5, 0.2)
@@ -21,14 +21,12 @@ def _run(scale):
     scheduler = SLRH1(SlrhConfig(weights=WEIGHTS))
     quarter = int(scenario.tau / 4 / 0.1)
 
-    baseline = run_with_churn(scenario, scheduler, [])
-    lost = run_with_churn(
-        scenario, scheduler, [ChurnEvent(quarter, 1, "loss")]
-    )
-    returned = run_with_churn(
-        scenario, scheduler,
-        [ChurnEvent(quarter, 1, "loss"), ChurnEvent(2 * quarter, 1, "join")],
-    )
+    loss = SessionEvent("machine_loss", quarter, machine=1)
+    rejoin = SessionEvent("machine_rejoin", 2 * quarter, machine=1)
+
+    baseline = run_with_events(scenario, scheduler, [])
+    lost = run_with_events(scenario, scheduler, [loss])
+    returned = run_with_events(scenario, scheduler, [loss, rejoin])
     rows = []
     for label, out in (
         ("no churn", baseline),

@@ -20,13 +20,13 @@ Run:  python examples/churn_timeline.py
 
 from repro import (
     SLRH1,
-    ChurnEvent,
+    SessionEvent,
     SlrhConfig,
     Weights,
     compute_stats,
     paper_scaled_suite,
     render_gantt,
-    run_with_churn,
+    run_with_events,
     validate_schedule,
 )
 
@@ -44,19 +44,19 @@ def main() -> None:
 
     quarter = int(scenario.tau / 4 / 0.1)
     events = [
-        ChurnEvent(cycle=quarter, machine=1, kind="loss"),
-        ChurnEvent(cycle=2 * quarter, machine=1, kind="join"),
+        SessionEvent("machine_loss", quarter, machine=1),
+        SessionEvent("machine_rejoin", 2 * quarter, machine=1),
     ]
-    out = run_with_churn(scenario, scheduler, events)
+    out = run_with_events(scenario, scheduler, events)
     validate_schedule(out.final.schedule)
 
     for record in out.records:
         ev = record.event
-        what = ("lost" if ev.kind == "loss" else "rejoined")
+        what = ("lost" if ev.kind == "machine_loss" else "rejoined")
         print(f"t={ev.cycle * 0.1:6.0f}s: {scenario.grid[ev.machine].name} {what}"
               + (f" — rolled back {len(record.rolled_back)} subtasks, "
                  f"{record.sunk_energy:.1f} energy units sunk"
-                 if ev.kind == "loss" else ""))
+                 if ev.kind == "machine_loss" else ""))
 
     final = out.final
     print(f"with churn:   T100={final.t100}, AET={final.aet:.0f}s, "

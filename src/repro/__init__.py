@@ -78,8 +78,6 @@ from repro.grid import (
 )
 from repro.sim import (
     Assignment,
-    ChurnEvent,
-    ChurnOutcome,
     ExecutionPlan,
     IntervalTimeline,
     MappingTrace,
@@ -88,7 +86,6 @@ from repro.sim import (
     SimulationClock,
     ValidationError,
     execute_schedule,
-    run_with_churn,
     run_with_machine_loss,
     validate_schedule,
 )
@@ -119,6 +116,7 @@ from repro.heuristics import (
     make_scheduler,
     run_heuristic,
 )
+from repro.session import SessionEvent, run_with_events
 from repro.workload.scenario import PAPER_TAU, ScenarioSuite
 
 __version__ = "1.0.0"
@@ -150,7 +148,7 @@ __all__ = [
     "calibrate_tau", "upper_bound", "upper_bound_strict", "UpperBoundResult",
     # dynamics & analysis
     "execute_schedule", "run_with_machine_loss",
-    "ChurnEvent", "ChurnOutcome", "run_with_churn",
+    "SessionEvent", "run_with_events",
     "compute_stats", "energy_profile", "render_gantt",
     "critical_path_bound", "efficiency", "schedule_slack", "critical_chain",
     # heuristic registry (shared by CLI + service dispatch)

@@ -2,13 +2,13 @@
 
 Every mapper in this codebase used to carry its own copy of the outer
 loop — the SLRH variants each re-implemented the per-tick machine scan,
-the static baselines their round loop, and the churn engine drove the
-whole thing segment-by-segment.  :class:`SchedulingKernel` now owns that
-spine: the clock advance, the machine scan order, the per-machine serve
-loop (:meth:`run`) for the clock-driven SLRH family, and the clockless
-round loop (:meth:`run_static`) for the static baselines.  The SLRH
-variants collapse into :class:`TickPolicy` values answering "how many
-commits per machine per tick, and do we re-score between commits".
+and the static baselines their round loop.  :class:`SchedulingKernel`
+now owns that spine: the clock advance, the machine scan order, the
+per-machine serve loop (:meth:`run`) for the clock-driven SLRH family,
+and the clockless round loop (:meth:`run_static`) for the static
+baselines.  The SLRH variants collapse into :class:`TickPolicy` values
+answering "how many commits per machine per tick, and do we re-score
+between commits".
 
 Candidate pools
 ---------------
@@ -27,10 +27,12 @@ re-plans only entries dirtied by an **event**:
   only when its certificates prove a fresh plan would be byte-identical
   (its data-ready floor dominates both clocks and every planned transfer
   starts at/after the new clock);
-* churn (offline/online flips, rollbacks, external debits) — handled
-  wholesale by :meth:`ColumnarPool.invalidate_all`, which :meth:`run`
-  performs on entry so a kernel persisted across churn segments re-bases
-  against whatever happened in between.
+* churn between runs — the caller reports it: a rejoin through
+  :meth:`SchedulingKernel.note_rejoin`, an arrival through
+  :meth:`SchedulingKernel.note_arrival`, and a machine loss (offline
+  flip, rollbacks, external debits) through
+  :meth:`SchedulingKernel.note_disturbance`, which drops every entry
+  (:meth:`ColumnarPool.invalidate_all`).  A fresh kernel starts empty.
 
 Clean entries are *reused*: their plans verbatim, their scores too when
 the global aggregates (T100, TEC, AET) are unchanged, or re-scored with
@@ -195,9 +197,10 @@ class _MemoEntry:
 class SchedulingKernel:
     """The shared scheduling core (see module docstring).
 
-    One kernel serves one :class:`~repro.sim.schedule.Schedule`; the churn
-    engine keeps a kernel alive across segments and every :meth:`run`
-    re-bases the columnar pool against whatever happened in between.
+    One kernel serves one :class:`~repro.sim.schedule.Schedule`; the
+    session engine keeps a kernel alive across segments and reports every
+    change it makes to the schedule in between through the ``note_*``
+    hooks.
     """
 
     def __init__(
@@ -274,12 +277,11 @@ class SchedulingKernel:
 
     # -- precise event deltas (streaming sessions) --------------------------
     #
-    # A caller that mutates the schedule between runs normally relies on
-    # the unconditional re-base at run entry (invalidate_all + wake).  The
-    # session engine instead reports each event through one of these hooks
-    # and runs with ``rebase=False``, keeping every pool entry the event
-    # provably did not touch — mappings stay byte-identical to the rebuild
-    # oracle (pinned by tests/test_session.py), only the reuse rate moves.
+    # A caller that mutates the schedule between runs reports each change
+    # through one of these hooks before the next run; the pool keeps every
+    # entry the event provably did not touch — mappings stay byte-identical
+    # to the rebuild oracle (pinned by tests/test_session.py), only the
+    # reuse rate moves.
 
     def note_arrival(self, task: int) -> None:
         """A streamed task arrival: its release moved, nothing else did.
@@ -310,7 +312,6 @@ class SchedulingKernel:
         trace: MappingTrace,
         *,
         max_ticks: int,
-        rebase: bool = True,
         stop_cycle: int | None = None,
         tracer=NULL_TRACER,
     ) -> None:
@@ -318,14 +319,6 @@ class SchedulingKernel:
         tick cap — mutating *clock*, the schedule and *trace* in place."""
         schedule = self.schedule
         scenario = schedule.scenario
-        if rebase and self.pool is not None:
-            # Re-base against anything that happened outside a run (churn
-            # rollbacks, offline flips, external debits) — events inside a
-            # run flow through note_commit.  Streaming sessions pass
-            # ``rebase=False`` after reporting each event through the
-            # note_* hooks above, keeping the pool warm across segments.
-            self.pool.invalidate_all()
-            self._wake_all()
         tracing = tracer.enabled
         # Stall ticks (every machine unavailable or asleep) mutate nothing
         # but the clock and three trace counters, so the columnar mode

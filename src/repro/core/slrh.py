@@ -185,7 +185,7 @@ class SlrhScheduler:
     def make_kernel(self, schedule: Schedule) -> SchedulingKernel:
         """A :class:`~repro.core.kernel.SchedulingKernel` for *schedule*
         under this scheduler's configuration.  :meth:`map` builds one per
-        run; the churn engine builds one per *schedule* and threads it
+        run; the session engine builds one per *schedule* and threads it
         through every segment so the columnar pool survives in between.
         """
         cfg = self.config
@@ -211,7 +211,6 @@ class SlrhScheduler:
         stop_cycle: int | None = None,
         tracer: Tracer | NullTracer | None = None,
         kernel: SchedulingKernel | None = None,
-        rebase: bool = True,
     ) -> MappingResult:
         """Run the heuristic to completion (or τ) on *scenario*.
 
@@ -225,8 +224,8 @@ class SlrhScheduler:
             Clock cycle to start at (e.g. the loss time when resuming).
         stop_cycle:
             Pause the loop once the clock reaches this cycle (exclusive),
-            leaving the schedule partially built — the churn engine runs
-            the heuristic segment-by-segment between grid events.
+            leaving the schedule partially built — the session engine
+            runs the heuristic segment-by-segment between grid events.
         tracer:
             Optional :class:`repro.obs.spans.Tracer`; records the
             ``map → kernel.tick → pool.build/select/commit`` span tree
@@ -234,16 +233,11 @@ class SlrhScheduler:
             no-op tracer.
         kernel:
             Optional persistent :class:`~repro.core.kernel.SchedulingKernel`
-            to drive instead of building a fresh one — the churn engine
+            to drive instead of building a fresh one — the session engine
             keeps one kernel per schedule across segments.  Must have been
-            built (via :meth:`make_kernel`) for this *schedule*.
-        rebase:
-            Whether the kernel re-bases its pool on entry (invalidate +
-            wake — safe against arbitrary outside mutation).  The session
-            engine passes ``False`` after reporting every grid event
-            through the kernel's precise ``note_*`` hooks, so the pool
-            stays warm across segments; mappings are byte-identical
-            either way.
+            built (via :meth:`make_kernel`) for this *schedule*, and every
+            change made to the schedule since its last run must have been
+            reported through its ``note_*`` hooks.
         """
         cfg = self.config
         if tracer is None:
@@ -284,7 +278,6 @@ class SlrhScheduler:
                 trace,
                 max_ticks=max_ticks,
                 stop_cycle=stop_cycle,
-                rebase=rebase,
                 tracer=tracer,
             )
         if (

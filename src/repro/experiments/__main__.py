@@ -135,10 +135,6 @@ def map_main(argv: list[str] | None = None) -> int:
     from repro.obs.ledger import write_decision_log
     from repro.obs.spans import Tracer
 
-    if args.kernel is not None:
-        # The registry builds schedulers with kernel=None, which defers to
-        # $REPRO_KERNEL — the flag is just a spelling of that contract.
-        os.environ["REPRO_KERNEL"] = args.kernel
     if args.scenario is not None:
         doc = _json.loads(pathlib.Path(args.scenario).read_text())
     else:
@@ -146,6 +142,12 @@ def map_main(argv: list[str] | None = None) -> int:
         # bit-for-bit the one a service client would register.
         doc = scenario_to_dict(generate_named_scenario(args.generate, args.seed))
     tracer = Tracer() if args.trace_out else None
+    previous_kernel = os.environ.get("REPRO_KERNEL")
+    if args.kernel is not None:
+        # The registry builds schedulers with kernel=None, which defers to
+        # $REPRO_KERNEL — the flag is just a spelling of that contract,
+        # scoped to this one map so an in-process caller keeps its own.
+        os.environ["REPRO_KERNEL"] = args.kernel
     try:
         scenario = scenario_from_dict(doc)
         result = run_heuristic(
@@ -158,6 +160,11 @@ def map_main(argv: list[str] | None = None) -> int:
         )
     except (KeyError, ValueError) as exc:
         parser.error(str(exc))
+    finally:
+        if previous_kernel is None:
+            os.environ.pop("REPRO_KERNEL", None)
+        else:
+            os.environ["REPRO_KERNEL"] = previous_kernel
     if args.trace_out:
         trace_path = pathlib.Path(args.trace_out)
         trace_path.parent.mkdir(parents=True, exist_ok=True)

@@ -21,7 +21,7 @@ from the stdlib on top of the existing engine:
 * :mod:`repro.service.loadgen` — a concurrent load generator that writes
   the ``BENCH_service.json`` artefact.
 
-Start it with ``python -m repro.service [--port] [--jobs] [--max-queue]``.
+Start it with ``python -m repro.service [--port] [--shards] [--max-queue]``.
 
 Determinism contract: for a fixed scenario + seed, the mapping JSON served
 by ``POST /v1/map`` is byte-identical to ``python -m repro.experiments

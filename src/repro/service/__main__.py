@@ -11,8 +11,7 @@ Options::
     --host HOST          bind address            (default 127.0.0.1)
     --port PORT          TCP port; 0 = ephemeral (default 8000)
     --shards N|auto      shard worker processes  (default $REPRO_SHARDS,
-                         else --jobs, else 1); 1 = inline, no processes
-    --jobs N|auto        legacy alias for --shards (default $REPRO_JOBS)
+                         else 1); 1 = inline, no processes
     --max-queue N        per-shard admission bound (default 64)
     --scenario-cache N   deserialised scenarios kept hot per shard
                          (default $REPRO_SCENARIO_CACHE or 8)
@@ -40,7 +39,7 @@ from repro.service.sessions import (
     DEFAULT_MAX_SESSIONS,
     SessionManager,
 )
-from repro.util.parallel import resolve_jobs, resolve_shards
+from repro.util.parallel import resolve_shards
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -53,10 +52,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="TCP port; 0 picks an ephemeral port")
     parser.add_argument("--shards", default=None,
                         help="shard worker processes: integer or 'auto' "
-                        "(default: $REPRO_SHARDS, else --jobs, else 1)")
-    parser.add_argument("--jobs", default=None,
-                        help="legacy alias for --shards "
-                        "(default: $REPRO_JOBS or 1)")
+                        "(default: $REPRO_SHARDS, else 1)")
     parser.add_argument("--max-queue", type=int, default=64,
                         help="bounded per-shard job queue size (429 beyond it)")
     parser.add_argument("--scenario-cache", default=None, metavar="N",
@@ -82,15 +78,9 @@ def main(argv: list[str] | None = None) -> int:
 
     registry = ScenarioRegistry()
     try:
-        if args.shards is not None:
-            n_shards = resolve_shards(args.shards)
-        elif args.jobs is not None:
-            n_shards = resolve_jobs(args.jobs)
-        else:
-            n_shards = resolve_shards(None)
         manager = ShardRouter(
             registry,
-            shards=n_shards,
+            shards=resolve_shards(args.shards),
             max_queue=args.max_queue,
             scenario_cache=args.scenario_cache,
         )

@@ -33,8 +33,8 @@ Usage::
                                     [--heuristic slrh1] [--out BENCH_service.json]
 
 Without ``--url`` a service is booted in-process on an ephemeral port
-(with ``--shards`` worker processes; ``--jobs`` is the legacy alias) and
-torn down afterwards, so the benchmark is one self-contained command.
+(with ``--shards`` worker processes) and torn down afterwards, so the
+benchmark is one self-contained command.
 
 ``--shard-sweep 1,2,4`` (self-host only) runs the whole level set once
 per shard count against a fresh daemon each time and emits the
@@ -601,9 +601,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="[session] cycle of the closing event")
     parser.add_argument("--shards", default=None,
                         help="shard processes for the self-hosted service "
-                        "(int or 'auto'; default $REPRO_SHARDS, else --jobs, else 1)")
-    parser.add_argument("--jobs", default=None,
-                        help="legacy alias for --shards")
+                        "(int or 'auto'; default $REPRO_SHARDS, else 1)")
     parser.add_argument("--shard-sweep", default=None, metavar="N,N,...",
                         help="run the whole level set once per shard count "
                         "(self-host only) and emit the repro.bench.service/2 "
@@ -674,15 +672,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.url:
         base_url = args.url.rstrip("/")
     else:
-        from repro.util.parallel import resolve_jobs, resolve_shards
+        from repro.util.parallel import resolve_shards
 
-        if args.shards is not None:
-            n_shards = resolve_shards(args.shards)
-        elif args.jobs is not None:
-            n_shards = resolve_jobs(args.jobs)
-        else:
-            n_shards = resolve_shards(None)
-        hosted = _SelfHosted(n_shards, max_queue=args.max_queue)
+        hosted = _SelfHosted(resolve_shards(args.shards), max_queue=args.max_queue)
         base_url = hosted.base_url
         print(f"self-hosted service on {base_url}", flush=True)
 

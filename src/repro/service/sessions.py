@@ -15,10 +15,7 @@ shard count), its engine+encoder pair is hosted by that one shard's
 :class:`~repro.service.worker.SessionHost` — in exactly one process for
 the session's whole lifetime — and the :class:`LiveSession` here is a
 thin proxy shipping event batches over the shard RPC and yielding the
-delta lines that come back.  Without a router (tests constructing a bare
-``SessionManager``) a private in-process
-:class:`~repro.service.shard.InlineShard` hosts everything, which is the
-pre-shard behaviour exactly.
+delta lines that come back.
 
 Concurrency model:
 
@@ -182,7 +179,7 @@ class SessionManager:
         max_sessions: int = DEFAULT_MAX_SESSIONS,
         idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
         perf: PerfCounters | None = None,
-        router: ShardRouter | None = None,
+        router: ShardRouter,
     ) -> None:
         if max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
@@ -193,9 +190,6 @@ class SessionManager:
         self.idle_timeout = idle_timeout
         self.perf = perf if perf is not None else PerfCounters()
         self.router = router
-        # Routerless managers host every session in-process (pre-shard
-        # behaviour); a router routes each session to one of its shards.
-        self._fallback = None if router is not None else InlineShard(0)
         self._lock = threading.Lock()
         self._sessions: dict[str, LiveSession] = {}  # guarded-by: _lock
         self._next_id = 1  # guarded-by: _lock
@@ -204,10 +198,6 @@ class SessionManager:
     def _backend_for_locked(self, numeric_id: int) -> InlineShard | ProcessShard:
         """The shard backend hosting session *numeric_id* — round-robin
         over shards, pinned for the session's lifetime."""
-        if self.router is None:
-            if self._fallback is None:  # pragma: no cover - init invariant
-                raise RuntimeError("SessionManager has neither router nor fallback")
-            return self._fallback
         return self.router.session_shard(numeric_id).backend
 
     # -- admission ---------------------------------------------------------

@@ -17,7 +17,8 @@ Layers:
   event generator for benchmarks and smoke tests;
 * :mod:`repro.session.engine` — :class:`SessionEngine`, the replanning
   state machine, and :func:`run_with_events`, the offline replay that is
-  the byte-identity oracle for every streamed session;
+  the byte-identity oracle for every streamed session and the one replay
+  path for loss/rejoin (churn) timelines;
 * :mod:`repro.session.codec` — NDJSON mapping *deltas*
   (:class:`DeltaEncoder` / :func:`mapping_from_delta_ndjson`): after each
   event only new, changed and retracted assignments are emitted, in the
@@ -31,7 +32,12 @@ lives in :mod:`repro.service.sessions`; the replan-frequency study
 """
 
 from repro.session.codec import DeltaEncoder, mapping_from_delta_ndjson
-from repro.session.engine import SessionEngine, SessionOutcome, run_with_events
+from repro.session.engine import (
+    ChurnRecord,
+    SessionEngine,
+    SessionOutcome,
+    run_with_events,
+)
 from repro.session.events import (
     EVENT_KINDS,
     SessionEvent,
@@ -40,6 +46,7 @@ from repro.session.events import (
 )
 
 __all__ = [
+    "ChurnRecord",
     "DeltaEncoder",
     "EVENT_KINDS",
     "SessionEngine",

@@ -4,17 +4,19 @@
 and — for the SLRH family — one persistent
 :class:`~repro.core.kernel.SchedulingKernel` that lives across every
 event.  Each applied event becomes a *precise delta* against the kernel's
-candidate pool (``note_arrival`` / ``note_rejoin`` / ``note_disturbance``)
-and every replanning segment runs with ``rebase=False``, so the pool is
-never rebuilt from scratch unless the differential oracle mode
-(``SlrhConfig(kernel="rebuild")``) is forced.  Mappings are byte-identical
-across both kernel modes and to :func:`repro.sim.churn.run_with_churn`
-on the same loss/join timeline — pinned by ``tests/test_session.py``.
+candidate pool (``note_arrival`` / ``note_rejoin`` / ``note_disturbance``),
+so the pool is never rebuilt from scratch unless the differential oracle
+mode (``SlrhConfig(kernel="rebuild")``) is forced.  Mappings are
+byte-identical across both kernel modes — pinned by
+``tests/test_session.py`` and, for loss/rejoin timelines,
+``tests/test_kernel.py``.
 
 Scheduler families differ in *when* planning happens:
 
 * **SLRH-1/2/3** (clock-driven): the heuristic runs segment-by-segment
-  between events, exactly like the churn replay; ``task_arrival`` events
+  between events; a ``machine_loss`` rolls back the machine's work and
+  its descendants (:func:`repro.sim.engine.rollback_machine`) and a
+  ``machine_rejoin`` brings the machine back; ``task_arrival`` events
   move a held task's release time from ``math.inf`` to its arrival
   instant and the pool keeps every entry the arrival provably did not
   touch.
@@ -31,7 +33,7 @@ against, and the benchmark's from-scratch arm (``persistent=False``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 import math
@@ -40,7 +42,7 @@ from repro.core.slrh import MappingResult, SlrhScheduler
 from repro.obs.log import enabled as _obs_enabled
 from repro.obs.log import get_logger
 from repro.obs.spans import NULL_SPAN, NULL_TRACER, NullTracer, Tracer
-from repro.sim.churn import ChurnRecord, _merge_trace, _rollback_machine
+from repro.sim.engine import rollback_machine
 from repro.sim.schedule import Schedule
 from repro.session.events import SessionEvent, validate_events
 from repro.util.units import CYCLE_SECONDS
@@ -50,6 +52,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.trace import MappingTrace
 
 _LOG = get_logger("session")
+
+
+@dataclass(frozen=True)
+class ChurnRecord:
+    """What one ``machine_loss`` or ``machine_rejoin`` did to the schedule."""
+
+    event: SessionEvent
+    rolled_back: tuple[int, ...]
+    sunk_energy: float
 
 
 @dataclass(frozen=True)
@@ -82,10 +93,9 @@ class SessionEngine:
         event names them.  Requires an SLRH-family scheduler.
     persistent:
         ``True`` (default) keeps one kernel across all segments, fed by
-        precise event deltas (``rebase=False``).  ``False`` builds a
-        fresh kernel for every segment — the per-event from-scratch arm
-        of the replan-frequency benchmark.  Mappings are byte-identical
-        either way.
+        precise event deltas.  ``False`` builds a fresh kernel for every
+        segment — the per-event from-scratch arm of the replan-frequency
+        benchmark.  Mappings are byte-identical either way.
     tracer:
         Optional span tracer; each applied event is wrapped in a
         ``session.event`` span and the usual map/tick spans nest below.
@@ -123,7 +133,6 @@ class SessionEngine:
             if self._is_slrh and persistent
             else None
         )
-        self.persistent = persistent
         self.cursor = 0
         self.closed = False
         self.records: list[ChurnRecord] = []
@@ -142,7 +151,7 @@ class SessionEngine:
     def apply(self, event: SessionEvent) -> ChurnRecord | None:
         """Apply one event: replan up to its cycle, then mutate the grid.
 
-        Returns the :class:`~repro.sim.churn.ChurnRecord` for a
+        Returns the :class:`ChurnRecord` for a
         ``machine_loss`` (rolled-back tasks + sunk energy), ``None`` for
         every other kind.  Raises on out-of-order cycles, unknown ids,
         double losses/rejoins, arrivals of non-held tasks, arrivals under
@@ -203,20 +212,16 @@ class SessionEngine:
                 raise ValueError(f"machine {machine} is already offline")
             self._advance_to(event.cycle)
             loss_time = event.cycle * self.cycle_seconds
-            rolled = _rollback_machine(self.schedule, machine, loss_time)
+            rolled_back, sunk = rollback_machine(self.schedule, machine, loss_time)
             self.schedule.set_offline(machine, True)
             if self.kernel is not None:
                 self.kernel.note_disturbance()
             record = ChurnRecord(
-                event=event,
-                rolled_back=rolled.rolled_back,
-                sunk_energy=rolled.sunk_energy,
+                event=event, rolled_back=rolled_back, sunk_energy=sunk
             )
             self.records.append(record)
-            if rolled.rolled_back:
-                self.schedule.perf.inc(
-                    "session.rolled_back", len(rolled.rolled_back)
-                )
+            if rolled_back:
+                self.schedule.perf.inc("session.rolled_back", len(rolled_back))
             return record
         if kind == "machine_rejoin":
             machine = event.machine
@@ -251,7 +256,6 @@ class SessionEngine:
             start_cycle=self.cursor,
             stop_cycle=cycle,
             kernel=self.kernel,
-            rebase=not self.persistent,
             tracer=self.tracer if self.tracer.enabled else None,
         )
         self._absorb(result)
@@ -265,7 +269,6 @@ class SessionEngine:
                 schedule=self.schedule,
                 start_cycle=self.cursor,
                 kernel=self.kernel,
-                rebase=not self.persistent,
                 tracer=self.tracer if self.tracer.enabled else None,
             )
         else:
@@ -309,6 +312,34 @@ class SessionEngine:
         self._last_result = result
 
 
+def _merge_trace(
+    acc: "MappingTrace | None", trace: "MappingTrace"
+) -> "MappingTrace":
+    """Fold one segment's trace into the session's running trace."""
+    if acc is None:
+        return trace
+    acc.records.extend(trace.records)
+    acc.ticks += trace.ticks
+    acc.machine_scans += trace.machine_scans
+    acc.empty_pool_ticks += trace.empty_pool_ticks
+    # Each segment snapshots the shared schedule's perf registry, which is
+    # cumulative over the schedule's lifetime — the latest snapshot is the
+    # whole-run total, not an increment.
+    acc.perf = trace.perf
+    if acc.ledger is not None and trace.ledger is not None:
+        # Ledger continuity: each segment's ledger restarts tick numbering
+        # at 0, so shift the incoming records onto the accumulated tick
+        # count — ``explain --tick K`` then addresses one global timeline
+        # across every replan segment of a session.
+        base = acc.ledger.tick + 1
+        acc.ledger.records.extend(
+            replace(rec, tick=rec.tick + base) if rec.tick >= 0 else rec
+            for rec in trace.ledger.records
+        )
+        acc.ledger.tick += trace.ledger.tick + 1
+    return acc
+
+
 def run_with_events(
     scenario: Scenario,
     scheduler: Any,
@@ -322,7 +353,9 @@ def run_with_events(
 
     This is the byte-identity oracle for streamed sessions: the HTTP
     surface drives the exact same engine, so a recorded stream replayed
-    here must yield the identical final mapping.  Events are applied in
+    here must yield the identical final mapping.  It is also the replay
+    path for grid churn: a stream of ``machine_loss``/``machine_rejoin``
+    events is a loss/rejoin timeline (§I).  Events are applied in
     cycle order (stable for equal cycles); a stream that does not end in
     ``close`` is closed at its last cycle.  ``pending`` defaults to
     exactly the tasks named by the stream's ``task_arrival`` events.

@@ -13,10 +13,10 @@ package provides the machinery they share:
 * :class:`~repro.sim.clock.SimulationClock` — the 0.1 s-cycle clock driving
   the SLRH loop;
 * :mod:`~repro.sim.engine` — an event-driven executor that *runs* a schedule
-  and can inject machine-loss events (the ad hoc scenario of §I).
+  and can inject machine-loss events (the ad hoc scenario of §I); loss and
+  rejoin timelines replay through :func:`repro.session.run_with_events`.
 """
 
-from repro.sim.churn import ChurnEvent, ChurnOutcome, ChurnRecord, run_with_churn
 from repro.sim.clock import SimulationClock
 from repro.sim.engine import (
     ExecutionLog,
@@ -44,8 +44,4 @@ __all__ = [
     "execute_schedule",
     "MachineLossOutcome",
     "run_with_machine_loss",
-    "ChurnEvent",
-    "ChurnRecord",
-    "ChurnOutcome",
-    "run_with_churn",
 ]

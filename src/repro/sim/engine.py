@@ -12,7 +12,10 @@ Two capabilities live here:
    motivates the paper (§I) but was deferred to future work: a machine
    vanishes mid-execution; every assignment whose results are unrecoverable
    is rolled back, and the resource manager re-maps the remainder on the
-   surviving grid from the loss instant onward.
+   surviving grid from the loss instant onward.  :func:`rollback_machine`
+   applies the same loss to a live schedule in place, keeping the machine
+   indexing so the machine can rejoin (the session engine's
+   ``machine_loss``).
 
 Loss semantics (checkpoint-free and artifact-free, per the paper's remark
 that recovering partial results "may prove too costly"):
@@ -34,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.core.constants import EPSILON
 from repro.obs.log import enabled as _obs_enabled
 from repro.obs.log import get_logger
 from repro.sim.events import Event, EventKind, EventQueue
@@ -170,6 +174,41 @@ def surviving_tasks(
     return kept, dropped
 
 
+def rollback_machine(
+    schedule: Schedule, machine: int, loss_time: float
+) -> tuple[tuple[int, ...], float]:
+    """Lose *machine* at *loss_time* on a live *schedule*, in place.
+
+    Unassigns every task :func:`surviving_tasks` invalidates, children
+    before parents, and debits as sunk energy the execution and
+    transmission time any machine — the lost one included — had already
+    spent on that work before the loss.  The machine keeps its index, so
+    it can rejoin; marking it offline is the caller's step.  Returns the
+    rolled-back task ids in topological order and the sunk energy.
+    """
+    scenario = schedule.scenario
+    grid = scenario.grid
+    _, dropped = surviving_tasks(schedule, machine)
+    order = [t for t in scenario.dag.topological_order if t in dropped]
+    sunk = 0.0
+    for task in reversed(order):
+        a = schedule.unassign(task)
+        if a.start < loss_time - EPSILON:
+            wasted = min(a.finish, loss_time) - a.start
+            energy = grid[a.machine].compute_energy(wasted)
+            if energy > 0:
+                schedule.debit_external(a.machine, energy)
+                sunk += energy
+        for c in a.comms:
+            if c.start < loss_time - EPSILON:
+                wasted = min(c.finish, loss_time) - c.start
+                energy = grid[c.src].transmit_energy(wasted)
+                if energy > 0:
+                    schedule.debit_external(c.src, energy)
+                    sunk += energy
+    return tuple(order), sunk
+
+
 def _replan_assignment(a: Assignment, machine_map: dict[int, int]) -> ExecutionPlan:
     """Rebuild an :class:`ExecutionPlan` for re-committing a surviving
     assignment onto the reduced grid (machine indices remapped)."""
@@ -215,7 +254,7 @@ def run_with_machine_loss(
         on its own :class:`repro.core.kernel.SchedulingKernel` — the
         rebuilt schedule lives on a *reduced* scenario, so the initial
         pass's columnar pool cannot carry over (contrast
-        :func:`repro.sim.churn.run_with_churn`, which keeps machine
+        :func:`repro.session.run_with_events`, which keeps machine
         indexing stable and threads one kernel through every segment).
     loss_cycle:
         Clock cycle at which *lost_machine* vanishes.

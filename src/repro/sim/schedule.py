@@ -200,7 +200,7 @@ class Schedule:
         # loss); validation reconciles the ledger against assignments plus
         # these.
         self.external_debits = [0.0] * n_machines
-        # Machines currently absent from the ad hoc grid (churn engine).
+        # Machines currently absent from the ad hoc grid (session churn).
         self.offline: set[int] = set()
         # Live per-task release (arrival) times, initialised from the
         # scenario.  Streaming sessions declare mid-run arrivals through
@@ -295,8 +295,8 @@ class Schedule:
         """Mark machine *j* absent from (or returned to) the ad hoc grid.
 
         Offline machines fail the availability test and every plan
-        targeting them; existing assignments are untouched — the churn
-        engine decides what to roll back.
+        targeting them; existing assignments are untouched — the caller
+        decides what to roll back (:func:`repro.sim.engine.rollback_machine`).
         """
         if not 0 <= j < self.scenario.n_machines:
             raise IndexError(f"no machine {j}")

@@ -74,7 +74,8 @@ def resolve_shards(shards: JobsLike = None) -> int:
 
     Same grammar as :func:`resolve_jobs` (``'auto'`` →
     :func:`os.cpu_count`); only the argument and environment sources
-    differ, so ``--shards`` and ``--jobs`` stay independently settable.
+    differ, so the daemon's ``--shards`` and the study CLI's ``--jobs``
+    stay independently settable.
     """
     if shards is None:
         raw = os.environ.get("REPRO_SHARDS", "").strip()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.slrh import SLRH1, SlrhConfig
-from repro.sim.churn import ChurnEvent, run_with_churn
+from repro.session import SessionEvent, run_with_events
 from repro.sim.schedule import Schedule
 from repro.sim.validate import validate_schedule
 
@@ -17,12 +17,12 @@ def _quarter(scenario):
     return int(scenario.tau / 4 / 0.1)
 
 
-class TestChurnEvent:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ChurnEvent(cycle=-1, machine=0, kind="loss")
-        with pytest.raises(ValueError):
-            ChurnEvent(cycle=0, machine=0, kind="explode")
+def _loss(cycle, machine):
+    return SessionEvent("machine_loss", cycle, machine=machine)
+
+
+def _rejoin(cycle, machine):
+    return SessionEvent("machine_rejoin", cycle, machine=machine)
 
 
 class TestOfflineFlag:
@@ -51,7 +51,7 @@ class TestOfflineFlag:
 class TestLossOnly:
     def test_loss_rolls_back_machine_work(self, small_scenario, scheduler):
         q = _quarter(small_scenario)
-        out = run_with_churn(small_scenario, scheduler, [ChurnEvent(q, 0, "loss")])
+        out = run_with_events(small_scenario, scheduler, [_loss(q, 0)])
         validate_schedule(out.final.schedule)
         for a in out.final.schedule.assignments.values():
             # Work on machine 0 may only exist if it started fresh after...
@@ -62,32 +62,30 @@ class TestLossOnly:
 
     def test_sunk_energy_nonnegative(self, small_scenario, scheduler):
         q = _quarter(small_scenario)
-        out = run_with_churn(small_scenario, scheduler, [ChurnEvent(q, 1, "loss")])
+        out = run_with_events(small_scenario, scheduler, [_loss(q, 1)])
         assert all(r.sunk_energy >= 0.0 for r in out.records)
 
     def test_double_loss_rejected(self, small_scenario, scheduler):
         q = _quarter(small_scenario)
         with pytest.raises(ValueError):
-            run_with_churn(
-                small_scenario, scheduler,
-                [ChurnEvent(q, 0, "loss"), ChurnEvent(q + 10, 0, "loss")],
+            run_with_events(
+                small_scenario, scheduler, [_loss(q, 0), _loss(q + 10, 0)]
             )
 
     def test_join_without_loss_rejected(self, small_scenario, scheduler):
         with pytest.raises(ValueError):
-            run_with_churn(small_scenario, scheduler, [ChurnEvent(5, 0, "join")])
+            run_with_events(small_scenario, scheduler, [_rejoin(5, 0)])
 
     def test_bad_machine_rejected(self, small_scenario, scheduler):
         with pytest.raises(IndexError):
-            run_with_churn(small_scenario, scheduler, [ChurnEvent(5, 42, "loss")])
+            run_with_events(small_scenario, scheduler, [_loss(5, 42)])
 
 
 class TestLossAndRejoin:
     def test_machine_usable_after_rejoin(self, small_scenario, scheduler):
         q = _quarter(small_scenario)
-        out = run_with_churn(
-            small_scenario, scheduler,
-            [ChurnEvent(q, 1, "loss"), ChurnEvent(2 * q, 1, "join")],
+        out = run_with_events(
+            small_scenario, scheduler, [_loss(q, 1), _rejoin(2 * q, 1)]
         )
         validate_schedule(out.final.schedule)
         # Any machine-1 assignment must have been (re)committed after the
@@ -101,16 +99,15 @@ class TestLossAndRejoin:
 
     def test_no_events_equals_plain_map(self, small_scenario, scheduler):
         plain = scheduler.map(small_scenario)
-        churned = run_with_churn(small_scenario, scheduler, [])
+        churned = run_with_events(small_scenario, scheduler, [])
         assert churned.final.schedule.summary()["t100"] == plain.t100
         assert churned.final.schedule.summary()["aet"] == pytest.approx(plain.aet)
 
     def test_rejoin_improves_on_pure_loss(self, small_scenario, scheduler):
         q = _quarter(small_scenario)
-        lost = run_with_churn(small_scenario, scheduler, [ChurnEvent(q, 1, "loss")])
-        back = run_with_churn(
-            small_scenario, scheduler,
-            [ChurnEvent(q, 1, "loss"), ChurnEvent(q + 10, 1, "join")],
+        lost = run_with_events(small_scenario, scheduler, [_loss(q, 1)])
+        back = run_with_events(
+            small_scenario, scheduler, [_loss(q, 1), _rejoin(q + 10, 1)]
         )
         # A near-immediate rejoin must not map fewer subtasks than a
         # permanent loss.
@@ -118,8 +115,7 @@ class TestLossAndRejoin:
 
     def test_trace_merged_across_segments(self, small_scenario, scheduler):
         q = _quarter(small_scenario)
-        out = run_with_churn(
-            small_scenario, scheduler,
-            [ChurnEvent(q, 1, "loss"), ChurnEvent(2 * q, 1, "join")],
+        out = run_with_events(
+            small_scenario, scheduler, [_loss(q, 1), _rejoin(2 * q, 1)]
         )
         assert out.final.trace.n_commits >= out.final.schedule.n_mapped

@@ -109,3 +109,20 @@ class TestMapSubcommand:
         with pytest.raises(SystemExit):
             main(["map", "--generate", "8", "--heuristic", "greedy",
                   "--alpha", "0.5"])
+
+    @pytest.mark.parametrize("before", [None, "columnar"])
+    def test_kernel_flag_leaves_environment_as_found(
+        self, monkeypatch, capsysbinary, before
+    ):
+        # setenv first so monkeypatch restores the variable even if main()
+        # leaks it; then put it in the state under test.
+        monkeypatch.setenv("REPRO_KERNEL", "columnar")
+        if before is None:
+            monkeypatch.delenv("REPRO_KERNEL")
+        rc = main(["map", "--generate", "8", "--seed", "1", "--kernel", "rebuild"])
+        assert rc == 0
+        assert os.environ.get("REPRO_KERNEL") == before
+        with pytest.raises(SystemExit):
+            main(["map", "--generate", "8", "--heuristic", "olb",
+                  "--kernel", "rebuild"])
+        assert os.environ.get("REPRO_KERNEL") == before

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core.objective import Weights
 from repro.core.slrh import SLRH1, SlrhConfig
-from repro.sim.churn import ChurnEvent, run_with_churn
+from repro.session import SessionEvent, run_with_events
 from repro.sim.engine import run_with_machine_loss, surviving_tasks
 from repro.sim.validate import validate_schedule
 from repro.workload.scenario import (
@@ -61,10 +61,13 @@ def test_churn_loss_rejoin_always_valid(seed, machine, loss_frac, gap_frac):
     scenario = _scenario(seed)
     loss = max(1, int(scenario.tau * loss_frac / 0.1))
     join = loss + max(1, int(scenario.tau * gap_frac / 0.1))
-    out = run_with_churn(
+    out = run_with_events(
         scenario,
         _SCHEDULER,
-        [ChurnEvent(loss, machine, "loss"), ChurnEvent(join, machine, "join")],
+        [
+            SessionEvent("machine_loss", loss, machine=machine),
+            SessionEvent("machine_rejoin", join, machine=machine),
+        ],
     )
     validate_schedule(out.final.schedule)
     # Sunk energy never negative; rollback only ever shrinks when later.

@@ -5,6 +5,7 @@ import pytest
 from repro.core.slrh import SLRH1, SlrhConfig
 from repro.sim.engine import (
     execute_schedule,
+    rollback_machine,
     run_with_machine_loss,
     surviving_tasks,
 )
@@ -80,6 +81,30 @@ class TestSurvivingTasks:
             pytest.skip("all machines used")
         kept, dropped = surviving_tasks(sched, lost_machine=unused.pop())
         assert not dropped
+
+
+class TestRollbackMachine:
+    def test_unassigns_exactly_the_invalidated_tasks(
+        self, small_scenario, mid_config
+    ):
+        schedule = SLRH1(mid_config).map(small_scenario).schedule
+        kept, dropped = surviving_tasks(schedule, lost_machine=1)
+        assert dropped
+        rolled_back, sunk = rollback_machine(schedule, 1, schedule.makespan / 2)
+        order = small_scenario.dag.topological_order
+        assert list(rolled_back) == [t for t in order if t in dropped]
+        assert set(schedule.assignments) == kept
+        # Work started before the loss is charged, and only through debits.
+        assert sunk > 0.0
+        assert sum(schedule.external_debits) == pytest.approx(sunk)
+        validate_schedule(schedule)
+
+    def test_loss_at_time_zero_sinks_nothing(self, small_scenario, mid_config):
+        schedule = SLRH1(mid_config).map(small_scenario).schedule
+        rolled_back, sunk = rollback_machine(schedule, 1, 0.0)
+        assert rolled_back
+        assert sunk == 0.0
+        assert schedule.external_debits == [0.0] * small_scenario.n_machines
 
 
 class TestMachineLoss:

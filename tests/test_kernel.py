@@ -36,8 +36,7 @@ from repro.core.pool import build_candidate_pool
 from repro.core.slrh import SLRH1, SLRH2, SLRH3, SlrhConfig
 from repro.heuristics import HEURISTIC_NAMES, run_heuristic
 from repro.io.serialization import canonical_mapping_bytes
-from repro.sim.churn import ChurnEvent, run_with_churn
-from repro.session import SessionEngine, SessionEvent
+from repro.session import SessionEngine, SessionEvent, run_with_events
 from repro.sim.clock import SimulationClock
 from repro.sim.schedule import Schedule
 from repro.sim.trace import MappingTrace
@@ -326,21 +325,21 @@ class TestByteIdentity:
 
 
 class TestChurnDifferential:
-    """One kernel persisted across churn segments re-bases cleanly: the
-    whole timeline — mappings, rollbacks, traces — is byte-identical to
-    the rebuild oracle."""
+    """One kernel persisted across loss/rejoin segments, fed by the
+    session engine's ``note_*`` deltas: the whole timeline — mappings,
+    rollbacks, traces — is byte-identical to the rebuild oracle."""
 
     _EVENTS = (
-        ChurnEvent(cycle=2, machine=1, kind="loss"),
-        ChurnEvent(cycle=5, machine=1, kind="join"),
-        ChurnEvent(cycle=7, machine=3, kind="loss"),
+        SessionEvent("machine_loss", 2, machine=1),
+        SessionEvent("machine_rejoin", 5, machine=1),
+        SessionEvent("machine_loss", 7, machine=3),
     )
 
     @staticmethod
     def _outcomes(cls, scenario, events):
         return {
-            mode: run_with_churn(
-                scenario, cls(SlrhConfig(weights=_WEIGHTS, kernel=mode)), list(events)
+            mode: run_with_events(
+                scenario, cls(SlrhConfig(weights=_WEIGHTS, kernel=mode)), events
             )
             for mode in KERNEL_MODES
         }
@@ -371,9 +370,9 @@ class TestChurnDifferential:
         all land on a warm columnar pool."""
         quarter = int(small_scenario.tau / 4 / 0.1)
         events = (
-            ChurnEvent(cycle=quarter, machine=0, kind="loss"),
-            ChurnEvent(cycle=2 * quarter, machine=0, kind="join"),
-            ChurnEvent(cycle=2 * quarter + 5, machine=1, kind="loss"),
+            SessionEvent("machine_loss", quarter, machine=0),
+            SessionEvent("machine_rejoin", 2 * quarter, machine=0),
+            SessionEvent("machine_loss", 2 * quarter + 5, machine=1),
         )
         outcomes = self._outcomes(cls, small_scenario, events)
         reb, got = outcomes["rebuild"], outcomes["columnar"]

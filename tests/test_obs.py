@@ -9,6 +9,7 @@ import json
 import pathlib
 import sys
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -477,6 +478,15 @@ class TestServiceObservability:
         try:
             status, _, _ = _get(obs_service + "/healthz")
             assert status == 200
+            # The handler writes the access record after the response is
+            # on the wire, so the client can get here first: wait for the
+            # record before detaching the log.
+            deadline = time.monotonic() + 5.0
+            while (
+                '"http.request"' not in buf.getvalue()
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
         finally:
             disable()
         records = [json.loads(l) for l in buf.getvalue().splitlines()]

@@ -127,15 +127,15 @@ class TestChurnMappingRoundTrip:
 
     @pytest.fixture(scope="class")
     def churned(self, small_scenario, mid_config):
-        from repro.sim.churn import ChurnEvent, run_with_churn
+        from repro.session import SessionEvent, run_with_events
 
         quarter = int(small_scenario.tau / 4 / 0.1)
-        outcome = run_with_churn(
+        outcome = run_with_events(
             small_scenario,
             SLRH1(mid_config),
             [
-                ChurnEvent(cycle=quarter, machine=1, kind="loss"),
-                ChurnEvent(cycle=2 * quarter, machine=1, kind="join"),
+                SessionEvent("machine_loss", quarter, machine=1),
+                SessionEvent("machine_rejoin", 2 * quarter, machine=1),
             ],
         )
         assert outcome.total_rolled_back > 0  # the loss actually bit

@@ -487,7 +487,7 @@ class TestDaemonProcess:
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
         env = dict(os.environ, PYTHONPATH="src")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.service", "--port", "0", "--jobs", "1"],
+            [sys.executable, "-m", "repro.service", "--port", "0", "--shards", "1"],
             cwd="/root/repo",
             env=env,
             stdout=subprocess.PIPE,

@@ -28,7 +28,6 @@ from repro.session import (
     synthesize_events,
 )
 from repro.session.events import validate_events
-from repro.sim.churn import ChurnEvent, run_with_churn
 
 WEIGHTS = Weights.from_alpha_beta(0.5, 0.2)
 KERNEL_MODES = ("columnar", "rebuild")
@@ -260,29 +259,6 @@ class TestStreamingDifferential:
             for mode in KERNEL_MODES
         }
         assert len(set(payloads.values())) == 1
-
-    def test_session_matches_run_with_churn(self, scenario):
-        """A loss/rejoin-only stream is exactly a churn timeline: the
-        session engine and the churn replay must agree byte for byte."""
-        timeline = [
-            ChurnEvent(cycle=8, machine=2, kind="loss"),
-            ChurnEvent(cycle=15, machine=0, kind="loss"),
-            ChurnEvent(cycle=24, machine=2, kind="join"),
-        ]
-        churn = run_with_churn(scenario, _scheduler("slrh2"), timeline)
-        events = [
-            SessionEvent(
-                "machine_loss" if ev.kind == "loss" else "machine_rejoin",
-                ev.cycle,
-                machine=ev.machine,
-            )
-            for ev in timeline
-        ]
-        session = run_with_events(scenario, _scheduler("slrh2"), events)
-        assert _mapping_bytes(session.final.schedule) == _mapping_bytes(
-            churn.final.schedule
-        )
-        assert session.total_rolled_back == churn.total_rolled_back
 
     def test_rejoin_reenters_candidate_pool_fresh(self, scenario):
         """Satellite regression: after machine_rejoin the machine must be

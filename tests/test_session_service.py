@@ -84,6 +84,7 @@ def make_service():
             max_sessions=max_sessions,
             idle_timeout=idle_timeout,
             perf=manager.perf,
+            router=manager,
         )
         server = make_server("127.0.0.1", 0, manager, sessions=sessions)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
