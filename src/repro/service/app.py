@@ -94,6 +94,12 @@ EVENT_HEARTBEAT_SECONDS = 1.0
 #: is about 0.17 MB); a longer declared ``Content-Length`` gets a 413.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Bound on every socket read and write of a connection.  A client that
+#: stops sending mid-body gets a 408; an idle keep-alive connection is
+#: closed.  Waiting on a map or a shard RPC is not a socket operation,
+#: so a long map never times out.
+SOCKET_TIMEOUT_SECONDS = 60.0
+
 _LOG = get_logger("service.http")
 
 
@@ -150,9 +156,25 @@ def make_server(
 
 class ServiceHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # A reply leaves in several writes (the header block, then the body or
+    # one NDJSON line per write).  With Nagle's algorithm on, each write
+    # after the first waits for the ACK of the one before, which a
+    # keep-alive client delays by 40 ms or more.
+    # StreamRequestHandler.setup() sets TCP_NODELAY on every connection.
+    disable_nagle_algorithm = True
+    timeout = SOCKET_TIMEOUT_SECONDS
     server: ServiceServer
 
     # -- plumbing ----------------------------------------------------------
+
+    def handle(self) -> None:
+        # A client that resets its connection, between keep-alive requests
+        # or mid-response, is a quiet close rather than a traceback from
+        # socketserver's handle_error.
+        try:
+            super().handle()
+        except ConnectionError:
+            pass
 
     def log_message(self, fmt: str, *args: object) -> None:  # pragma: no cover - log noise
         if not self.server.quiet:
@@ -211,9 +233,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def _read_raw_body(self) -> bytes | None:
         """The request body, or ``None`` once a 400 (negative or
-        non-integer ``Content-Length``) or 413 (above
-        :data:`MAX_BODY_BYTES`) has been sent.  A refused body is never
-        read, so the reply closes the connection."""
+        non-integer ``Content-Length``), 413 (above
+        :data:`MAX_BODY_BYTES`) or 408 (the body stalled for
+        :data:`SOCKET_TIMEOUT_SECONDS`) has been sent.  A refused body is
+        never read in full, so the reply closes the connection."""
         declared = self.headers.get("Content-Length", "0")
         try:
             length = int(declared)
@@ -237,7 +260,17 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 extra_headers={"Connection": "close"},
             )
             return None
-        return self.rfile.read(length) if length else b""
+        if not length:
+            return b""
+        try:
+            return self.rfile.read(length)
+        except TimeoutError:
+            self._send_json(
+                408,
+                {"error": f"request body not received within {self.timeout} s"},
+                extra_headers={"Connection": "close"},
+            )
+            return None
 
     def _read_body(self) -> dict | None:
         raw = self._read_raw_body()
@@ -272,8 +305,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 )
             else:
                 self._error(404, f"no such endpoint {self.path!r}")
-        except BrokenPipeError:  # client went away mid-response
-            pass
         finally:
             self._access_log("POST", started)
 
@@ -454,8 +485,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 self._get_session(path[len("/v1/session/"):])
             else:
                 self._error(404, f"no such endpoint {self.path!r}")
-        except BrokenPipeError:
-            pass
         finally:
             self._access_log("GET", started)
 

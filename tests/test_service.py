@@ -4,16 +4,21 @@ contract against the batch CLI."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import queue
 import signal
 import socket
+import statistics
+import struct
 import subprocess
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +28,12 @@ from repro.io.serialization import (
     scenario_digest,
     scenario_to_dict,
 )
-from repro.service.app import MAX_BODY_BYTES, ServiceServer, make_server
+from repro.service.app import (
+    MAX_BODY_BYTES,
+    ServiceHandler,
+    ServiceServer,
+    make_server,
+)
 from repro.service.jobs import DrainingError, QueueFullError, ShardRouter
 from repro.service.registry import ScenarioRegistry
 
@@ -373,7 +383,8 @@ def _raw_post(base: str, path: str, content_length: str, timeout: float = 5.0):
 class TestBodyLimits:
     """Every request body goes through one bounded reader: a negative or
     non-integer Content-Length is a 400 and one past the cap a 413, both
-    answered without reading (or waiting for) the body."""
+    answered without reading (or waiting for) the body; a body that
+    stalls past the socket timeout is a 408."""
 
     @pytest.mark.parametrize("path", ["/v1/map", "/v1/session/s1/events"])
     def test_negative_length_is_400_without_waiting(self, service, path):
@@ -394,6 +405,129 @@ class TestBodyLimits:
         status, doc = _raw_post(base, path, str(MAX_BODY_BYTES + 1), timeout=2.0)
         assert status == 413
         assert doc["max_bytes"] == MAX_BODY_BYTES
+
+    @pytest.mark.parametrize("path", ["/v1/map", "/v1/session/s1/events"])
+    def test_stalled_body_is_408(self, service, path, monkeypatch):
+        monkeypatch.setattr(ServiceHandler, "timeout", 0.5)
+        base, _ = service
+        status, doc = _raw_post(base, path, "100", timeout=5.0)
+        assert status == 408
+        assert "not received" in doc["error"]
+
+
+class TestKeepAliveLatency:
+    """A reply's header block and body leave in separate writes.  With
+    Nagle's algorithm on, the body of every keep-alive reply after the
+    first waited for the client's delayed ACK (40 ms or more on Linux);
+    with TCP_NODELAY a reply takes what its handler takes."""
+
+    def test_keep_alive_replies_do_not_wait_for_delayed_ack(self, service):
+        base, _ = service
+        host, port = base.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=30)
+
+        def median_ms(method: str, path: str, doc: dict | None = None) -> float:
+            body = None if doc is None else json.dumps(doc)
+            latencies = []
+            for _ in range(20):
+                started = time.perf_counter()
+                conn.request(method, path, body)
+                resp = conn.getresponse()
+                resp.read()
+                latencies.append(time.perf_counter() - started)
+                assert resp.status == 200
+            return statistics.median(latencies) * 1e3
+
+        try:
+            conn.request("POST", "/v1/scenarios", json.dumps(_scenario_doc(12, 1)))
+            sid = json.loads(conn.getresponse().read())["id"]
+            assert median_ms("GET", "/v1/scenarios") < 20.0
+            assert median_ms("POST", "/v1/map", {"scenario": sid}) < 20.0
+        finally:
+            conn.close()
+
+
+def _reset(sock: socket.socket) -> None:
+    """Close *sock* with an RST rather than a FIN (linger on, 0 s)."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+class TestClientReset:
+    """A client that resets its connection, idle between keep-alive
+    requests or while it waits for its map, is a quiet close:
+    socketserver's ``handle_error`` (a traceback on stderr) is never
+    called, and the job still completes once."""
+
+    @pytest.fixture()
+    def watched(self, service, monkeypatch):
+        """The service, every ``handle_error`` call, and the client address
+        of each connection the server has finished with."""
+        errors: list = []
+        finished: queue.Queue = queue.Queue()
+        monkeypatch.setattr(
+            ServiceServer,
+            "handle_error",
+            lambda self, request, address: errors.append(sys.exc_info()[1]),
+        )
+        process = ServiceServer.process_request_thread
+
+        def process_and_note(self, request, address):
+            process(self, request, address)
+            finished.put(address)
+
+        monkeypatch.setattr(ServiceServer, "process_request_thread", process_and_note)
+        return service, errors, finished
+
+    @staticmethod
+    def _wait_closed(finished: queue.Queue, address: tuple) -> None:
+        while finished.get(timeout=30) != address:
+            pass
+
+    def test_reset_while_idle(self, watched):
+        (base, _), errors, finished = watched
+        host, port = base.removeprefix("http://").split(":")
+        sock = socket.create_connection((host, int(port)), timeout=5.0)
+        address = sock.getsockname()
+        sock.sendall(f"GET /v1/scenarios HTTP/1.1\r\nHost: {host}\r\n\r\n".encode())
+        reply = b""
+        while not reply.endswith(b'{"scenarios":[]}\n'):
+            chunk = sock.recv(65536)
+            assert chunk, "connection closed before the reply"
+            reply += chunk
+        _reset(sock)
+        self._wait_closed(finished, address)
+        assert errors == []
+
+    def test_reset_before_the_reply(self, watched, monkeypatch):
+        (base, manager), errors, finished = watched
+        _, _, body = _post(base, "/v1/scenarios", _scenario_doc(12, 1))
+        sid = json.loads(body)["id"]
+        # Hold the finished job's reply until the client has reset, so the
+        # server always writes into a connection that is already gone.
+        holding, reset = threading.Event(), threading.Event()
+        job_result = ServiceHandler._job_result
+
+        def after_reset(handler, job):
+            holding.set()
+            assert reset.wait(timeout=30)
+            job_result(handler, job)
+
+        monkeypatch.setattr(ServiceHandler, "_job_result", after_reset)
+        host, port = base.removeprefix("http://").split(":")
+        sock = socket.create_connection((host, int(port)), timeout=5.0)
+        address = sock.getsockname()
+        payload = json.dumps({"scenario": sid, "heuristic": "slrh1"}).encode()
+        sock.sendall(
+            f"POST /v1/map HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {len(payload)}\r\n\r\n".encode() + payload
+        )
+        assert holding.wait(timeout=60)
+        _reset(sock)
+        reset.set()
+        self._wait_closed(finished, address)
+        assert errors == []
+        assert manager.perf.get("service.completed") == 1.0
 
 
 class TestRetryAfterHeaderType:
@@ -485,10 +619,11 @@ class TestDifferentialDeterminism:
 
 class TestDaemonProcess:
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
-        env = dict(os.environ, PYTHONPATH="src")
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.service", "--port", "0", "--shards", "1"],
-            cwd="/root/repo",
+            cwd=root,
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
