@@ -24,7 +24,7 @@ Figures 3-7 share one cached weight-optimisation study, so requesting
 several of them costs little more than one.
 
 When the weight-optimisation study runs, its merged performance counters
-(plan-cache hit rates, pool sizes, per-phase wall time — see
+(plan pairs, pool sizes, per-phase wall time — see
 :mod:`repro.perf`) are written as JSON next to the benchmark artefacts:
 ``benchmarks/out/perf_<scale>.json`` by default, or ``--perf-out PATH``.
 

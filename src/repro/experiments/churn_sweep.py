@@ -12,9 +12,9 @@ and rejoins, quiet advances) and compares, cell by cell over a
   event, fed precise deltas (``note_arrival`` / ``note_rejoin`` /
   ``note_disturbance``) and never re-based (the ``repro.session``
   default);
-* **per-event from-scratch** — a fresh rebuild-mode kernel and cold
-  plan cache for every inter-event segment, the way a stateless service
-  would re-map on each event.
+* **per-event from-scratch** — a fresh rebuild-mode kernel for every
+  inter-event segment, the way a stateless service would re-map on each
+  event.
 
 Both arms produce **byte-identical** final mappings (asserted per cell —
 the speedup is never bought with a different schedule), so the only

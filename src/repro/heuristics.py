@@ -126,6 +126,30 @@ def display_name(name: str) -> str:
     return table[canonical][0]
 
 
+def resolve_weights(
+    name: str, alpha: float | None = None, beta: float | None = None
+) -> Weights | None:
+    """The objective weights heuristic *name* runs with, or None for a
+    weight-free baseline.
+
+    A missing α or β takes its default (:data:`DEFAULT_ALPHA`,
+    :data:`DEFAULT_BETA`).  Raises :class:`ValueError` for weights on a
+    weight-free baseline and for a point off the simplex (negative, NaN,
+    or α + β > 1), and :class:`KeyError` for an unknown heuristic.
+    """
+    canonical = normalize_heuristic(name)
+    if canonical not in _WEIGHTED:
+        if alpha is not None or beta is not None:
+            raise ValueError(
+                f"heuristic {canonical!r} does not take objective weights"
+            )
+        return None
+    return Weights.from_alpha_beta(
+        DEFAULT_ALPHA if alpha is None else float(alpha),
+        DEFAULT_BETA if beta is None else float(beta),
+    )
+
+
 def make_scheduler(
     name: str, weights: Weights | None = None, ledger: bool = False
 ) -> Heuristic:
@@ -160,9 +184,7 @@ def run_heuristic(
 ) -> MappingResult:
     """Map *scenario* with the heuristic registered under *name*.
 
-    (α, β) apply to the weighted heuristics and default to
-    (:data:`DEFAULT_ALPHA`, :data:`DEFAULT_BETA`); supplying them for a
-    weight-free baseline is an error.
+    (α, β) are checked and defaulted by :func:`resolve_weights`.
 
     *ledger* records candidate rejections on the result's trace and
     *tracer* (a :class:`repro.obs.spans.Tracer`) records the span tree;
@@ -172,18 +194,11 @@ def run_heuristic(
     canonical = normalize_heuristic(name)
     if tracer is not None and canonical not in SLRH_FAMILY:
         raise ValueError("span tracing is only supported by the SLRH family")
-    if canonical in _WEIGHTED:
-        weights = Weights.from_alpha_beta(
-            DEFAULT_ALPHA if alpha is None else float(alpha),
-            DEFAULT_BETA if beta is None else float(beta),
-        )
-        scheduler = make_scheduler(canonical, weights, ledger=ledger)
-        if canonical in SLRH_FAMILY:
-            return scheduler.map(scenario, tracer=tracer)
-        return scheduler.map(scenario)
-    if alpha is not None or beta is not None:
-        raise ValueError(f"heuristic {canonical!r} does not take objective weights")
-    return make_scheduler(canonical, ledger=ledger).map(scenario)
+    weights = resolve_weights(canonical, alpha, beta)
+    scheduler = make_scheduler(canonical, weights, ledger=ledger)
+    if canonical in SLRH_FAMILY:
+        return scheduler.map(scenario, tracer=tracer)
+    return scheduler.map(scenario)
 
 
 def generate_named_scenario(n_tasks: int, seed: int) -> Scenario:

@@ -7,14 +7,15 @@ al.) and the DAG-scheduling platforms of Pop & Cristea — built entirely
 from the stdlib on top of the existing engine:
 
 * :mod:`repro.service.registry` — content-addressed scenario store
-  (``sha256:`` of the canonical scenario bytes) with an LRU of
-  deserialised :class:`~repro.workload.scenario.Scenario` objects;
+  (``sha256:`` of the canonical scenario bytes), documents only;
 * :mod:`repro.service.jobs` — admission control (bounded per-shard queues
   → HTTP 429), scenario-affine routing over the shard layer
   (:class:`~repro.service.jobs.ShardRouter`), graceful drain, and the live
   :mod:`repro.perf` registry (counters + gauges + latency histograms);
-* :mod:`repro.service.worker` — the picklable mapping executor shared by
-  in-process and process-pool execution;
+* :mod:`repro.service.shard` / :mod:`repro.service.worker` — the shard
+  backend (one forked child per shard, ``--shards 1`` included) and
+  what runs in the child: the mapping executor, the session host and
+  the one per-shard scenario LRU;
 * :mod:`repro.service.app` — the HTTP surface (``/v1/scenarios``,
   ``/v1/map``, ``/v1/jobs/<id>`` + NDJSON event streaming, ``/healthz``,
   ``/metrics``);

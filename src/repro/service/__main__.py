@@ -11,7 +11,7 @@ Options::
     --host HOST          bind address            (default 127.0.0.1)
     --port PORT          TCP port; 0 = ephemeral (default 8000)
     --shards N|auto      shard worker processes  (default $REPRO_SHARDS,
-                         else 1); 1 = inline, no processes
+                         else 1); each shard is one forked child
     --max-queue N        per-shard admission bound (default 64)
     --scenario-cache N   deserialised scenarios kept hot per shard
                          (default $REPRO_SCENARIO_CACHE or 8)

@@ -56,7 +56,7 @@ Routes (all bodies JSON; streaming endpoints NDJSON):
     too.
 ``GET /metrics``
     The live ``repro.perf/2`` registry: engine counters merged from every
-    completed job (plan-cache hit rates …), service gauges (queue depth,
+    completed job (pool builds, plan pairs …), service gauges (queue depth,
     in-flight) and latency histograms with p50/p95/p99.  Content
     negotiated: JSON by default; ``Accept: text/plain`` or
     ``?format=prom`` returns Prometheus text exposition
@@ -69,7 +69,7 @@ record with method, path, status, latency and queue depth.
 Threading model: :class:`ThreadingHTTPServer` gives one handler thread per
 connection; synchronous ``/v1/map`` handlers block on the job's completion
 event while the scenario-affine shard dispatchers (one thread + one
-resident worker process per shard; inline at ``--shards 1``) drain their
+resident child process per shard, at any shard count) drain their
 bounded queues.
 """
 
@@ -93,6 +93,11 @@ EVENT_HEARTBEAT_SECONDS = 1.0
 #: Largest request body the daemon reads (a |T| = 1024 scenario document
 #: is about 0.17 MB); a longer declared ``Content-Length`` gets a 413.
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Largest ``n_tasks`` a ``{"generate": ...}`` registration may ask for:
+#: the generated document (11.8 MiB at 65,536 tasks) still fits in an
+#: upload of :data:`MAX_BODY_BYTES`.  A larger spec gets a 400.
+MAX_GENERATE_TASKS = 65536
 
 #: Bound on every socket read and write of a connection.  A client that
 #: stops sending mid-body gets a 408; an idle keep-alive connection is
@@ -318,12 +323,14 @@ class ServiceHandler(BaseHTTPRequestHandler):
             from repro.io.serialization import scenario_to_dict
 
             try:
-                doc = scenario_to_dict(
-                    generate_named_scenario(
-                        int(gen.get("n_tasks", 0)), int(gen.get("seed", 0))
+                n_tasks = int(gen.get("n_tasks", 0))
+                seed = int(gen.get("seed", 0))
+                if n_tasks > MAX_GENERATE_TASKS:
+                    raise ValueError(
+                        f"n_tasks must be <= {MAX_GENERATE_TASKS}, got {n_tasks}"
                     )
-                )
-            except (TypeError, ValueError, AttributeError) as exc:
+                doc = scenario_to_dict(generate_named_scenario(n_tasks, seed))
+            except (TypeError, ValueError, AttributeError, OverflowError) as exc:
                 self._error(400, f"bad generate spec: {exc}")
                 return
         else:

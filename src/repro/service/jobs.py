@@ -2,14 +2,12 @@
 
 The service dispatch layer is *sharded*: N independent
 :class:`ShardDispatcher` units (one bounded queue + one dispatcher thread
-+ one execution backend each) behind one thin :class:`ShardRouter`.
++ one forked child process each) behind one thin :class:`ShardRouter`.
 Requests become :class:`Job` records routed by **scenario-hash affinity**
 — ``int(sha256_digest, 16) % n_shards`` — so every request for a given
 scenario lands on the same shard and that shard's process-resident
-deserialised-scenario LRU stays hot.  At ``shards=1`` the single shard
-runs inline on its dispatcher thread (:class:`~repro.service.shard.
-InlineShard`), which *is* the pre-shard service byte for byte; at
-``shards>1`` each shard owns a long-lived child process
+deserialised-scenario LRU stays hot.  Every shard, at ``shards=1`` too,
+runs its jobs in a long-lived child process
 (:class:`~repro.service.shard.ProcessShard`).
 
 Admission control is global but per-shard-bounded: the router serialises
@@ -43,13 +41,13 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.heuristics import WEIGHTED_HEURISTICS, normalize_heuristic
+from repro.heuristics import normalize_heuristic, resolve_weights
 from repro.io.serialization import canonical_json_bytes
 from repro.obs.log import get_logger
 from repro.perf import PerfCounters, merge_registries
 from repro.service.registry import ScenarioRegistry
-from repro.service.shard import InlineShard, ProcessShard
-from repro.service.worker import configure_scenario_cache
+from repro.service.shard import ProcessShard
+from repro.service.worker import resolve_scenario_cache
 from repro.util.parallel import resolve_shards
 
 #: Fallback per-job seconds used for Retry-After before any job finished.
@@ -124,13 +122,11 @@ class Job:
 class ShardDispatcher:
     """One shard: a bounded queue, a dispatcher thread, a backend.
 
-    The dispatcher thread pops one job at a time and runs it on the
-    backend; with an :class:`~repro.service.shard.InlineShard` that is
-    exactly the old single-dispatcher execution path, with a
-    :class:`~repro.service.shard.ProcessShard` the job ships to the
-    shard's resident child.  All admission goes through the router (which
-    serialises submitters), so :meth:`enqueue` itself never rejects; the
-    router reads :meth:`admission_state` first under its own lock.
+    The dispatcher thread pops one job at a time and ships it to the
+    shard's resident child (:class:`~repro.service.shard.ProcessShard`).
+    All admission goes through the router (which serialises submitters),
+    so :meth:`enqueue` itself never rejects; the router reads
+    :meth:`admission_state` first under its own lock.
 
     Lock order: the router acquires ``ShardDispatcher._lock`` while
     holding its own; a dispatcher never acquires the router lock while
@@ -145,8 +141,7 @@ class ShardDispatcher:
     """
 
     def __init__(
-        self, index: int, backend: InlineShard | ProcessShard,
-        router: "ShardRouter",
+        self, index: int, backend: ProcessShard, router: "ShardRouter",
     ) -> None:
         self.index = index
         self.backend = backend
@@ -177,7 +172,7 @@ class ShardDispatcher:
                 daemon=True,
             )
             self._thread = thread
-        self.backend.start()  # fork (if any) before traffic
+        self.backend.start()  # fork before traffic
         thread.start()
         return self
 
@@ -344,11 +339,9 @@ class ShardRouter:
         self.n_shards = resolve_shards(shards)
         self.max_queue = max_queue
         self.max_jobs_kept = max_jobs_kept
-        if scenario_cache is not None:
-            # Validate (and apply to this process) up front, so a bad
-            # value is a constructor ValueError, not a dead shard child.
-            scenario_cache = configure_scenario_cache(scenario_cache)
-        self.scenario_cache = scenario_cache
+        # Resolved here, so a bad value is a constructor ValueError, not
+        # a dead shard child.
+        self.scenario_cache = resolve_scenario_cache(scenario_cache)
         self.perf = PerfCounters()
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}  # guarded-by: _lock
@@ -356,15 +349,8 @@ class ShardRouter:
         self._ids = itertools.count(1)  # guarded-by: _lock
         self._draining = False  # guarded-by: _lock
         self._stopped = False  # guarded-by: _lock
-        if self.n_shards == 1:
-            backends = [InlineShard(0, scenario_cache=scenario_cache)]
-        else:
-            backends = [
-                ProcessShard(k, scenario_cache=scenario_cache)
-                for k in range(self.n_shards)
-            ]
         self.shards = [
-            ShardDispatcher(k, backends[k], self)
+            ShardDispatcher(k, ProcessShard(k, self.scenario_cache), self)
             for k in range(self.n_shards)
         ]
 
@@ -440,16 +426,13 @@ class ShardRouter:
         """Admit one mapping request; returns its :class:`Job`.
 
         Raises :class:`KeyError` for an unregistered scenario or unknown
-        heuristic, :class:`ValueError` for weights on a weight-free
-        baseline, :class:`DrainingError` during shutdown and
-        :class:`QueueFullError` when the target shard's bounded queue is
-        at capacity.
+        heuristic, :class:`ValueError` for weights
+        :func:`~repro.heuristics.resolve_weights` rejects,
+        :class:`DrainingError` during shutdown and :class:`QueueFullError`
+        when the target shard's bounded queue is at capacity.
         """
         canonical = normalize_heuristic(heuristic)  # KeyError when unknown
-        if canonical not in WEIGHTED_HEURISTICS and not (alpha is None and beta is None):
-            raise ValueError(
-                f"heuristic {canonical!r} does not take objective weights"
-            )
+        resolve_weights(canonical, alpha, beta)  # ValueError before admission
         if scenario_id not in self.registry:
             raise KeyError(f"scenario {scenario_id!r} is not registered")
         shard = self.shard_for(scenario_id)
@@ -551,7 +534,7 @@ class ShardRouter:
                 self.perf.observe(
                     "service.map_seconds", outcome["heuristic_seconds"]
                 )
-                self.perf.merge(outcome["perf"])  # engine counters (plan cache …)
+                self.perf.merge(outcome["perf"])  # engine counters (pool, plan …)
             self.perf.observe(
                 "service.request_seconds", job.finished_at - job.submitted_at
             )

@@ -40,7 +40,10 @@ benchmark is one self-contained command.
 per shard count against a fresh daemon each time and emits the
 ``repro.bench.service/2`` artefact: per-shard-count ``shard_sweep``
 entries plus a ``shard_speedup`` summary comparing the highest client
-level's throughput at the largest shard count against one shard.  The
+level's throughput at the largest shard count against one shard.  Every
+count serves the same traffic, spread over one scenario per shard of
+the largest count (:func:`spread_seeds`): affine routing sends all the
+requests for one scenario to one shard.  The
 host's ``cpu_count`` is recorded alongside — a sweep on a single core
 cannot show a parallel speedup and must say so honestly
 (``benchmarks/check_regression.py`` only enforces the 2.5x floor on
@@ -66,6 +69,7 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
+from typing import Sequence
 
 from repro.perf import Histogram
 from repro.workload.scenario import Scenario
@@ -111,6 +115,33 @@ def _get_json(base_url: str, path: str) -> dict:
         return json.loads(resp.read())
 
 
+def spread_seeds(n_shards: int, n_tasks: int, seed: int) -> list[int]:
+    """Generator seeds, searched upward from *seed*, whose ``(n_tasks,
+    seed)`` scenarios land one on each shard of an *n_shards* daemon
+    under affine routing (:meth:`ShardRouter.shard_of
+    <repro.service.jobs.ShardRouter.shard_of>`); index *k* is shard *k*'s.
+
+    One scenario routes every request to one shard at any shard count,
+    so traffic meant to load *n_shards* shards needs one per shard.
+    """
+    from types import SimpleNamespace
+
+    from repro.heuristics import generate_named_scenario
+    from repro.io.serialization import scenario_digest, scenario_to_dict
+    from repro.service.jobs import ShardRouter
+
+    router = SimpleNamespace(n_shards=n_shards)
+    by_shard: dict[int, int] = {}
+    candidate = seed
+    while len(by_shard) < n_shards:
+        doc = scenario_to_dict(generate_named_scenario(n_tasks, candidate))
+        by_shard.setdefault(
+            ShardRouter.shard_of(router, scenario_digest(doc)), candidate
+        )
+        candidate += 1
+    return [by_shard[k] for k in range(n_shards)]
+
+
 def register_scenario(base_url: str, n_tasks: int, seed: int) -> str:
     """Register the generated ``(n_tasks, seed)`` scenario; returns its id."""
     status, body = _post_json(
@@ -125,7 +156,7 @@ def register_scenario(base_url: str, n_tasks: int, seed: int) -> str:
 
 def run_level(
     base_url: str,
-    scenario_id: str,
+    scenario_ids: Sequence[str],
     heuristic: str,
     clients: int,
     requests_per_client: int,
@@ -134,7 +165,9 @@ def run_level(
     max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> dict:
     """One concurrency level: *clients* threads × *requests_per_client*
-    sequential synchronous map requests each.
+    sequential synchronous map requests each.  Client *i* maps scenario
+    ``scenario_ids[i % len(scenario_ids)]``, so the clients split evenly
+    over the scenarios.
 
     Each request retries on 429 backpressure at most *max_retries* times
     (honouring the server's ``Retry-After``); exhausting the budget counts
@@ -145,13 +178,19 @@ def run_level(
     errors = [0]
     retries_429 = [0]
     gave_up = [0]
-    payload: dict = {"scenario": scenario_id, "heuristic": heuristic, "wait": True}
+    weights: dict = {}
     if alpha is not None:
-        payload["alpha"] = alpha
+        weights["alpha"] = alpha
     if beta is not None:
-        payload["beta"] = beta
+        weights["beta"] = beta
 
-    def client() -> None:
+    def client(index: int) -> None:
+        payload = {
+            "scenario": scenario_ids[index % len(scenario_ids)],
+            "heuristic": heuristic,
+            "wait": True,
+            **weights,
+        }
         for _ in range(requests_per_client):
             attempts = 0
             while True:
@@ -196,7 +235,8 @@ def run_level(
                 break
 
     threads = [
-        threading.Thread(target=client, name=f"loadgen-{i}") for i in range(clients)
+        threading.Thread(target=client, args=(i,), name=f"loadgen-{i}")
+        for i in range(clients)
     ]
     wall_started = time.perf_counter()
     for t in threads:
@@ -377,13 +417,20 @@ def run_loadgen(
     heuristic: str = "slrh1",
     requests_per_client: int = 8,
     max_retries: int = DEFAULT_MAX_RETRIES,
+    spread_shards: int = 1,
 ) -> dict:
-    """Full benchmark against *base_url*; returns the artefact document."""
-    scenario_id = register_scenario(base_url, n_tasks, seed)
+    """Full benchmark against *base_url*; returns the artefact document.
+
+    The clients of each level split evenly over one scenario per shard
+    of a *spread_shards*-shard daemon (:func:`spread_seeds`); the default
+    1 maps the ``(n_tasks, seed)`` scenario only.
+    """
+    seeds = spread_seeds(spread_shards, n_tasks, seed)
+    scenario_ids = [register_scenario(base_url, n_tasks, s) for s in seeds]
     results = [
         run_level(
             base_url,
-            scenario_id,
+            scenario_ids,
             heuristic,
             c,
             requests_per_client,
@@ -394,7 +441,12 @@ def run_loadgen(
     metrics = _get_json(base_url, "/metrics")
     return {
         "schema": _SCHEMA,
-        "scenario": {"id": scenario_id, "n_tasks": n_tasks, "seed": seed},
+        "scenario": {
+            "id": scenario_ids[0],
+            "n_tasks": n_tasks,
+            "seed": seed,
+            "seeds": seeds,
+        },
         "heuristic": heuristic,
         "requests_per_client": requests_per_client,
         "max_retries": max_retries,
@@ -461,7 +513,9 @@ def run_shard_sweep(
     max_queue: int = 256,
 ) -> dict:
     """The sharding benchmark: the full level set, once per shard count,
-    each against a fresh self-hosted daemon.
+    each against a fresh self-hosted daemon.  Every count serves the same
+    traffic: one scenario per shard of the largest count, clients split
+    evenly over them.
 
     Returns the ``repro.bench.service/2`` artefact: ``shard_sweep``
     carries one ``{"shards", "levels", "metrics_after"}`` entry per
@@ -485,6 +539,7 @@ def run_shard_sweep(
                 heuristic=heuristic,
                 requests_per_client=requests_per_client,
                 max_retries=max_retries,
+                spread_shards=max(shard_counts),
             )
         sweep.append(
             {
@@ -516,7 +571,11 @@ def run_shard_sweep(
         "schema": _SWEEP_SCHEMA,
         "mode": "map",
         "cpu_count": cpu_count,
-        "scenario": {"n_tasks": n_tasks, "seed": seed},
+        "scenario": {
+            "n_tasks": n_tasks,
+            "seed": seed,
+            "seeds": doc["scenario"]["seeds"],
+        },
         "heuristic": heuristic,
         "requests_per_client": requests_per_client,
         "max_retries": max_retries,
@@ -550,18 +609,22 @@ def measure_shard_speedup(
     """Live A/B for the regression gate: best-of-*repeats* throughput of
     one level at ``shard_counts[1]`` shards over ``shard_counts[0]``.
 
-    Arms are interleaved within each repeat (like the other self-
-    normalised gates) so frequency scaling biases both equally.  The
-    queue bound is sized to the client count, so no request is ever
-    rejected and both arms complete identical work.
+    Both arms serve the same traffic: one scenario per shard of the
+    larger arm (:func:`spread_seeds`), the clients split evenly over
+    them, so the larger arm has every shard busy.  Arms are interleaved
+    within each repeat (like the other self-normalised gates) so
+    frequency scaling biases both equally.  The queue bound is sized to
+    the client count, so no request is ever rejected and both arms
+    complete identical work.
     """
+    seeds = spread_seeds(max(shard_counts), n_tasks, seed)
     best: dict[int, float] = {n: 0.0 for n in shard_counts}
     for _ in range(max(1, repeats)):
         for n_shards in shard_counts:
             with _SelfHosted(n_shards, max_queue=max(64, clients * 2)) as base:
-                scenario_id = register_scenario(base, n_tasks, seed)
+                scenario_ids = [register_scenario(base, n_tasks, s) for s in seeds]
                 level = run_level(
-                    base, scenario_id, heuristic, clients, requests_per_client
+                    base, scenario_ids, heuristic, clients, requests_per_client
                 )
             if level["errors"] or level["gave_up"]:
                 raise RuntimeError(
@@ -575,6 +638,7 @@ def measure_shard_speedup(
         "clients": clients,
         "requests_per_client": requests_per_client,
         "n_tasks": n_tasks,
+        "seeds": seeds,
         "baseline_shards": shard_counts[0],
         "baseline_rps": round(baseline_rps, 3),
         "shards": shard_counts[1],

@@ -1,99 +1,59 @@
-"""Content-addressed scenario registry with an LRU of live objects.
+"""Content-addressed scenario registry.
 
 A scenario's identity is :func:`repro.io.serialization.scenario_digest` —
 SHA-256 over the canonical bytes of its JSON document — so registering the
 same document twice is a no-op returning the same id, and two clients that
 built the same scenario independently converge on one stored copy.
 
-The registry keeps every registered *document* (plain dicts are cheap; the
-documents are the source of truth and are what worker processes receive)
-but only an LRU-bounded set of *deserialised* :class:`Scenario` objects:
-deserialisation re-validates the document and builds numpy arrays, which
-is the expensive part worth caching for the in-process execution path.
+The registry keeps only *documents*: they are the source of truth and are
+what shard processes receive.  Deserialised
+:class:`~repro.workload.scenario.Scenario` objects live in the shard that
+maps them (:class:`repro.service.worker._ScenarioCache`), never here.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 
 from repro.io.serialization import scenario_digest, scenario_from_dict
 from repro.perf import PerfCounters
-from repro.workload.scenario import Scenario
 
 
 class ScenarioRegistry:
     """Thread-safe content-addressed store of scenario documents."""
 
-    def __init__(
-        self,
-        max_cached: int = 32,
-        perf: PerfCounters | None = None,
-    ) -> None:
-        if max_cached < 1:
-            raise ValueError("max_cached must be >= 1")
-        self.max_cached = max_cached
+    def __init__(self, perf: PerfCounters | None = None) -> None:
         self.perf = perf if perf is not None else PerfCounters()
         self._lock = threading.Lock()
         self._docs: dict[str, dict] = {}  # guarded-by: _lock
-        self._cache: OrderedDict[str, Scenario] = OrderedDict()  # guarded-by: _lock
 
     def put(self, doc: dict) -> tuple[str, bool]:
         """Register *doc*; returns ``(scenario_id, created)``.
 
         The document is validated by a full deserialisation before it is
         accepted (a malformed upload is rejected with :class:`ValueError`,
-        never stored), and the freshly built :class:`Scenario` seeds the
-        LRU so the first ``/v1/map`` on it pays no rebuild.
+        never stored); the deserialised scenario is then dropped.
         """
         scenario_id = scenario_digest(doc)  # also rejects non-scenario kinds
         with self._lock:
             if scenario_id in self._docs:
                 self.perf.inc("registry.put_dup")
-                self._update_gauges_locked()
                 return scenario_id, False
-        scenario = scenario_from_dict(doc)  # outside the lock: may be slow
+        scenario_from_dict(doc)  # outside the lock: may be slow
         with self._lock:
             created = scenario_id not in self._docs
             if created:
                 self._docs[scenario_id] = doc
-                self._cache_store_locked(scenario_id, scenario)
                 self.perf.inc("registry.put")
             else:
                 self.perf.inc("registry.put_dup")
-            self._update_gauges_locked()
+            self.perf.set_gauge("registry.scenarios", float(len(self._docs)))
         return scenario_id, created
 
     def get_doc(self, scenario_id: str) -> dict:
         """The stored document for *scenario_id* (KeyError when absent)."""
         with self._lock:
             return self._docs[scenario_id]
-
-    def get_scenario(self, scenario_id: str) -> Scenario:
-        """The deserialised :class:`Scenario` for *scenario_id*, via LRU."""
-        with self._lock:
-            scenario = self._cache.get(scenario_id)
-            if scenario is not None:
-                self._cache.move_to_end(scenario_id)
-                self.perf.inc("registry.cache_hit")
-                return scenario
-            doc = self._docs[scenario_id]  # KeyError propagates
-            self.perf.inc("registry.cache_miss")
-        scenario = scenario_from_dict(doc)
-        with self._lock:
-            self._cache_store_locked(scenario_id, scenario)
-            self._update_gauges_locked()
-        return scenario
-
-    def _cache_store_locked(self, scenario_id: str, scenario: Scenario) -> None:
-        self._cache[scenario_id] = scenario
-        self._cache.move_to_end(scenario_id)
-        while len(self._cache) > self.max_cached:
-            self._cache.popitem(last=False)
-
-    def _update_gauges_locked(self) -> None:
-        self.perf.set_gauge("registry.scenarios", float(len(self._docs)))
-        self.perf.set_gauge("registry.cached", float(len(self._cache)))
 
     def ids(self) -> list[str]:
         with self._lock:

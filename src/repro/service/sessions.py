@@ -52,7 +52,7 @@ from repro.obs.log import get_logger
 from repro.perf import PerfCounters
 from repro.service.jobs import DrainingError, ShardRouter
 from repro.service.registry import ScenarioRegistry
-from repro.service.shard import InlineShard, ProcessShard
+from repro.service.shard import ProcessShard
 from repro.service.worker import build_scheduler
 from repro.session import SessionEvent
 from repro.util.parallel import ShardCrashedError
@@ -96,7 +96,7 @@ class LiveSession:
         session_id: str,
         scenario_id: str,
         heuristic: str,
-        backend: InlineShard | ProcessShard,
+        backend: ProcessShard,
         perf: PerfCounters,
     ) -> None:
         self.id = session_id
@@ -195,7 +195,7 @@ class SessionManager:
         self._next_id = 1  # guarded-by: _lock
         self._draining = False  # guarded-by: _lock
 
-    def _backend_for_locked(self, numeric_id: int) -> InlineShard | ProcessShard:
+    def _backend_for_locked(self, numeric_id: int) -> ProcessShard:
         """The shard backend hosting session *numeric_id* — round-robin
         over shards, pinned for the session's lifetime."""
         return self.router.session_shard(numeric_id).backend
@@ -280,7 +280,7 @@ class SessionManager:
 
     def note_closed(self, session: LiveSession) -> None:
         """Account a just-closed session: merge its engine counters
-        (plan-cache hit rates …) into the service registry, once."""
+        (pool builds, plan pairs …) into the service registry, once."""
         snapshot = session.take_perf_snapshot()
         if snapshot is None:
             return  # a later batch on an already-closed session

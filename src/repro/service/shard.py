@@ -1,39 +1,29 @@
-"""Shard execution backends: in-process and child-process.
+"""The shard execution backend: one forked child process per shard.
 
 A *shard* is the unit the service scales over: one bounded queue + one
 dispatcher thread (both in :mod:`repro.service.jobs`) in front of one
-execution backend defined here.  Two backends share one duck-typed
-contract:
-
-* :class:`InlineShard` — runs everything in the calling process.  Used at
-  ``--shards 1``, where it preserves the pre-shard service exactly: jobs
-  execute on the single dispatcher thread (module-level scenario LRU,
-  no locking needed), sessions on HTTP handler threads through a locked
-  :class:`~repro.service.worker.SessionHost`.  Fully functional without
-  ``start()`` — admission-control tests submit against an unstarted
-  manager.
-* :class:`ProcessShard` — ships every call to a long-lived
-  :class:`~repro.util.parallel.ShardProcess` child running
-  :func:`~repro.service.worker.shard_main`.  Scenario docs are shipped
-  at most once per shard (``_shipped``); the child keeps the raw doc and
-  its deserialised-LRU entry resident, which is what affine routing buys.
-  Child-side exceptions come back as ``("error", type_name, message)``
-  and are re-raised here as the matching builtin, so upstream HTTP status
-  mapping cannot tell the backends apart.  A dead child surfaces as
-  :class:`~repro.util.parallel.ShardCrashedError` — jobs *fail*, they
-  never hang — and the shard stays dead (no auto-restart; ``/healthz``
-  goes 503 so the operator sees it).
+:class:`ProcessShard`, which ships every call to a long-lived
+:class:`~repro.util.parallel.ShardProcess` child running
+:func:`~repro.service.worker.shard_main` — at every shard count,
+``--shards 1`` included, so the router process never maps or hosts a
+session itself.  Scenario docs are shipped at most once per shard
+(``_shipped``); the child keeps the raw doc and its deserialised-LRU
+entry resident, which is what affine routing buys.  Child-side
+exceptions come back as ``("error", type_name, message)`` and are
+re-raised here as the matching builtin, so upstream HTTP status mapping
+sees the same exceptions a direct call would raise.  A dead child
+surfaces as :class:`~repro.util.parallel.ShardCrashedError` — jobs
+*fail*, they never hang — and the shard stays dead (no auto-restart;
+``/healthz`` goes 503 so the operator sees it).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Any
 
-from repro.service import worker as _worker
-from repro.service.worker import SessionHost, execute_mapping, shard_main
+from repro.service.worker import DEFAULT_SCENARIO_CACHE, shard_main
 from repro.util.parallel import ShardCrashedError, ShardProcess
 
 #: Child exception names re-raised as their builtin counterparts; anything
@@ -47,63 +37,12 @@ _ERROR_TYPES: dict[str, type[Exception]] = {
 }
 
 
-class InlineShard:
-    """Single-process backend: the pre-shard code path, kept verbatim."""
-
-    def __init__(self, index: int = 0, scenario_cache: int | None = None) -> None:
-        self.index = index
-        if scenario_cache is not None:
-            _worker.configure_scenario_cache(scenario_cache)
-        self._sessions = SessionHost()  # internally locked
-
-    def start(self) -> "InlineShard":
-        return self
-
-    def stop(self) -> None:
-        pass
-
-    def alive(self) -> bool:
-        return True
-
-    @property
-    def pid(self) -> int:
-        return os.getpid()
-
-    def heartbeat_age(self) -> float:
-        return 0.0
-
-    def run_job(
-        self,
-        scenario_id: str,
-        doc: dict,
-        heuristic: str,
-        alpha: float | None,
-        beta: float | None,
-    ) -> dict:
-        return execute_mapping(scenario_id, doc, heuristic, alpha, beta)
-
-    def session_open(
-        self, session_id: str, scenario_id: str, doc: dict, body: dict
-    ) -> dict:
-        return self._sessions.open(session_id, scenario_id, doc, body)
-
-    def session_events(self, session_id: str, event_docs: list[dict]) -> dict:
-        return self._sessions.apply(session_id, event_docs)
-
-    def session_status(self, session_id: str) -> dict:
-        return self._sessions.status(session_id)
-
-    def session_result(self, session_id: str) -> bytes | None:
-        return self._sessions.result(session_id)
-
-    def session_discard(self, session_id: str) -> bool:
-        return self._sessions.discard(session_id)
-
-
 class ProcessShard:
     """Child-process backend over the :class:`ShardProcess` RPC pipe."""
 
-    def __init__(self, index: int, scenario_cache: int | None = None) -> None:
+    def __init__(
+        self, index: int, scenario_cache: int = DEFAULT_SCENARIO_CACHE
+    ) -> None:
         self.index = index
         self._proc = ShardProcess(
             shard_main, index=index, args=(scenario_cache,)

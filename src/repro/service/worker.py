@@ -1,18 +1,17 @@
-"""The mapping executor shared by in-process and shard-process execution.
+"""What runs inside a shard child process.
 
-:func:`execute_mapping` is a module-level function taking and returning
-only plain JSON-able values, so a shard dispatcher can run it directly
-(``--shards 1``) or ship it to a long-lived shard child process — in both
-cases through the same registry dispatch
+:func:`execute_mapping` takes and returns only plain JSON-able values and
+dispatches through the same registry as the batch CLI
 (:func:`repro.heuristics.run_heuristic`), which is what keeps served
 results byte-identical to the batch CLI at any shard count.
 
-Each worker process keeps a small LRU of deserialised scenarios keyed by
-content digest, so a stream of requests against one hot scenario
-deserialises it once per process, not once per request.  The LRU bound is
-configurable (``--scenario-cache`` / ``$REPRO_SCENARIO_CACHE``; default
-:data:`DEFAULT_SCENARIO_CACHE`), and every hit/miss/eviction is reported
-back in the job outcome's perf snapshot as
+Each shard keeps one small LRU of deserialised scenarios keyed by content
+digest (:class:`_ScenarioCache`), shared by its jobs and its sessions, so
+a stream of requests against one hot scenario deserialises it once per
+shard, not once per request.  The bound is ``--scenario-cache`` /
+``$REPRO_SCENARIO_CACHE`` (default :data:`DEFAULT_SCENARIO_CACHE`,
+resolved once by :func:`resolve_scenario_cache`), and every
+hit/miss/eviction is reported back in the job outcome's perf snapshot as
 ``worker.scenario_cache_{hits,misses,evictions}``.
 
 :func:`shard_main` is the shard child's top-level loop: it reads command
@@ -32,14 +31,11 @@ from dataclasses import replace as _dc_replace
 from typing import Any
 
 from repro.core.kernel import KERNEL_MODES, resolve_kernel_mode
-from repro.core.objective import Weights
 from repro.heuristics import (
-    DEFAULT_ALPHA,
-    DEFAULT_BETA,
     SLRH_FAMILY,
-    WEIGHTED_HEURISTICS,
     make_scheduler,
     normalize_heuristic,
+    resolve_weights,
     run_heuristic,
 )
 from repro.io.serialization import (
@@ -51,7 +47,7 @@ from repro.session import DeltaEncoder, SessionEngine, event_from_dict
 from repro.sim.trace import MappingTrace
 from repro.workload.scenario import Scenario
 
-#: Default bound on deserialised scenarios kept hot per worker process.
+#: Default bound on deserialised scenarios kept hot per shard.
 DEFAULT_SCENARIO_CACHE = 8
 
 #: SlrhConfig fields a session-open request may override.  Everything
@@ -59,62 +55,36 @@ DEFAULT_SCENARIO_CACHE = 8
 #: scenario + heuristic + overrides" means the same mapping everywhere.
 _CONFIG_OVERRIDES = ("delta_t_cycles", "horizon_cycles", "kernel")
 
-# Explicit override from configure_scenario_cache(); None defers to the
-# environment / default at lookup time.  Per-process state, set once at
-# process start (shard_main / router construction) before any traffic.
-_cache_max: int | None = None
 
+def resolve_scenario_cache(limit: int | str | None = None) -> int:
+    """Effective per-shard scenario-cache bound: *limit*, else
+    ``$REPRO_SCENARIO_CACHE``, else :data:`DEFAULT_SCENARIO_CACHE`.
 
-def configure_scenario_cache(limit: int | str | None) -> int | None:
-    """Set this process's scenario-LRU bound (``None`` resets to the
-    environment/default resolution).  Returns the stored value."""
-    global _cache_max
+    Raises ``ValueError`` for a non-integer or a bound below 1.
+    """
     if limit is None:
-        _cache_max = None
-        return None
-    if isinstance(limit, str):
-        try:
-            limit = int(limit.strip())
-        except ValueError:
-            raise ValueError(
-                f"scenario cache size must be an integer, got {limit!r}"
-            ) from None
-    if limit < 1:
-        raise ValueError(f"scenario cache size must be >= 1, got {limit}")
-    _cache_max = limit
-    return _cache_max
-
-
-def scenario_cache_limit() -> int:
-    """The effective LRU bound: explicit configuration, else
-    ``$REPRO_SCENARIO_CACHE``, else :data:`DEFAULT_SCENARIO_CACHE`."""
-    if _cache_max is not None:
-        return _cache_max
-    raw = os.environ.get("REPRO_SCENARIO_CACHE", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_SCENARIO_CACHE must be an integer, got {raw!r}"
-            ) from None
-        if value < 1:
-            raise ValueError(
-                f"REPRO_SCENARIO_CACHE must be >= 1, got {value}"
-            )
-        return value
-    return DEFAULT_SCENARIO_CACHE
+        raw = os.environ.get("REPRO_SCENARIO_CACHE", "").strip()
+        limit = raw if raw else DEFAULT_SCENARIO_CACHE
+    try:
+        value = int(limit.strip() if isinstance(limit, str) else limit)
+    except ValueError:
+        raise ValueError(
+            f"scenario cache size must be an integer, got {limit!r}"
+        ) from None
+    if value < 1:
+        raise ValueError(f"scenario cache size must be >= 1, got {value}")
+    return value
 
 
 class _ScenarioCache:
     """Bounded LRU of deserialised scenarios with per-call stats.
 
-    Not thread-safe by itself: the module-level instance below is only
-    touched from a single dispatcher thread or shard child process, and
-    :class:`SessionHost` wraps its own instance in the host lock.
+    Not thread-safe: a shard child builds one and runs every command that
+    touches it on its single command-loop thread.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
         self._scenarios: OrderedDict[str, Scenario] = OrderedDict()
 
     def get(self, scenario_id: str, doc: dict) -> tuple[Scenario, dict]:
@@ -127,9 +97,8 @@ class _ScenarioCache:
         scenario = scenario_from_dict(doc)
         self._scenarios[scenario_id] = scenario
         stats = {"worker.scenario_cache_misses": 1}
-        limit = scenario_cache_limit()
         evicted = 0
-        while len(self._scenarios) > limit:
+        while len(self._scenarios) > self.limit:
             self._scenarios.popitem(last=False)
             evicted += 1
         if evicted:
@@ -140,26 +109,13 @@ class _ScenarioCache:
         return len(self._scenarios)
 
 
-# Deliberately lock-free (no '# guarded-by:'): this module-level cache is
-# per-process state.  Each shard child is a separate process, and in the
-# inline (--shards 1) path execute_mapping runs only on the single
-# dispatcher thread, so no two threads ever share it.  Inline *sessions*
-# go through a SessionHost, which owns a separate locked cache.
-_scenarios = _ScenarioCache()
-
-
-def _scenario_for(scenario_id: str, doc: dict) -> tuple[Scenario, dict]:
-    return _scenarios.get(scenario_id, doc)
-
-
 def build_scheduler(canonical: str, body: dict) -> Any:
     """Construct the scheduler a session-open request describes.
 
-    Raises ``ValueError`` for weights on a weight-free baseline, config
-    overrides outside the SLRH family, or an unknown kernel mode.
+    Raises ``ValueError`` for weights that
+    :func:`~repro.heuristics.resolve_weights` rejects, config overrides
+    outside the SLRH family, or an unknown kernel mode.
     """
-    alpha = body.get("alpha")
-    beta = body.get("beta")
     overrides: dict = {}
     for key in _CONFIG_OVERRIDES:
         if body.get(key) is not None:
@@ -169,16 +125,7 @@ def build_scheduler(canonical: str, body: dict) -> Any:
             f"{sorted(overrides)} only apply to the SLRH family, "
             f"not {canonical!r}"
         )
-    if canonical not in WEIGHTED_HEURISTICS:
-        if alpha is not None or beta is not None:
-            raise ValueError(
-                f"heuristic {canonical!r} does not take objective weights"
-            )
-        return make_scheduler(canonical)
-    weights = Weights.from_alpha_beta(
-        DEFAULT_ALPHA if alpha is None else float(alpha),
-        DEFAULT_BETA if beta is None else float(beta),
-    )
+    weights = resolve_weights(canonical, body.get("alpha"), body.get("beta"))
     scheduler = make_scheduler(canonical, weights)
     if overrides:
         for key in ("delta_t_cycles", "horizon_cycles"):
@@ -241,16 +188,18 @@ def execute_mapping(
     heuristic: str,
     alpha: float | None,
     beta: float | None,
+    cache: _ScenarioCache,
 ) -> dict:
-    """Run *heuristic* on the scenario and return a plain-dict outcome.
+    """Run *heuristic* on the scenario (deserialised through *cache*) and
+    return a plain-dict outcome.
 
     The outcome carries the mapping document (canonicalised to bytes by
     the caller), the tick-level trace events, the run's perf-counter
     snapshot (including this lookup's scenario-cache stats) and a summary
-    — everything the service surfaces, nothing that needs the worker
+    — everything the service surfaces, nothing that needs the shard
     process again.
     """
-    scenario, cache_stats = _scenario_for(scenario_id, scenario_doc)
+    scenario, cache_stats = cache.get(scenario_id, scenario_doc)
     result = run_heuristic(heuristic, scenario, alpha, beta)
     perf = dict(result.trace.perf)
     for key, value in cache_stats.items():
@@ -283,17 +232,16 @@ class SessionHost:
     :class:`~repro.service.sessions.LiveSession` is a thin proxy over
     these methods.
 
-    One lock serialises the whole host: event application on a session,
-    the scenario LRU, and table mutation.  In the inline (single-shard)
-    path this host is shared by HTTP handler threads, so unlike the
-    module-level job cache it must lock; in a shard child every call
-    arrives serially off the command pipe and the lock is uncontended.
+    One lock serialises the session table and event application.  In a
+    shard child every call arrives serially off the command pipe, so the
+    lock is uncontended; the child's jobs share *cache* on that same
+    thread.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, cache: _ScenarioCache) -> None:
         self._lock = threading.Lock()
         self._sessions: dict[str, dict] = {}  # guarded-by: _lock
-        self._cache = _ScenarioCache()  # guarded-by: _lock
+        self._cache = cache
 
     def open(
         self, session_id: str, scenario_id: str, doc: dict, body: dict
@@ -415,7 +363,10 @@ class SessionHost:
 
 
 def shard_main(
-    cmd_conn: Any, results: Any, index: int, scenario_cache: int | None = None
+    cmd_conn: Any,
+    results: Any,
+    index: int,
+    scenario_cache: int = DEFAULT_SCENARIO_CACHE,
 ) -> None:
     """Shard child main loop: one reply per command, state kept hot.
 
@@ -426,7 +377,8 @@ def shard_main(
       mapping.  The raw scenario doc is shipped only the *first* time a
       scenario reaches this shard (affine routing makes that sticky);
       afterwards the parent sends ``None`` and the shard replays from
-      its resident copy.
+      its resident copy.  Jobs and sessions share one scenario LRU of
+      *scenario_cache* entries.
     * ``("session_open"|"session_events"|"session_status"|
       "session_result"|"session_discard", ...)`` — hosted-session RPCs
       (see :class:`SessionHost`).
@@ -437,10 +389,9 @@ def shard_main(
     Failures reply ``("error", exc_type_name, message)`` so the parent
     can re-raise the matching builtin; successes reply ``("ok", value)``.
     """
-    if scenario_cache is not None:
-        configure_scenario_cache(scenario_cache)
     docs: dict[str, dict] = {}
-    sessions = SessionHost()
+    cache = _ScenarioCache(scenario_cache)
+    sessions = SessionHost(cache)
     while True:
         try:
             # repro-lint: disable=blocking-call-timeout -- the child's only job is this wait; parent death closes the pipe and the EOFError below exits the loop
@@ -461,7 +412,7 @@ def shard_main(
                 if doc is not None:
                     docs[scenario_id] = doc
                 reply = execute_mapping(
-                    scenario_id, docs[scenario_id], heuristic, alpha, beta
+                    scenario_id, docs[scenario_id], heuristic, alpha, beta, cache
                 )
             elif op == "session_open":
                 _, session_id, scenario_id, doc, body = command

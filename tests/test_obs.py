@@ -570,7 +570,7 @@ class TestLoadgenRetryBudget:
         try:
             host, port = server.server_address[:2]
             level = run_level(
-                f"http://{host}:{port}", "sha256:x", "slrh1",
+                f"http://{host}:{port}", ["sha256:x"], "slrh1",
                 clients=2, requests_per_client=2, max_retries=3,
             )
         finally:

@@ -30,6 +30,7 @@ from repro.io.serialization import (
 )
 from repro.service.app import (
     MAX_BODY_BYTES,
+    MAX_GENERATE_TASKS,
     ServiceHandler,
     ServiceServer,
     make_server,
@@ -57,17 +58,6 @@ class TestScenarioRegistry:
         assert sid2 == sid and not created2
         assert len(reg) == 1 and sid in reg
 
-    def test_get_scenario_uses_lru(self):
-        reg = ScenarioRegistry(max_cached=1)
-        a, _ = reg.put(_scenario_doc(12, 1))
-        b, _ = reg.put(_scenario_doc(12, 2))
-        assert reg.get_scenario(a).name == "gen12-seed1"  # evicted -> rebuild
-        assert reg.perf.get("registry.cache_miss") >= 1
-        assert reg.get_scenario(a).name == "gen12-seed1"  # now cached
-        assert reg.perf.get("registry.cache_hit") >= 1
-        assert reg.get_scenario(b).name == "gen12-seed2"
-        assert reg.perf.gauge("registry.cached") == 1.0
-
     def test_rejects_malformed_documents(self):
         reg = ScenarioRegistry()
         with pytest.raises(ValueError):
@@ -82,8 +72,6 @@ class TestScenarioRegistry:
         reg = ScenarioRegistry()
         with pytest.raises(KeyError):
             reg.get_doc("sha256:missing")
-        with pytest.raises(KeyError):
-            reg.get_scenario("sha256:missing")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +189,7 @@ def _get(base, path, timeout=120):
 
 @pytest.fixture()
 def service():
-    """A live service on an ephemeral port (serial worker, small queue)."""
+    """A live service on an ephemeral port (one shard process, small queue)."""
     manager = ShardRouter(ScenarioRegistry(), shards=1, max_queue=16)
     server = make_server("127.0.0.1", 0, manager)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -378,6 +366,49 @@ def _raw_post(base: str, path: str, content_length: str, timeout: float = 5.0):
             body += sock.recv(65536)
         assert headers.get("Connection") == "close"
         return int(lines[0].split()[1]), json.loads(body)
+
+
+class TestRequestValidation:
+    """Bad request contents are a 400 before anything is admitted or
+    generated: weights off the simplex on ``/v1/map`` (as
+    ``/v1/session`` already answers), and generate specs that overflow
+    or exceed :data:`MAX_GENERATE_TASKS`."""
+
+    @pytest.mark.parametrize("wait", [True, False])
+    @pytest.mark.parametrize(
+        "weights",
+        [{"alpha": 2.0}, {"alpha": -1.0, "beta": 0.2}, {"alpha": float("nan")}],
+        ids=["sum-above-1", "negative", "nan"],
+    )
+    def test_bad_weights_are_400_before_admission(self, service, weights, wait):
+        base, manager = service
+        _, _, body = _post(base, "/v1/scenarios", _scenario_doc(12, 1))
+        sid = json.loads(body)["id"]
+        request = {"scenario": sid, "heuristic": "slrh1", "wait": wait, **weights}
+        status, _, body = _post(base, "/v1/map", request)
+        assert status == 400, body
+        assert manager.perf.get("service.submitted") == 0
+        assert manager.perf.get("service.failed") == 0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"n_tasks": float("inf")},
+            {"n_tasks": 12, "seed": float("inf")},
+            {"n_tasks": 1e300},
+            {"n_tasks": MAX_GENERATE_TASKS + 1},
+        ],
+        ids=["inf-tasks", "inf-seed", "huge-tasks", "above-cap"],
+    )
+    def test_unbounded_generate_spec_is_400(self, service, spec):
+        base, _ = service
+        status, _, body = _post(base, "/v1/scenarios", {"generate": spec}, timeout=30)
+        assert status == 400, body
+        assert json.loads(body)["error"].startswith("bad generate spec")
+        status, _, _ = _post(
+            base, "/v1/scenarios", {"generate": {"n_tasks": 12, "seed": 1}}
+        )
+        assert status == 201
 
 
 class TestBodyLimits:

@@ -7,6 +7,7 @@ counts, heuristics and kernel modes."""
 from __future__ import annotations
 
 import json
+import os
 import threading
 import urllib.error
 import urllib.request
@@ -21,12 +22,13 @@ from repro.io.serialization import (
 )
 from repro.service.jobs import QueueFullError, ShardRouter
 from repro.service.registry import ScenarioRegistry
-from repro.service.shard import InlineShard, ProcessShard
+from repro.service.shard import ProcessShard
 from repro.service.worker import (
     DEFAULT_SCENARIO_CACHE,
+    SessionHost,
     _ScenarioCache,
-    configure_scenario_cache,
-    scenario_cache_limit,
+    execute_mapping,
+    resolve_scenario_cache,
     shard_main,
 )
 from repro.util.parallel import ShardCrashedError, ShardProcess, resolve_shards
@@ -34,13 +36,6 @@ from repro.util.parallel import ShardCrashedError, ShardProcess, resolve_shards
 
 def _scenario_doc(n_tasks=12, seed=3) -> dict:
     return scenario_to_dict(generate_named_scenario(n_tasks, seed))
-
-
-@pytest.fixture
-def fresh_cache_config():
-    """Reset the process-wide scenario-cache override around a test."""
-    yield
-    configure_scenario_cache(None)
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +55,6 @@ class TestResolveShards:
 
     def test_auto_uses_cpu_count(self, monkeypatch):
         monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        import os
-
         assert resolve_shards("auto") == (os.cpu_count() or 1)
 
     def test_rejects_garbage(self):
@@ -217,11 +210,13 @@ class TestCrashSemantics:
         finally:
             manager.close(drain_timeout=0)
 
-    def test_healthz_503_over_http_when_a_shard_dies(self):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_healthz_503_over_http_when_a_shard_dies(self, shards):
+        # --shards 1 forks its one shard too, so it can lose it the same way.
         from repro.service.app import make_server
 
         reg = ScenarioRegistry()
-        manager = ShardRouter(reg, shards=2, max_queue=8)
+        manager = ShardRouter(reg, shards=shards, max_queue=8)
         server = make_server("127.0.0.1", 0, manager)
         host, port = server.server_address[:2]
         base = f"http://{host}:{port}"
@@ -231,19 +226,32 @@ class TestCrashSemantics:
             with urllib.request.urlopen(base + "/healthz", timeout=30) as resp:
                 doc = json.loads(resp.read())
             assert resp.status == 200 and doc["status"] == "ok"
-            assert len(doc["shards"]) == 2
+            assert len(doc["shards"]) == shards
             for entry in doc["shards"]:
                 assert entry["alive"] is True
                 assert isinstance(entry["pid"], int)
+                assert entry["pid"] != os.getpid()
                 assert entry["queue_depth"] == 0
+            sid, _ = reg.put(_scenario_doc())
             with pytest.raises(ShardCrashedError):
-                manager.shards[0].backend._proc.call("exit", 1)
+                manager.shard_for(sid).backend._proc.call("exit", 1)
             with pytest.raises(urllib.error.HTTPError) as exc_info:
                 urllib.request.urlopen(base + "/healthz", timeout=30)
             assert exc_info.value.code == 503
             doc = json.loads(exc_info.value.read())
             assert doc["status"] == "degraded"
             assert any(not s["alive"] for s in doc["shards"])
+            # A map routed to the dead shard fails; it does not hang.
+            request = urllib.request.Request(
+                base + "/v1/map",
+                data=json.dumps({"scenario": sid, "heuristic": "greedy"}).encode(),
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as exc_info:
+                urllib.request.urlopen(request, timeout=60)
+            assert exc_info.value.code == 500
+            assert "ShardCrashedError" in json.loads(exc_info.value.read())["error"]
+            assert manager.perf.get("service.failed") == 1
         finally:
             server.shutdown()
             thread.join(timeout=10)
@@ -315,28 +323,26 @@ class TestConcurrentAdmission:
 
 
 class TestScenarioCache:
-    def test_configure_parses_and_validates(self, fresh_cache_config):
-        assert configure_scenario_cache("3") == 3
-        assert scenario_cache_limit() == 3
+    def test_configure_parses_and_validates(self):
+        assert resolve_scenario_cache("3") == 3
+        assert resolve_scenario_cache(5) == 5
         with pytest.raises(ValueError):
-            configure_scenario_cache(0)
+            resolve_scenario_cache(0)
         with pytest.raises(ValueError):
-            configure_scenario_cache("lots")
-        assert configure_scenario_cache(None) is None
+            resolve_scenario_cache("lots")
 
-    def test_env_fallback(self, fresh_cache_config, monkeypatch):
-        configure_scenario_cache(None)
+    def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCENARIO_CACHE", "5")
-        assert scenario_cache_limit() == 5
+        assert resolve_scenario_cache(None) == 5
+        assert resolve_scenario_cache(2) == 2  # explicit beats the environment
         monkeypatch.setenv("REPRO_SCENARIO_CACHE", "0")
         with pytest.raises(ValueError):
-            scenario_cache_limit()
+            resolve_scenario_cache(None)
         monkeypatch.delenv("REPRO_SCENARIO_CACHE")
-        assert scenario_cache_limit() == DEFAULT_SCENARIO_CACHE
+        assert resolve_scenario_cache(None) == DEFAULT_SCENARIO_CACHE
 
-    def test_lru_evicts_and_reports(self, fresh_cache_config):
-        configure_scenario_cache(1)
-        cache = _ScenarioCache()
+    def test_lru_evicts_and_reports(self):
+        cache = _ScenarioCache(1)
         doc_a, doc_b = _scenario_doc(12, 1), _scenario_doc(12, 2)
         _, stats = cache.get("sha256:a", doc_a)
         assert stats == {"worker.scenario_cache_misses": 1}
@@ -346,15 +352,48 @@ class TestScenarioCache:
         assert stats["worker.scenario_cache_evictions"] == 1
         assert len(cache) == 1
 
-    def test_router_rejects_bad_cache_size_eagerly(self, fresh_cache_config):
+    def test_jobs_and_sessions_share_one_cache(self, monkeypatch):
+        """A shard's jobs and sessions look scenarios up in one LRU: a job
+        then a session open on the same scenario deserialise it once, and
+        the bound counts both."""
+        import repro.service.worker as worker
+
+        decoded: list[dict] = []
+        decode = worker.scenario_from_dict
+
+        def counting(doc: dict):
+            decoded.append(doc)
+            return decode(doc)
+
+        monkeypatch.setattr(worker, "scenario_from_dict", counting)
+        reg = ScenarioRegistry()
+        a, _ = reg.put(_scenario_doc(12, 1))
+        b, _ = reg.put(_scenario_doc(12, 2))
+        cache = _ScenarioCache(1)
+        host = SessionHost(cache)
+        outcome = execute_mapping(a, reg.get_doc(a), "greedy", None, None, cache)
+        assert outcome["perf"]["worker.scenario_cache_misses"] == 1
+        host.open("sess-1", a, reg.get_doc(a), {"heuristic": "greedy"})
+        assert len(decoded) == 1
+        # A bound of 1 holds one scenario across jobs and sessions.
+        host.open("sess-2", b, reg.get_doc(b), {"heuristic": "greedy"})
+        assert len(decoded) == 2 and len(cache) == 1
+        outcome = execute_mapping(a, reg.get_doc(a), "greedy", None, None, cache)
+        assert outcome["perf"]["worker.scenario_cache_evictions"] == 1
+
+    def test_router_rejects_bad_cache_size_eagerly(self, monkeypatch):
         with pytest.raises(ValueError):
             ShardRouter(ScenarioRegistry(), shards=1, scenario_cache="0")
+        monkeypatch.setenv("REPRO_SCENARIO_CACHE", "lots")
+        with pytest.raises(ValueError):
+            ShardRouter(ScenarioRegistry(), shards=1)
 
-    def test_eviction_counter_reaches_metrics(self, fresh_cache_config):
+    def test_eviction_counter_reaches_metrics(self):
         reg = ScenarioRegistry()
         a, _ = reg.put(_scenario_doc(12, 1))
         b, _ = reg.put(_scenario_doc(12, 2))
         manager = ShardRouter(reg, shards=1, scenario_cache=1, max_queue=16)
+        assert manager.scenario_cache == 1
         manager.start()
         try:
             for sid in (a, b, a, b):
@@ -414,14 +453,15 @@ class TestShardedSessions:
         finally:
             manager.close(drain_timeout=0)
 
-    def test_crashed_shard_session_yields_error_record(self):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_crashed_shard_session_yields_error_record(self, shards):
         from repro.service.sessions import SessionManager
-        from repro.session import SessionEvent, synthesize_events
+        from repro.session import synthesize_events
 
         reg = ScenarioRegistry()
         scenario = generate_named_scenario(16, 3)
         sid, _ = reg.put(scenario_to_dict(scenario))
-        manager = ShardRouter(reg, shards=2, max_queue=8).start()
+        manager = ShardRouter(reg, shards=shards, max_queue=8).start()
         sessions = SessionManager(reg, perf=manager.perf, router=manager)
         try:
             _, events = synthesize_events(
@@ -446,17 +486,6 @@ class TestShardedSessions:
 
 
 class TestShardBackends:
-    def test_inline_shard_runs_jobs_in_process(self):
-        import os
-
-        reg = ScenarioRegistry()
-        sid, _ = reg.put(_scenario_doc())
-        shard = InlineShard(0)
-        assert shard.alive() and shard.pid == os.getpid()
-        outcome = shard.run_job(sid, reg.get_doc(sid), "greedy", None, None)
-        assert outcome["summary"]["n_tasks"] == 12
-        assert shard.heartbeat_age() == 0.0
-
     def test_process_shard_ships_each_doc_once(self):
         reg = ScenarioRegistry()
         sid, _ = reg.put(_scenario_doc())
