@@ -39,10 +39,10 @@ a time:
 * **guard-verification** — stop trusting the ``_locked`` suffix: any
   resolved call path reaching a ``# guarded-by:`` attribute or a
   lock-contract function without the declared lock provably held.
-* **process-boundary** — payloads crossing the ``ShardProcess`` command
-  pipe / result queue must be picklable-by-construction (no locks,
-  threads, sockets, generators, lambdas, open files), and no thread may
-  start before ``fork()`` on the shard setup path.
+* **process-boundary** — payloads crossing a shard's pipe to its child
+  process must be picklable-by-construction (no locks, threads,
+  sockets, generators, lambdas, open files), and no thread may start
+  before ``fork()`` on the shard setup path.
 * **blocking-discipline** — ``Queue.get``/bounded ``put`` and
   ``Connection.recv`` in service/util threads need a timeout (or a prior
   ``poll()``), or a justified suppression.

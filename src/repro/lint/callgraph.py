@@ -551,7 +551,7 @@ class Project:
     ) -> tuple[str, ...]:
         """Element kinds for ``for x in <iterable>`` when the iterable is a
         ``self.<attr>`` list built from one class's constructor
-        (``self.shards = [ShardDispatcher(...) for ...]``)."""
+        (``self.shards = [ProcessShard(...) for ...]``)."""
         attr = _self_attr(iterable)
         if attr is None or cls is None:
             return ()
@@ -573,20 +573,19 @@ class Project:
     def _mark_boundary_params(
         self, func: FunctionInfo, env: dict[str, tuple[str, ...]]
     ) -> None:
-        """Functions used as a :class:`ShardProcess` main get their first
-        two parameters typed ``connection`` / ``queue`` — the RPC contract
-        ``main(cmd_conn, result_queue, index, *args)``."""
+        """Functions used as a process main get their first parameter
+        typed ``connection`` — the shard contract ``main(conn, index,
+        *args)``, one duplex pipe carrying commands in and replies out."""
         if func.qname in self._shard_mains():
             args = func.node.args.posonlyargs + func.node.args.args
             names = [a.arg for a in args if a.arg not in ("self", "cls")]
-            if len(names) >= 1:
+            if names:
                 env.setdefault(names[0], ("connection",))
-            if len(names) >= 2:
-                env.setdefault(names[1], ("queue",))
 
     def _shard_mains(self) -> frozenset[str]:
-        """Qnames of functions passed as the first argument to a
-        ``ShardProcess(...)`` / ``Process(target=...)`` construction."""
+        """Qnames of functions passed as ``target=`` to a
+        ``Process(...)`` construction (``ctx.Process``,
+        ``multiprocessing.Process``)."""
         cached = getattr(self, "_shard_mains_cache", None)
         if cached is not None:
             return cached
@@ -597,11 +596,9 @@ class Project:
                     continue
                 target = dotted_name(node.func)
                 fn_expr: ast.expr | None = None
-                if target is not None and target.split(".")[-1] == "ShardProcess":
-                    if node.args:
-                        fn_expr = node.args[0]
+                if target is not None and target.split(".")[-1] == "Process":
                     for kw in node.keywords:
-                        if kw.arg == "main":
+                        if kw.arg == "target":
                             fn_expr = kw.value
                 if fn_expr is not None:
                     fn_name = dotted_name(fn_expr)

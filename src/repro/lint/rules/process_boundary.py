@@ -1,22 +1,25 @@
 """Process-boundary family: what may cross the fork line.
 
-``ShardProcess`` workers talk to the parent over a command pipe and a
-result queue; anything written to either must survive pickling in one
-process and unpickling in another.  Locks, threads, sockets, generators,
-lambdas and open files do not — they either raise at pickle time (best
-case) or silently detach from the state they guarded (worst case).  The
-"picklable whitelist" is therefore defined by its complement: a payload
-is fine unless the analyzer can *prove* it is one of the known-bad kinds
+A shard child (:class:`repro.service.shard.ProcessShard`) talks to its
+parent over one duplex pipe; anything written to a pipe or queue must
+survive pickling in one process and unpickling in another.  Locks,
+threads, sockets, generators, lambdas and open files do not — they
+either raise at pickle time (best case) or silently detach from the
+state they guarded (worst case).  The "picklable whitelist" is
+therefore defined by its complement: a payload is fine unless the
+analyzer can *prove* it is one of the known-bad kinds
 (:data:`_BAD_KINDS`), directly or one call away through a parameter that
 flows into a boundary send.
 
 The second rule covers fork hygiene: CPython's ``fork`` clones only the
 calling thread, so a thread started *before* the fork leaves the child
 with locks whose owners no longer exist.  Within any function that forks
-(starts a ``Process`` or constructs a ``ShardProcess``, directly or
-through a resolved callee), every thread ``.start()`` must come lexically
-after the fork point — the ``ShardDispatcher.start`` ordering ("fork (if
-any) before traffic") becomes a checked invariant instead of a comment.
+(starts a ``Process``, directly or through a resolved callee), every
+thread ``.start()`` must come lexically after the fork point — the
+``ProcessShard.start`` ordering ("fork before traffic") becomes a
+checked invariant instead of a comment.  The check is lexical, within
+one function: that ``ShardRouter.start`` forks every child before it
+starts any dispatcher thread is pinned by a test instead.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ def _boundary_sends(
 ) -> Iterator[tuple[ast.Call, ast.expr, bool]]:
     """``(call, payload, fork_time)`` for every boundary crossing in
     *func*: ``<connection>.send(x)``, ``<queue>.put(x)``, and the
-    ``args=(...)`` of a ``Process``/``ShardProcess`` construction."""
+    ``args=(...)`` of a ``Process`` construction."""
     env = project.function_env(func)
     cls = (
         project.classes.get(func.class_qname)
@@ -102,12 +105,7 @@ def _boundary_sends(
             ):
                 yield node, node.args[0], False
                 continue
-        ctor_kinds = project._expr_kinds(node, func.module, env, cls)
-        is_shardprocess = any(
-            k.startswith("class:") and k.endswith(".ShardProcess")
-            for k in ctor_kinds
-        )
-        if "process" in ctor_kinds or is_shardprocess:
+        if "process" in project._expr_kinds(node, func.module, env, cls):
             for kw in node.keywords:
                 if kw.arg == "args":
                     yield node, kw.value, True
@@ -185,7 +183,7 @@ def _boundary_params(
 @register(
     "pipe-unpicklable",
     "process-boundary",
-    "payloads crossing the ShardProcess command pipe / result queue must "
+    "payloads crossing a shard's pipe (or any queue) to another process must "
     "be picklable by construction — no locks, threads, sockets, "
     "generators, lambdas or open files across a fork boundary",
     scopes=_SCOPES,
@@ -272,8 +270,8 @@ def pipe_unpicklable(project: Project) -> Iterator[Finding]:
     program=True,
 )
 def thread_before_fork(project: Project) -> Iterator[Finding]:
-    # A function "forks" at the line it starts a Process / constructs a
-    # ShardProcess, or calls a resolved callee that does.
+    # A function "forks" at the line it starts a Process, or calls a
+    # resolved callee that does.
     fork_line: dict[str, int] = {}
     scoped = project.functions_in_scope(_SCOPES)
     for func in scoped:
@@ -297,14 +295,6 @@ def thread_before_fork(project: Project) -> Iterator[Finding]:
                     fork_line[func.qname] = min(
                         fork_line.get(func.qname, node.lineno), node.lineno
                     )
-            ctor_kinds = project._expr_kinds(node, func.module, env, cls)
-            if any(
-                k.startswith("class:") and k.endswith(".ShardProcess")
-                for k in ctor_kinds
-            ):
-                fork_line[func.qname] = min(
-                    fork_line.get(func.qname, node.lineno), node.lineno
-                )
     for _ in range(4):  # propagate through resolved call chains
         changed = False
         for func in scoped:

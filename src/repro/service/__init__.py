@@ -12,10 +12,11 @@ from the stdlib on top of the existing engine:
   → HTTP 429), scenario-affine routing over the shard layer
   (:class:`~repro.service.jobs.ShardRouter`), graceful drain, and the live
   :mod:`repro.perf` registry (counters + gauges + latency histograms);
-* :mod:`repro.service.shard` / :mod:`repro.service.worker` — the shard
-  backend (one forked child per shard, ``--shards 1`` included) and
-  what runs in the child: the mapping executor, the session host and
-  the one per-shard scenario LRU;
+* :mod:`repro.service.shard` / :mod:`repro.service.worker` — one
+  :class:`~repro.service.shard.ProcessShard` per shard (its bounded
+  queue, dispatcher thread and forked child, ``--shards 1`` included)
+  and what runs in the child: the mapping executor, the session host
+  and the one per-shard scenario LRU;
 * :mod:`repro.service.app` — the HTTP surface (``/v1/scenarios``,
   ``/v1/map``, ``/v1/jobs/<id>`` + NDJSON event streaming, ``/healthz``,
   ``/metrics``);

@@ -283,7 +283,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return None
         try:
             doc = json.loads(raw) if raw else {}
-        except ValueError:
+        except (ValueError, RecursionError):  # deep nesting: RecursionError
             self._error(400, "request body must be a JSON object")
             return None
         if not isinstance(doc, dict):
@@ -450,7 +450,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 continue
             try:
                 events.append(event_from_dict(json.loads(line)))
-            except (ValueError, json.JSONDecodeError) as exc:
+            except (ValueError, RecursionError) as exc:
                 self._error(400, f"bad event on line {lineno}: {exc}")
                 return
         if not events:

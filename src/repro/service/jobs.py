@@ -1,14 +1,13 @@
 """Job admission, affine routing and lifecycle for the scheduling service.
 
 The service dispatch layer is *sharded*: N independent
-:class:`ShardDispatcher` units (one bounded queue + one dispatcher thread
-+ one forked child process each) behind one thin :class:`ShardRouter`.
-Requests become :class:`Job` records routed by **scenario-hash affinity**
-— ``int(sha256_digest, 16) % n_shards`` — so every request for a given
-scenario lands on the same shard and that shard's process-resident
-deserialised-scenario LRU stays hot.  Every shard, at ``shards=1`` too,
-runs its jobs in a long-lived child process
-(:class:`~repro.service.shard.ProcessShard`).
+:class:`~repro.service.shard.ProcessShard` objects (one bounded queue +
+one dispatcher thread + one forked child process each) behind one thin
+:class:`ShardRouter`.  Requests become :class:`Job` records routed by
+**scenario-hash affinity** — ``int(sha256_digest, 16) % n_shards`` — so
+every request for a given scenario lands on the same shard and that
+shard's process-resident deserialised-scenario LRU stays hot.  Every
+shard, at ``shards=1`` too, runs its jobs in a long-lived child process.
 
 Admission control is global but per-shard-bounded: the router serialises
 admission under its own lock, and when the *target shard's* queue is at
@@ -21,16 +20,16 @@ global: once :meth:`ShardRouter.drain` starts, every shard rejects with
 
 The router owns the global :mod:`repro.perf` registry (service counters,
 request/map latency histograms, every job's merged engine counters);
-each dispatcher keeps a per-shard registry (``shard<k>.*`` counters,
+each shard keeps a per-shard registry (``shard<k>.*`` counters,
 exact map-seconds histogram, queue/busy/cache gauges).
 :meth:`ShardRouter.metrics_document` rolls all of them into the one
 ``repro.perf/2`` document ``/metrics`` serves, and
 :meth:`ShardRouter.health_doc` reports per-shard liveness (pid, queue
 depth, last heartbeat) for ``/healthz``.
 
-A crashed shard child fails its in-flight job (surfaced as a ``failed``
-job with the crash message — never a hang), stays dead, and flips
-``/healthz`` to 503.
+A crashed shard child fails its in-flight job and every job queued
+behind it (each surfaced as a ``failed`` job with the crash message —
+never a hang), stays dead, and flips ``/healthz`` to 503.
 """
 
 from __future__ import annotations
@@ -119,199 +118,6 @@ class Job:
         return doc
 
 
-class ShardDispatcher:
-    """One shard: a bounded queue, a dispatcher thread, a backend.
-
-    The dispatcher thread pops one job at a time and ships it to the
-    shard's resident child (:class:`~repro.service.shard.ProcessShard`).
-    All admission goes through the router (which serialises submitters),
-    so :meth:`enqueue` itself never rejects; the router reads
-    :meth:`admission_state` first under its own lock.
-
-    Lock order: the router acquires ``ShardDispatcher._lock`` while
-    holding its own; a dispatcher never acquires the router lock while
-    holding its own (``_run_job`` records global results *between* lock
-    scopes), so the hierarchy is acyclic.  This is no longer just prose:
-    the ``lock-order-cycle`` analysis (``repro.lint.rules.lock_order``)
-    builds the project-wide acquisition graph on every lint run — the
-    audited order today is ``ShardRouter._lock -> ShardDispatcher._lock``
-    and ``SessionManager._lock / LiveSession.lock -> backend locks``,
-    with no reverse edges — and CI fails on any future cycle, with the
-    witness call path in the finding.
-    """
-
-    def __init__(
-        self, index: int, backend: ProcessShard, router: "ShardRouter",
-    ) -> None:
-        self.index = index
-        self.backend = backend
-        self.router = router
-        self.max_queue = router.max_queue
-        self.perf = PerfCounters()  # guarded-by: _lock
-        self._lock = threading.Lock()
-        self._wake = threading.Condition(self._lock)
-        self._idle = threading.Condition(self._lock)
-        self._queue: deque[Job] = deque()  # guarded-by: _lock
-        self._busy = False  # guarded-by: _lock
-        self._draining = False  # guarded-by: _lock
-        self._stopped = False  # guarded-by: _lock
-        self._thread: threading.Thread | None = None  # guarded-by: _lock
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "ShardDispatcher":
-        """Start the backend and dispatcher thread (idempotent)."""
-        with self._lock:
-            if self._stopped:
-                raise RuntimeError("ShardDispatcher is closed")
-            if self._thread is not None:
-                return self
-            thread = threading.Thread(
-                target=self._dispatch_loop,
-                name=f"repro-dispatcher-{self.index}",
-                daemon=True,
-            )
-            self._thread = thread
-        self.backend.start()  # fork before traffic
-        thread.start()
-        return self
-
-    def drain(self, deadline: float | None) -> bool:
-        """Stop this shard's work from growing and wait until its queue
-        and in-flight job are empty.  True when drained by *deadline*."""
-        with self._lock:
-            self._draining = True
-            self._wake.notify_all()
-            while self._queue or self._busy:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                self._idle.wait(timeout=remaining)
-        return True
-
-    def close(self) -> None:
-        """Stop the dispatcher thread and the backend.  Idempotent."""
-        with self._lock:
-            if self._stopped:
-                return
-            self._stopped = True
-            self._wake.notify_all()
-            thread = self._thread
-        # Join outside the lock: the dispatcher needs it to observe
-        # _stopped and exit.
-        if thread is not None:
-            thread.join(timeout=10)
-        self.backend.stop()
-
-    # -- admission (router-lock-serialised callers) ------------------------
-
-    def admission_state(self, per_job_seconds: float) -> tuple[int, int]:
-        """(queue depth, Retry-After hint) for an admission decision.
-
-        Retry-After is this shard's backlog (queued + busy) × the
-        observed mean map seconds, clamped to [1, 300] — the same ETA
-        formula the pre-shard service used, scoped to one shard.
-        """
-        with self._lock:
-            backlog = len(self._queue) + (1 if self._busy else 0)
-            eta = backlog * per_job_seconds
-            return len(self._queue), max(1, min(300, int(eta + 0.999)))
-
-    def enqueue(self, job: Job) -> int:
-        """Append an admitted job; returns the new queue depth.  Callers
-        hold the router lock, so capacity checked there still holds."""
-        with self._lock:
-            self._queue.append(job)
-            depth = len(self._queue)
-            self._wake.notify_all()
-            return depth
-
-    @property
-    def queue_depth(self) -> int:
-        with self._lock:
-            return len(self._queue)
-
-    @property
-    def busy(self) -> bool:
-        with self._lock:
-            return self._busy
-
-    # -- dispatch ----------------------------------------------------------
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._lock:
-                while not self._queue and not self._stopped:
-                    if self._draining:
-                        self._idle.notify_all()
-                    self._wake.wait()
-                if self._stopped and not self._queue:
-                    self._idle.notify_all()
-                    return
-                job = self._queue.popleft()
-                job.state = "running"
-                job.started_at = time.monotonic()
-                self._busy = True
-            self._run_job(job)
-            with self._lock:
-                self._busy = False
-                self._idle.notify_all()
-
-    def _run_job(self, job: Job) -> None:
-        _LOG.event(
-            "job.dispatched",
-            job=job.id,
-            shard=self.index,
-            scenario=job.scenario_id,
-        )
-        try:
-            doc = self.router.registry.get_doc(job.scenario_id)
-            outcome = self.backend.run_job(
-                job.scenario_id, doc, job.heuristic, job.alpha, job.beta
-            )
-        except Exception as exc:  # backend/crash failure: fail the job
-            self.router._record_finish(job, error=f"{type(exc).__name__}: {exc}")
-            self._note_outcome(None)
-            return
-        self.router._record_finish(job, outcome=outcome)
-        self._note_outcome(outcome)
-
-    def _note_outcome(self, outcome: dict | None) -> None:
-        """Per-shard instruments (``shard<k>.*``) for the roll-up."""
-        prefix = f"shard{self.index}"
-        with self._lock:
-            if outcome is None:
-                self.perf.inc(f"{prefix}.failed")
-                return
-            self.perf.inc(f"{prefix}.completed")
-            self.perf.observe(
-                f"{prefix}.map_seconds", outcome["heuristic_seconds"]
-            )
-            stats = outcome.get("perf") or {}
-            for kind in ("hits", "misses", "evictions"):
-                count = stats.get(f"worker.scenario_cache_{kind}", 0)
-                if count:
-                    self.perf.inc(f"{prefix}.cache_{kind}", count)
-
-    def perf_registry(self) -> PerfCounters:
-        """An independent copy of this shard's registry with the live
-        queue-depth/busy/alive gauges stamped in (roll-up input)."""
-        prefix = f"shard{self.index}"
-        with self._lock:
-            copied = PerfCounters().merge(self.perf)
-            copied.set_gauge(f"{prefix}.queue_depth", float(len(self._queue)))
-            copied.set_gauge(f"{prefix}.busy", 1.0 if self._busy else 0.0)
-            copied.set_gauge(
-                f"{prefix}.cache_hits", self.perf.get(f"{prefix}.cache_hits")
-            )
-        copied.set_gauge(
-            f"{prefix}.alive", 1.0 if self.backend.alive() else 0.0
-        )
-        return copied
-
-
 class ShardRouter:
     """Thin global front: validation, affine routing, admission, job table.
 
@@ -349,10 +155,7 @@ class ShardRouter:
         self._ids = itertools.count(1)  # guarded-by: _lock
         self._draining = False  # guarded-by: _lock
         self._stopped = False  # guarded-by: _lock
-        self.shards = [
-            ShardDispatcher(k, ProcessShard(k, self.scenario_cache), self)
-            for k in range(self.n_shards)
-        ]
+        self.shards = [ProcessShard(k, self) for k in range(self.n_shards)]
 
     # -- routing -----------------------------------------------------------
 
@@ -364,10 +167,10 @@ class ShardRouter:
         digest = scenario_id.split(":", 1)[-1]
         return int(digest, 16) % self.n_shards
 
-    def shard_for(self, scenario_id: str) -> ShardDispatcher:
+    def shard_for(self, scenario_id: str) -> ProcessShard:
         return self.shards[self.shard_of(scenario_id)]
 
-    def session_shard(self, affinity: int) -> ShardDispatcher:
+    def session_shard(self, affinity: int) -> ProcessShard:
         """Shard for a session affinity key (the numeric session id):
         sessions spread round-robin and each kernel lives in exactly one
         shard process."""
@@ -376,10 +179,17 @@ class ShardRouter:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "ShardRouter":
-        """Start every shard (idempotent); returns self."""
+        """Start every shard (idempotent); returns self.
+
+        Every child is forked before any dispatcher thread starts: a fork
+        clones only the calling thread, so a child forked while a
+        dispatcher runs could inherit a lock with no owner.
+        """
         with self._lock:
             if self._stopped:
                 raise RuntimeError("ShardRouter is closed")
+        for shard in self.shards:
+            shard.spawn()
         for shard in self.shards:
             shard.start()
         return self
@@ -403,8 +213,8 @@ class ShardRouter:
         return drained
 
     def close(self, drain_timeout: float | None = None) -> None:
-        """Drain (bounded by *drain_timeout*), then stop every dispatcher
-        thread and shard process.  Idempotent."""
+        """Drain (bounded by *drain_timeout*), then close every shard: its
+        dispatcher thread and its child process.  Idempotent."""
         self.drain(timeout=drain_timeout)
         with self._lock:
             if self._stopped:
@@ -415,7 +225,7 @@ class ShardRouter:
 
     # -- admission ---------------------------------------------------------
 
-    # acquires: ShardDispatcher._lock
+    # acquires: ProcessShard._lock
     def submit(
         self,
         scenario_id: str,
@@ -514,7 +324,7 @@ class ShardRouter:
         """Shards currently running a job."""
         return sum(1 for shard in self.shards if shard.busy)
 
-    # -- completion (dispatcher threads) -----------------------------------
+    # -- completion (shard dispatcher threads) -----------------------------
 
     def _record_finish(
         self, job: Job, outcome: dict | None = None, error: str | None = None
@@ -557,18 +367,16 @@ class ShardRouter:
         shards = []
         healthy = True
         for shard in self.shards:
-            alive = shard.backend.alive()
+            alive = shard.alive()
             healthy = healthy and alive
             shards.append(
                 {
                     "shard": shard.index,
-                    "pid": shard.backend.pid,
+                    "pid": shard.pid,
                     "alive": alive,
                     "queue_depth": shard.queue_depth,
                     "busy": shard.busy,
-                    "last_heartbeat_seconds": round(
-                        shard.backend.heartbeat_age(), 3
-                    ),
+                    "last_heartbeat_seconds": round(shard.heartbeat_age(), 3),
                 }
             )
         return {"healthy": healthy, "shards": shards}

@@ -52,10 +52,9 @@ from repro.obs.log import get_logger
 from repro.perf import PerfCounters
 from repro.service.jobs import DrainingError, ShardRouter
 from repro.service.registry import ScenarioRegistry
-from repro.service.shard import ProcessShard
+from repro.service.shard import ProcessShard, ShardCrashedError
 from repro.service.worker import build_scheduler
 from repro.session import SessionEvent
-from repro.util.parallel import ShardCrashedError
 
 #: Default bound on concurrently stored sessions (open *or* closed-but-
 #: not-yet-evicted); opening past it is a 429 upstream.
@@ -86,7 +85,7 @@ class LiveSession:
     """One open session: a proxy over its hosting shard's kernel.
 
     Every method takes ``self.lock`` itself; callers never talk to the
-    shard backend directly.  The proxy caches what the HTTP layer needs
+    hosting shard directly.  The proxy caches what the HTTP layer needs
     between batches (closed flag, error count, the close-time perf
     snapshot) so status checks after a stream don't need another RPC.
     """
@@ -96,13 +95,13 @@ class LiveSession:
         session_id: str,
         scenario_id: str,
         heuristic: str,
-        backend: ProcessShard,
+        shard: ProcessShard,
         perf: PerfCounters,
     ) -> None:
         self.id = session_id
         self.scenario_id = scenario_id
         self.heuristic = heuristic  # canonical registry name
-        self.backend = backend  # hosting shard (RPCs are self-serialising)
+        self.shard = shard  # hosting shard (RPCs are self-serialising)
         self.perf = perf  # the service registry (mutated via manager lock paths)
         self.lock = threading.Lock()
         self.last_active = time.monotonic()  # guarded-by: lock
@@ -124,7 +123,7 @@ class LiveSession:
         with self.lock:
             self.last_active = time.monotonic()
             try:
-                reply = self.backend.session_events(
+                reply = self.shard.session_events(
                     self.id, [event.to_dict() for event in events]
                 )
             except ShardCrashedError as exc:
@@ -146,7 +145,7 @@ class LiveSession:
     def status_doc(self) -> dict:
         """JSON-ready status for ``GET /v1/session/<id>`` (one shard RPC)."""
         with self.lock:
-            doc = self.backend.session_status(self.id)
+            doc = self.shard.session_status(self.id)
             self._closed = doc["state"] == "closed"
             return doc
 
@@ -154,7 +153,7 @@ class LiveSession:
         """Canonical mapping JSON of a closed session (None while open)
         — byte-identical to an offline replay of the same events."""
         with self.lock:
-            return self.backend.session_result(self.id)
+            return self.shard.session_result(self.id)
 
     def is_closed(self) -> bool:
         with self.lock:
@@ -195,11 +194,6 @@ class SessionManager:
         self._next_id = 1  # guarded-by: _lock
         self._draining = False  # guarded-by: _lock
 
-    def _backend_for_locked(self, numeric_id: int) -> ProcessShard:
-        """The shard backend hosting session *numeric_id* — round-robin
-        over shards, pinned for the session's lifetime."""
-        return self.router.session_shard(numeric_id).backend
-
     # -- admission ---------------------------------------------------------
 
     def open(self, body: dict) -> LiveSession:
@@ -237,17 +231,18 @@ class SessionManager:
                 raise SessionLimitError(len(self._sessions))
             numeric_id = self._next_id
             session_id = f"sess-{numeric_id:08d}"
-            backend = self._backend_for_locked(numeric_id)
+            # Round-robin over shards, pinned for the session's lifetime.
+            shard = self.router.session_shard(numeric_id)
             # Holding the lock across the open RPC keeps the capacity
             # bound exact; engine-construction errors (out-of-range
             # pending task …) re-raise here with nothing to roll back.
-            opened = backend.session_open(session_id, scenario_id, doc, body)
+            opened = shard.session_open(session_id, scenario_id, doc, body)
             self._next_id = numeric_id + 1
             session = LiveSession(
                 session_id=session_id,
                 scenario_id=scenario_id,
                 heuristic=canonical,
-                backend=backend,
+                shard=shard,
                 perf=self.perf,
             )
             self._sessions[session.id] = session
@@ -329,7 +324,7 @@ class SessionManager:
                 try:
                     # Free the hosting shard's kernel too; a dead shard
                     # has already lost it.
-                    session.backend.session_discard(sid)
+                    session.shard.session_discard(sid)
                 except ShardCrashedError:
                     pass
                 self.perf.inc("session.evicted")

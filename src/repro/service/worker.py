@@ -15,19 +15,22 @@ hit/miss/eviction is reported back in the job outcome's perf snapshot as
 ``worker.scenario_cache_{hits,misses,evictions}``.
 
 :func:`shard_main` is the shard child's top-level loop: it reads command
-tuples off a pipe and answers each with exactly one reply on the result
-queue (the :class:`~repro.util.parallel.ShardProcess` contract).  Besides
-one-shot jobs it hosts *sessions* — persistent
+tuples off its end of the shard's duplex pipe and answers each with
+exactly one reply on the same pipe (the
+:class:`~repro.service.shard.ProcessShard` contract).  Besides one-shot
+jobs it hosts *sessions* — persistent
 :class:`~repro.session.SessionEngine` kernels that live in exactly one
 shard process for their whole lifetime (:class:`SessionHost`).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 from collections import OrderedDict
 from dataclasses import replace as _dc_replace
+from multiprocessing.connection import Connection, wait
 from typing import Any
 
 from repro.core.kernel import KERNEL_MODES, resolve_kernel_mode
@@ -233,7 +236,7 @@ class SessionHost:
     these methods.
 
     One lock serialises the session table and event application.  In a
-    shard child every call arrives serially off the command pipe, so the
+    shard child every call arrives serially off the shard's pipe, so the
     lock is uncontended; the child's jobs share *cache* on that same
     thread.
     """
@@ -363,8 +366,7 @@ class SessionHost:
 
 
 def shard_main(
-    cmd_conn: Any,
-    results: Any,
+    conn: Connection,
     index: int,
     scenario_cache: int = DEFAULT_SCENARIO_CACHE,
 ) -> None:
@@ -379,28 +381,42 @@ def shard_main(
       afterwards the parent sends ``None`` and the shard replays from
       its resident copy.  Jobs and sessions share one scenario LRU of
       *scenario_cache* entries.
-    * ``("session_open"|"session_events"|"session_status"|
-      "session_result"|"session_discard", ...)`` — hosted-session RPCs
-      (see :class:`SessionHost`).
+    * ``("session_open", scenario_id, doc|None, session_id, body)`` —
+      open a hosted session; the doc is shipped like a job's.
+    * ``("session_events"|"session_status"|"session_result"|
+      "session_discard", session_id, ...)`` — hosted-session RPCs (see
+      :class:`SessionHost`).
     * ``("stop",)`` — acknowledge and exit the loop.
     * ``("exit", code)`` — ``os._exit(code)`` with *no* reply: the crash
       everyone upstream must survive (tests inject it on purpose).
 
     Failures reply ``("error", exc_type_name, message)`` so the parent
     can re-raise the matching builtin; successes reply ``("ok", value)``.
+    Every reply goes back on *conn*.
+
+    The loop also ends when the parent dies.  A forked child inherits
+    copies of the parent's pipe ends (its own and its older siblings'),
+    so the parent's death need not close *conn*; the child waits on the
+    parent's sentinel as well, which fires however the parent exits.
     """
     docs: dict[str, dict] = {}
     cache = _ScenarioCache(scenario_cache)
     sessions = SessionHost(cache)
+    parent = multiprocessing.parent_process()
+    watched: list[Connection | int] = [conn]
+    if parent is not None:
+        watched.append(parent.sentinel)
     while True:
+        if conn not in wait(watched):
+            break  # only the parent's sentinel fired: the daemon is gone
         try:
-            # repro-lint: disable=blocking-call-timeout -- the child's only job is this wait; parent death closes the pipe and the EOFError below exits the loop
-            command = cmd_conn.recv()
+            # repro-lint: disable=blocking-call-timeout -- the child's only job is this wait; wait() above returns on a command or on the parent's death, so a dead daemon ends the loop
+            command = conn.recv()
         except (EOFError, OSError):
             break
         op = command[0]
         if op == "stop":
-            results.put(("ok", "stopped"))
+            conn.send(("ok", "stopped"))
             break
         if op == "exit":
             os._exit(int(command[1]))
@@ -415,7 +431,7 @@ def shard_main(
                     scenario_id, docs[scenario_id], heuristic, alpha, beta, cache
                 )
             elif op == "session_open":
-                _, session_id, scenario_id, doc, body = command
+                _, scenario_id, doc, session_id, body = command
                 if doc is not None:
                     docs[scenario_id] = doc
                 reply = sessions.open(
@@ -432,6 +448,6 @@ def shard_main(
             else:
                 raise ValueError(f"unknown shard command {op!r}")
         except Exception as exc:  # surfaced to the parent, never fatal here
-            results.put(("error", type(exc).__name__, str(exc)))
+            conn.send(("error", type(exc).__name__, str(exc)))
         else:
-            results.put(("ok", reply))
+            conn.send(("ok", reply))

@@ -11,27 +11,18 @@ else 1; ``n_jobs == 1`` runs serially in-process with no executor, so the
 serial path stays exactly the pre-parallel code path.  ``auto`` (either
 spelling) resolves to :func:`os.cpu_count`.
 
-Two entry points:
-
-* :func:`parallel_starmap` — one-shot fan-out; spins an executor up and
-  down around a single batch.
-* :class:`ShardProcess` — a single *long-lived*, *stateful* child process
-  driven over a command pipe with a result queue coming back.  Unlike an
-  executor pool, the child keeps process-resident state between
-  calls (the :mod:`repro.service` shard layer parks hot deserialised
-  scenarios and live session kernels there).  Calls are synchronous RPCs
-  serialised by a lock; a dead child is *detected* (liveness polled while
-  waiting on the result queue) and surfaces as
-  :class:`ShardCrashedError`, never as a hang.
+:func:`parallel_starmap` is the one entry point: a one-shot fan-out that
+spins an executor up and down around a single batch.  The service's
+long-lived, stateful shard children are not a pool; they live in
+:class:`repro.service.shard.ProcessShard`.  :func:`resolve_shards`
+parses their count here because it shares :func:`resolve_jobs`'s
+grammar.
 """
 
 from __future__ import annotations
 
 import os
-import queue as _queue
-import threading
-import time
-from typing import Any, Callable, Iterable, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -81,151 +72,6 @@ def resolve_shards(shards: JobsLike = None) -> int:
         raw = os.environ.get("REPRO_SHARDS", "").strip()
         shards = raw if raw else 1
     return _coerce_count(shards, "shards")
-
-
-class ShardCrashedError(RuntimeError):
-    """The shard child process died before answering a call.
-
-    The contract is *failure surfaced, never a hang*: callers waiting on
-    a result observe this exception within one liveness-poll interval of
-    the child's death, and every later call on the same process fails
-    fast with it too (a dead shard stays dead; restarts are a deployment
-    concern, not a library one).
-    """
-
-
-class ShardProcess:
-    """One long-lived child process behind a command-pipe RPC.
-
-    The parent sends picklable command tuples down a one-way pipe; the
-    child's *main* function (``main(cmd_conn, result_queue, index,
-    *args)``) answers every command with exactly one reply tuple on the
-    result queue.  :meth:`call` pairs one send with one receive under a
-    lock, so concurrent callers interleave at whole-call granularity —
-    the child never sees interleaved commands and replies cannot be
-    misattributed.
-
-    Liveness: while waiting for a reply the parent wakes every
-    ``poll_seconds`` to check the child is still alive; a dead child
-    raises :class:`ShardCrashedError` (after one final drain of the
-    result queue, closing the race where the reply was already in
-    flight).  :attr:`last_beat` is the monotonic time of the last message
-    received — the per-shard heartbeat ``/healthz`` reports.
-    """
-
-    _POLL_SECONDS = 0.25
-
-    def __init__(
-        self,
-        main: Callable[..., None],
-        index: int = 0,
-        args: Sequence[Any] = (),
-        poll_seconds: float = _POLL_SECONDS,
-    ) -> None:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context()
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        self.index = index
-        self._results = ctx.Queue()
-        self._proc = ctx.Process(
-            target=main,
-            args=(recv_conn, self._results, index, *args),
-            name=f"repro-shard-{index}",
-            daemon=True,
-        )
-        self._cmd = send_conn
-        self._child_end = recv_conn
-        self._poll = poll_seconds
-        self._lock = threading.Lock()
-        self._started = False
-        self._stopped = False
-        self.last_beat = 0.0
-
-    def start(self) -> "ShardProcess":
-        """Fork the child (idempotent); returns self."""
-        with self._lock:
-            if not self._started:
-                self._proc.start()
-                self._child_end.close()  # the child's end lives in the child
-                self._started = True
-                self.last_beat = time.monotonic()
-        return self
-
-    @property
-    def pid(self) -> int | None:
-        return self._proc.pid if self._started else None
-
-    def alive(self) -> bool:
-        return self._started and not self._stopped and self._proc.is_alive()
-
-    def call(self, *command: Any) -> Any:
-        """Send *command* and block for its reply (lock-serialised RPC).
-
-        Raises :class:`ShardCrashedError` when the child is (or dies)
-        mid-call — detected by liveness polling, so a crash never leaves
-        the caller blocked forever.
-        """
-        with self._lock:
-            return self._call_holding_lock(*command)
-
-    def try_call(self, *command: Any) -> Any | None:
-        """Like :meth:`call` but returns None instead of blocking when
-        another call is in flight (used for non-blocking heartbeats)."""
-        if not self._lock.acquire(blocking=False):
-            return None
-        try:
-            return self._call_holding_lock(*command)
-        finally:
-            self._lock.release()
-
-    def _call_holding_lock(self, *command: Any) -> Any:
-        # requires-lock: _lock
-        if not self._started or self._stopped or not self._proc.is_alive():
-            raise ShardCrashedError(
-                f"shard {self.index} is not running (pid={self.pid})"
-            )
-        try:
-            self._cmd.send(command)
-        except (BrokenPipeError, OSError) as exc:
-            raise ShardCrashedError(
-                f"shard {self.index} (pid={self.pid}) pipe is closed: {exc}"
-            ) from None
-        deadline_drain = False
-        while True:
-            try:
-                reply = self._results.get(timeout=self._poll)
-            except _queue.Empty:
-                if deadline_drain:
-                    raise ShardCrashedError(
-                        f"shard {self.index} (pid={self.pid}) died while "
-                        f"handling {command[0]!r}"
-                    ) from None
-                if not self._proc.is_alive():
-                    # One final drain: the reply may already be in flight.
-                    deadline_drain = True
-                continue
-            self.last_beat = time.monotonic()
-            return reply
-
-    def stop(self, timeout: float = 5.0) -> None:
-        """Ask the child to exit, then make sure it did.  Idempotent."""
-        with self._lock:
-            if not self._started or self._stopped:
-                self._stopped = True
-                return
-            self._stopped = True
-            try:
-                self._cmd.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-            self._cmd.close()
-        self._proc.join(timeout=timeout)
-        if self._proc.is_alive():
-            self._proc.terminate()
-            self._proc.join(timeout=timeout)
-        self._results.close()
-        self._results.cancel_join_thread()
 
 
 def parallel_starmap(

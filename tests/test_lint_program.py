@@ -387,8 +387,8 @@ def test_repo_concurrency_rules_clean_and_exercised():
 
 
 def test_repo_lock_graph_matches_documented_hierarchy():
-    """The audited PR 8 order: router -> dispatcher, manager/session ->
-    backend locks, and never the reverse."""
+    """The audited order: router -> shard queue lock, manager/session ->
+    shard pipe and session-host locks, and never the reverse."""
     from repro.lint.model import module_path_for
     from repro.lint.rules.lock_order import _function_edges
     from repro.lint.runner import iter_python_files
@@ -404,8 +404,8 @@ def test_repo_lock_graph_matches_documented_hierarchy():
     ):
         _function_edges(project, func, edges)
     labels = {(lock_label(a), lock_label(b)) for a, b in edges}
-    assert ("ShardRouter._lock", "ShardDispatcher._lock") in labels
-    assert ("ShardDispatcher._lock", "ShardRouter._lock") not in labels
+    assert ("ShardRouter._lock", "ProcessShard._lock") in labels
+    assert ("ProcessShard._lock", "ShardRouter._lock") not in labels
     for upper in ("SessionManager._lock", "LiveSession.lock"):
-        for lower in ("ShardProcess._lock", "SessionHost._lock"):
+        for lower in ("ProcessShard._pipe_lock", "SessionHost._lock"):
             assert (lower, upper) not in labels

@@ -1,12 +1,13 @@
 """The shard layer (:mod:`repro.service.shard`, the sharded
 :class:`~repro.service.jobs.ShardRouter`): process-resident shard RPC,
-affine routing, crash semantics, global admission under concurrency, the
-per-shard scenario LRU, and the byte-identity contract across shard
-counts, heuristics and kernel modes."""
+affine routing, fork ordering, crash semantics, global admission under
+concurrency, the per-shard scenario LRU, and the byte-identity contract
+across shard counts, heuristics and kernel modes."""
 
 from __future__ import annotations
 
 import json
+import multiprocessing.process
 import os
 import threading
 import urllib.error
@@ -22,20 +23,24 @@ from repro.io.serialization import (
 )
 from repro.service.jobs import QueueFullError, ShardRouter
 from repro.service.registry import ScenarioRegistry
-from repro.service.shard import ProcessShard
+from repro.service.shard import ProcessShard, ShardCrashedError
 from repro.service.worker import (
     DEFAULT_SCENARIO_CACHE,
     SessionHost,
     _ScenarioCache,
     execute_mapping,
     resolve_scenario_cache,
-    shard_main,
 )
-from repro.util.parallel import ShardCrashedError, ShardProcess, resolve_shards
+from repro.util.parallel import resolve_shards
 
 
 def _scenario_doc(n_tasks=12, seed=3) -> dict:
     return scenario_to_dict(generate_named_scenario(n_tasks, seed))
+
+
+def _bare_shard(index: int = 0) -> ProcessShard:
+    """A shard outside any started router, driven by direct calls."""
+    return ProcessShard(index, ShardRouter(ScenarioRegistry(), shards=1))
 
 
 # ---------------------------------------------------------------------------
@@ -65,45 +70,80 @@ class TestResolveShards:
 
 
 # ---------------------------------------------------------------------------
-# the shard process RPC primitive
+# the shard's pipe RPC
 
 
 class TestShardProcess:
     def test_ping_roundtrip_and_stop(self):
-        proc = ShardProcess(shard_main, index=5)
-        proc.start()
+        shard = _bare_shard(5)
+        shard.start()
         try:
-            assert proc.alive() and proc.pid is not None
-            status, reply = proc.call("ping")
+            assert shard.alive() and shard.pid is not None
+            status, reply = shard.call("ping")
             assert status == "ok"
-            assert reply["pid"] == proc.pid
+            assert reply["pid"] == shard.pid
             assert reply["sessions"] == 0
         finally:
-            proc.stop()
-        assert not proc.alive()
+            shard.close()
+        assert not shard.alive()
 
     def test_crash_raises_instead_of_hanging(self):
-        proc = ShardProcess(shard_main, index=0)
-        proc.start()
+        shard = _bare_shard()
+        shard.start()
         try:
             with pytest.raises(ShardCrashedError):
-                proc.call("exit", 3)  # os._exit in the child; no reply
-            assert not proc.alive()
+                shard.call("exit", 3)  # os._exit in the child; no reply
+            assert not shard.alive()
             # Every subsequent call fails fast too.
             with pytest.raises(ShardCrashedError):
-                proc.call("ping")
+                shard.call("ping")
         finally:
-            proc.stop()
+            shard.close()
 
     def test_start_is_idempotent(self):
-        proc = ShardProcess(shard_main, index=0)
-        proc.start()
+        shard = _bare_shard()
+        shard.start()
         try:
-            pid = proc.pid
-            proc.start()
-            assert proc.pid == pid
+            pid = shard.pid
+            shard.start()
+            assert shard.pid == pid
         finally:
-            proc.stop()
+            shard.close()
+
+
+# ---------------------------------------------------------------------------
+# fork ordering: a fork clones only the calling thread
+
+
+class TestForkOrdering:
+    def test_no_dispatcher_thread_runs_at_any_fork(self, monkeypatch):
+        """``ShardRouter.start`` forks every child before it starts any
+        dispatcher thread, so no child inherits a lock held by one."""
+        before = set(threading.enumerate())
+        running_at_fork: list[list[str]] = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def recording_start(process):
+            running_at_fork.append(
+                sorted(
+                    t.name
+                    for t in threading.enumerate()
+                    if t not in before and t.name.startswith("repro-dispatcher-")
+                )
+            )
+            return start(process)
+
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", recording_start
+        )
+        manager = ShardRouter(ScenarioRegistry(), shards=3)
+        try:
+            manager.start()
+            assert running_at_fork == [[], [], []]
+            names = {t.name for t in threading.enumerate()}
+            assert {f"repro-dispatcher-{k}" for k in range(3)} <= names
+        finally:
+            manager.close(drain_timeout=0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +234,7 @@ class TestCrashSemantics:
             victim = manager.shard_for(sid)
             other = manager.shards[1 - victim.index]
             with pytest.raises(ShardCrashedError):
-                victim.backend._proc.call("exit", 7)
+                victim.call("exit", 7)
             # The job routed at the dead shard fails — it does not hang.
             job = manager.submit(sid, "greedy")
             assert job.done.wait(timeout=120)
@@ -234,7 +274,7 @@ class TestCrashSemantics:
                 assert entry["queue_depth"] == 0
             sid, _ = reg.put(_scenario_doc())
             with pytest.raises(ShardCrashedError):
-                manager.shard_for(sid).backend._proc.call("exit", 1)
+                manager.shard_for(sid).call("exit", 1)
             with pytest.raises(urllib.error.HTTPError) as exc_info:
                 urllib.request.urlopen(base + "/healthz", timeout=30)
             assert exc_info.value.code == 503
@@ -433,8 +473,8 @@ class TestShardedSessions:
                 {"scenario": sid, "heuristic": "slrh1", "pending": list(held)}
             )
             # sess-00000001 -> shard 1 of 2: a real child process.
-            assert session.backend is manager.shards[1].backend
-            assert isinstance(session.backend, ProcessShard)
+            assert session.shard is manager.shards[1]
+            assert isinstance(session.shard, ProcessShard)
             lines: list[bytes] = []
             for start in range(0, len(events), 5):
                 lines.extend(session.stream(events[start : start + 5]))
@@ -468,10 +508,10 @@ class TestShardedSessions:
                 scenario, seed=5, n_events=6, max_cycle=40
             )
             session = sessions.open({"scenario": sid, "heuristic": "greedy"})
-            backend = session.backend
-            assert isinstance(backend, ProcessShard)
+            shard = session.shard
+            assert isinstance(shard, ProcessShard)
             with pytest.raises(ShardCrashedError):
-                backend._proc.call("exit", 2)
+                shard.call("exit", 2)
             lines = list(session.stream(events))
             assert len(lines) == 1
             record = json.loads(lines[0])
@@ -482,7 +522,7 @@ class TestShardedSessions:
 
 
 # ---------------------------------------------------------------------------
-# shard backends directly
+# a shard driven directly
 
 
 class TestShardBackends:
@@ -490,21 +530,22 @@ class TestShardBackends:
         reg = ScenarioRegistry()
         sid, _ = reg.put(_scenario_doc())
         doc = reg.get_doc(sid)
-        shard = ProcessShard(0).start()
+        shard = _bare_shard().start()
         try:
             first = shard.run_job(sid, doc, "greedy", None, None)
             second = shard.run_job(sid, doc, "greedy", None, None)
             assert first["mapping"] == second["mapping"]
             # Second run hit the child's deserialised-scenario LRU.
             assert second["perf"].get("worker.scenario_cache_hits") == 1
-            assert shard._doc_to_ship(sid, doc) is None  # already shipped
+            with shard._pipe_lock:
+                assert sid in shard._shipped  # the next call sends None
         finally:
-            shard.stop()
+            shard.close()
 
     def test_process_shard_maps_child_errors_to_builtins(self):
-        shard = ProcessShard(0).start()
+        shard = _bare_shard().start()
         try:
             with pytest.raises(KeyError):
                 shard.session_events("sess-nope", [])
         finally:
-            shard.stop()
+            shard.close()
