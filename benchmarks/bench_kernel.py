@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Generate ``BENCH_kernel.json``: columnar vs rebuild.
+"""Generate ``benchmarks/BENCH_kernel.json``: columnar vs rebuild.
 
 Measures, for each SLRH variant on a 240-task paper-scaled workload, the
 best-of-N wall time of a full ``map()`` under the two kernel modes:
@@ -20,7 +20,7 @@ scale: aggregate mean rebuild/columnar speedup >= 1.5x.
 
 Usage::
 
-    python benchmarks/bench_kernel.py                 # write BENCH_kernel.json
+    python benchmarks/bench_kernel.py                 # write benchmarks/BENCH_kernel.json
     python benchmarks/bench_kernel.py --out F.json    # write elsewhere
     python benchmarks/bench_kernel.py --n-tasks 64 --repeats 2   # quick look
 """
@@ -47,8 +47,8 @@ from repro.core.slrh import SLRH_VARIANTS, SlrhConfig  # noqa: E402
 from repro.io.serialization import canonical_mapping_bytes  # noqa: E402
 from repro.workload.scenario import paper_scaled_suite  # noqa: E402
 
-SCHEMA = "repro.bench/1"
-DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
+SCHEMA = "repro.bench.kernel/1"
+DEFAULT_OUT = Path(__file__).resolve().parent / "BENCH_kernel.json"
 CRITERION_SPEEDUP = 1.5
 
 ALPHA, BETA = 0.5, 0.2
@@ -117,7 +117,6 @@ def measure(n_tasks: int, repeats: int, seed: int) -> dict:
     aggregate = round(sum(speedups) / len(speedups), 3)
     return {
         "schema": SCHEMA,
-        "benchmark": "kernel",
         "date": datetime.date.today().isoformat(),
         "host": {
             "cpu_count": os.cpu_count(),

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.feasibility import FeasibilityChecker
-from repro.core.kernel import SchedulingKernel
+from repro.core.kernel import SchedulingKernel, resolve_kernel_mode
 from repro.core.objective import ObjectiveFunction, Weights
 from repro.core.slrh import MappingResult
 from repro.sim.schedule import Schedule
@@ -85,9 +85,9 @@ class MaxMaxScheduler:
             raise ValueError(f"unknown machine_stage {self.config.machine_stage!r}")
         insertion = self.config.insertion
         n_machines = scenario.n_machines
-        # The kernel's static plan memo re-prices each (task, machine) pair
-        # only when a commit could have changed it.
-        kernel = SchedulingKernel(schedule, None, objective)
+        # The columnar kernel's static plan memo re-prices a (task, machine)
+        # pair only when a commit could have changed it; rebuild re-plans.
+        kernel = SchedulingKernel(schedule, None, objective, mode=resolve_kernel_mode())
         plans = kernel.static_plans
 
         def select() -> tuple:

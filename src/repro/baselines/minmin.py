@@ -14,7 +14,7 @@ the extended benches report it alongside the paper's heuristics.
 
 from __future__ import annotations
 
-from repro.core.kernel import SchedulingKernel
+from repro.core.kernel import SchedulingKernel, resolve_kernel_mode
 from repro.core.slrh import MappingResult
 from repro.sim.schedule import ExecutionPlan, Schedule
 from repro.sim.trace import MappingTrace
@@ -58,9 +58,9 @@ class MinMinScheduler:
         elif schedule.scenario is not scenario:
             raise ValueError("schedule was built for a different scenario")
         trace = MappingTrace()
-        # The kernel's static plan memo re-prices each (task, machine) pair
-        # only when a commit could have changed it.
-        kernel = SchedulingKernel(schedule, None, None)
+        # The columnar kernel's static plan memo re-prices a (task, machine)
+        # pair only when a commit could have changed it; rebuild re-plans.
+        kernel = SchedulingKernel(schedule, None, None, mode=resolve_kernel_mode())
 
         def select() -> tuple:
             """One Min-Min round: the smallest-MCT ready subtask."""

@@ -67,7 +67,7 @@ from repro.core.constants import EPSILON
 from repro.core.feasibility import FeasibilityChecker
 from repro.core.objective import ObjectiveFunction
 from repro.core.pool import Candidate
-from repro.obs.spans import NULL_SPAN, NULL_TRACER, NullTracer, Tracer
+from repro.obs.spans import NULL_SPAN
 from repro.sim.schedule import ExecutionPlan, Schedule
 from repro.workload.versions import Version
 
@@ -243,12 +243,13 @@ class ColumnarPool:
         self._agg = None
 
     def pool_for(
-        self, machine: int, not_before: float, tracer: Tracer | NullTracer = NULL_TRACER
+        self, machine: int, not_before: float
     ) -> tuple[list[Candidate], float | None]:
         """The ordered pool U for *machine* at *not_before*, plus the
         earliest release time among ready-but-unreleased tasks (``None``
         when there is none) — the kernel's wake-up hint."""
         schedule = self.schedule
+        tracer = schedule.tracer
         perf = schedule.perf
         agg = schedule.aggregate_state()
         if agg != self._agg:

@@ -52,7 +52,9 @@ searches are monotone in their lower bound), so a sleep can only ever be
 *conservative* — waking early is harmless, and the serve that follows
 re-derives eligibility from scratch.  :meth:`SchedulingKernel.run` also
 fast-forwards runs of stall ticks (every machine unavailable or asleep)
-in one tight loop.
+in one tight loop — traced or not: the schedule's tracer
+(:attr:`~repro.sim.schedule.Schedule.tracer`) sees each run as one
+``kernel.stall`` span, so a traced run is the production run.
 
 The differential oracle
 -----------------------
@@ -62,15 +64,17 @@ tentative plan computed afresh.  Mappings are byte-identical across the
 two modes for every heuristic (pinned by ``tests/test_kernel.py`` and the
 ``kernel-differential`` CI job).  The decision ledger records per-tick
 rejection history that only exists when pools are actually rebuilt, so
-ledgered runs always use the rebuild path — observability never changes
-the mapping, and the hot path never pays for it.
+ledgered runs always use the rebuild path (``SlrhScheduler.map`` refuses
+anything else) — the ledger never changes the mapping, and the hot path
+never pays for it.
 
 The static plan memo
 --------------------
 Max-Max and Min-Min re-price every ready (task, machine) pair in every
-round, and a round commits exactly one plan.  :meth:`SchedulingKernel.
-run_static` therefore keeps one memo for the duration of the call, read
-through :meth:`SchedulingKernel.static_plans`.  A static run only ever
+round, and a round commits exactly one plan.  In ``columnar`` mode (the
+``rebuild`` oracle plans afresh) :meth:`SchedulingKernel.run_static`
+therefore keeps one memo for the duration of the call, read through
+:meth:`SchedulingKernel.static_plans`.  A static run only ever
 *commits* — nothing is released, unassigned, re-timed or taken offline —
 so calendars only gain reservations, and a memoised pair whose comm and
 exec slots are all still free is exactly what a fresh search returns: a
@@ -86,6 +90,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -95,7 +100,7 @@ from repro.core.feasibility import FeasibilityChecker
 from repro.core.objective import ObjectiveFunction
 from repro.core.pool import Candidate, build_candidate_pool
 from repro.obs.ledger import ENERGY_INFEASIBLE, LOST_ON_SCORE, OUTSIDE_HORIZON
-from repro.obs.spans import NULL_SPAN, NULL_TRACER, NullTracer, Tracer
+from repro.obs.spans import NULL_SPAN
 from repro.sim.clock import SimulationClock
 from repro.sim.schedule import ExecutionPlan, Schedule
 from repro.sim.trace import MappingTrace
@@ -313,35 +318,38 @@ class SchedulingKernel:
         *,
         max_ticks: int,
         stop_cycle: int | None = None,
-        tracer=NULL_TRACER,
     ) -> None:
         """Drive the clock loop until completion, τ, *stop_cycle* or the
         tick cap — mutating *clock*, the schedule and *trace* in place."""
         schedule = self.schedule
         scenario = schedule.scenario
+        tracer = schedule.tracer
         tracing = tracer.enabled
         # Stall ticks (every machine unavailable or asleep) mutate nothing
         # but the clock and three trace counters, so the columnar mode
         # consumes them in a tight arithmetic loop instead of the full
-        # scan machinery.  Guarded to the untraced, unledgered hot path;
-        # the loop evaluates the exact same availability/sleep predicates
-        # per tick, so counters and mappings are byte-identical.
-        fast = self.pool is not None and not tracing and trace.ledger is None
+        # scan machinery, traced or not; the loop evaluates the exact same
+        # availability/sleep predicates per tick, so counters and mappings
+        # are byte-identical.
+        fast = self.pool is not None
         tick_index = 0
         while tick_index < max_ticks:
             if stop_cycle is not None and clock.cycle >= stop_cycle:
                 break
             if fast:
+                if tracing:
+                    stall_clock, started = clock.now, time.perf_counter()
                 consumed, stop = self._fast_forward(
                     clock, trace, max_ticks - tick_index, stop_cycle, scenario.tau
                 )
-                tick_index += consumed
-                if stop:
-                    break
                 if consumed:
+                    if tracing:
+                        tracer.complete("kernel.stall", started, time.perf_counter(),
+                                        ticks=consumed, tick=tick_index, clock=stall_clock)
+                    tick_index += consumed
+                    if stop:
+                        break
                     continue
-                if tick_index >= max_ticks:
-                    break
             trace.note_tick()
             tick_span = (
                 tracer.span("kernel.tick", tick=tick_index, clock=clock.now)
@@ -361,7 +369,7 @@ class SchedulingKernel:
                         # exactly as the rebuild path does.
                         trace.note_empty_pool()
                         continue
-                    made = self._serve_machine(j, policy, clock, trace, tracer)
+                    made = self._serve_machine(j, policy, clock, trace)
                     if made == 0:
                         trace.note_empty_pool()
                     if schedule.is_complete:
@@ -449,11 +457,7 @@ class SchedulingKernel:
         return consumed, stop
 
     def _build_pool(
-        self,
-        machine: int,
-        not_before: float,
-        trace: MappingTrace,
-        tracer: Tracer | NullTracer,
+        self, machine: int, not_before: float, trace: MappingTrace
     ) -> tuple[list[Candidate], float | None]:
         if self.pool is None:
             return (
@@ -467,7 +471,7 @@ class SchedulingKernel:
                 ),
                 None,
             )
-        return self.pool.pool_for(machine, not_before, tracer)
+        return self.pool.pool_for(machine, not_before)
 
     def _serve_machine(
         self,
@@ -475,13 +479,12 @@ class SchedulingKernel:
         policy: TickPolicy,
         clock: SimulationClock,
         trace: MappingTrace,
-        tracer: Tracer | NullTracer,
     ) -> int:
         """One (tick, machine) serve under *policy*; returns commits made."""
         schedule = self.schedule
         not_before = clock.now + self.latency
         made = 0
-        pool, min_release = self._build_pool(machine, not_before, trace, tracer)
+        pool, min_release = self._build_pool(machine, not_before, trace)
         while pool:
             replan = made > 0 and policy.refresh == "replan"
             if not self._commit_first_startable(pool, clock, trace, replan=replan):
@@ -492,7 +495,7 @@ class SchedulingKernel:
             if policy.max_commits is not None and made >= policy.max_commits:
                 break
             if policy.refresh == "rebuild":
-                pool, min_release = self._build_pool(machine, not_before, trace, tracer)
+                pool, min_release = self._build_pool(machine, not_before, trace)
             elif policy.refresh == "none":
                 break
         if made == 0 and self.pool is not None:
@@ -655,8 +658,8 @@ class SchedulingKernel:
     ) -> tuple[ExecutionPlan, ExecutionPlan]:
         """The (primary, secondary) plan pair for *task* on *machine* at
         clock 0 — :meth:`Schedule.plan_versions` semantics, served from
-        the static plan memo while :meth:`run_static` runs (see the module
-        docstring) and computed afresh otherwise."""
+        the static plan memo while a ``columnar`` :meth:`run_static` runs
+        (see the module docstring) and computed afresh otherwise."""
         schedule = self.schedule
         memo = self._memo
         if memo is None:
@@ -740,13 +743,15 @@ class SchedulingKernel:
         *select* is a zero-argument callable returning ``(plan, pool_size)``
         — the round's winning plan (``None`` stops the loop) and, when
         *record_commits*, the candidate count to stamp on the trace record.
-        The kernel owns the loop, the commit, the trace bookkeeping and the
-        static plan memo *select* may read through :meth:`static_plans`;
-        the heuristic owns only its selection rule.
+        The kernel owns the loop, the commit, the trace bookkeeping and —
+        in ``columnar`` mode — the static plan memo *select* may read
+        through :meth:`static_plans`; the heuristic owns only its
+        selection rule.
         """
         schedule = self.schedule
-        memo: dict[int, dict[tuple[int, bool], _MemoEntry]] = {}
-        self._memo = memo
+        # Columnar only: the rebuild oracle plans every lookup afresh.
+        self._memo = {} if self.mode == "columnar" else None
+        memo = self._memo
         try:
             while not schedule.is_complete:
                 if note_ticks:
@@ -757,7 +762,8 @@ class SchedulingKernel:
                         trace.note_empty_pool()
                     break
                 schedule.commit(plan)
-                memo.pop(plan.task, None)
+                if memo is not None:
+                    memo.pop(plan.task, None)
                 if record_commits:
                     trace.record_commit(
                         clock=0.0,

@@ -36,7 +36,7 @@ from repro.core.feasibility import FeasibilityChecker
 from repro.core.kernel import SchedulingKernel, TickPolicy, resolve_kernel_mode
 from repro.core.objective import ObjectiveFunction, Weights
 from repro.obs.ledger import DEADLINE_INFEASIBLE, DecisionLedger
-from repro.obs.spans import NULL_SPAN, NULL_TRACER, NullTracer, Tracer
+from repro.obs.spans import NULL_SPAN, NullTracer, Tracer
 from repro.sim.clock import SimulationClock
 from repro.sim.schedule import Schedule
 from repro.sim.trace import MappingTrace
@@ -227,33 +227,36 @@ class SlrhScheduler:
             leaving the schedule partially built — the session engine
             runs the heuristic segment-by-segment between grid events.
         tracer:
-            Optional :class:`repro.obs.spans.Tracer`; records the
-            ``map → kernel.tick → pool.build/select/commit`` span tree
-            for Chrome-trace export.  ``None`` (default) uses the shared
-            no-op tracer.
+            Optional :class:`repro.obs.spans.Tracer`, installed as
+            ``schedule.tracer``; records the ``map → kernel.tick/stall →
+            pool/commit`` span tree for Chrome-trace export.  ``None``
+            (default) keeps the schedule's own (the no-op tracer unless
+            the session engine gave it one).
         kernel:
             Optional persistent :class:`~repro.core.kernel.SchedulingKernel`
             to drive instead of building a fresh one — the session engine
             keeps one kernel per schedule across segments.  Must have been
             built (via :meth:`make_kernel`) for this *schedule*, and every
             change made to the schedule since its last run must have been
-            reported through its ``note_*`` hooks.
+            reported through its ``note_*`` hooks.  A ledgered
+            configuration refuses a columnar kernel.
         """
         cfg = self.config
-        if tracer is None:
-            tracer = NULL_TRACER
         if schedule is None:
-            schedule = Schedule(scenario, tracer=tracer)
+            schedule = Schedule(scenario)
         elif schedule.scenario is not scenario:
             raise ValueError("schedule was built for a different scenario")
-        elif tracer is not NULL_TRACER:
-            schedule.tracer = tracer
-        if tracer.enabled and tracer.perf is None:
-            tracer.perf = schedule.perf
         if kernel is None:
             kernel = self.make_kernel(schedule)
         elif kernel.schedule is not schedule:
             raise ValueError("kernel was built for a different schedule")
+        elif cfg.ledger and kernel.mode != "rebuild":
+            raise ValueError("a ledgered map needs a rebuild kernel")
+        if tracer is not None:
+            schedule.tracer = tracer
+        tracer = schedule.tracer
+        if tracer.enabled and tracer.perf is None:
+            tracer.perf = schedule.perf
         clock = SimulationClock(
             delta_t_cycles=cfg.delta_t_cycles,
             horizon_cycles=cfg.horizon_cycles,
@@ -273,12 +276,7 @@ class SlrhScheduler:
             else NULL_SPAN
         ):
             kernel.run(
-                self.policy,
-                clock,
-                trace,
-                max_ticks=max_ticks,
-                stop_cycle=stop_cycle,
-                tracer=tracer,
+                self.policy, clock, trace, max_ticks=max_ticks, stop_cycle=stop_cycle
             )
         if (
             trace.ledger is not None

@@ -5,28 +5,24 @@ A *span* is a named, timed region of work entered as a context manager::
     with tracer.span("pool.build", machine=j):
         ...
 
-Completed spans accumulate on the :class:`Tracer` (relative to its
-creation instant) and export as Chrome trace-event JSON — load the file
-in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing`` and the
-whole mapping is visible as a flame chart: ``map`` → per-``kernel.tick``
-→ ``pool.columnar`` (delta-maintained candidate pool) or ``pool.build``
-(full rebuild) / ``select`` / ``commit``, exactly the §IV inner loop as
-the :class:`repro.core.kernel.SchedulingKernel` drives it.
-Span nesting needs no explicit stack: overlapping complete ("X") events
-on one thread row render nested by containment.
+Completed spans accumulate on the :class:`Tracer` and export as Chrome
+trace-event JSON (Perfetto, ``chrome://tracing``): the whole mapping as
+a flame chart, ``map`` → ``kernel.tick`` → ``pool.columnar`` (or the
+rebuild oracle's ``pool.build`` → ``select``) / ``commit``, plus one
+``kernel.stall`` (args ``ticks``, ``tick``, ``clock``) per run of stall
+ticks the columnar kernel fast-forwards.  A traced run is the production
+run: ``kernel.tick`` spans plus ``kernel.stall`` ticks equal the trace's
+tick count.  Overlapping complete ("X") events on one thread row render
+nested by containment, so no span stack is kept.  A tracer carrying a
+:class:`repro.perf.PerfCounters` also feeds each span into the
+``span.<name>_seconds`` histogram (perf JSON, ``/metrics``).
 
-When the tracer carries a :class:`repro.perf.PerfCounters`, every span
-also lands in the ``span.<name>_seconds`` histogram, so the p50/p95/p99
-of each phase appear in the perf JSON and on the daemon's ``/metrics``.
-
-The **null tracer** (:data:`NULL_TRACER`) is the disabled path threaded
-through the hot loops: its :meth:`~NullTracer.span` returns one shared
-no-op context manager, so instrumentation costs two cheap calls per
-span site and allocates nothing.  The hottest sites (per-candidate
-``select``, per-scan ``pool.build``/``pool.columnar``, per-tick
-``kernel.tick``) go further and
-branch on ``tracer.enabled`` before even building the span's kwargs —
-when disabled they pay a single attribute check (see :data:`NULL_SPAN`).  ``Tracer`` instances are single-thread
+A mapping's tracer lives on its schedule
+(:attr:`repro.sim.schedule.Schedule.tracer`); the disabled default is
+:data:`NULL_TRACER`, whose :meth:`~NullTracer.span` returns one shared
+no-op context manager.  Hot sites branch on ``tracer.enabled`` before
+even building a span's kwargs (see :data:`NULL_SPAN`), so a disabled
+site costs one attribute check.  ``Tracer`` instances are single-thread
 affine (one mapping = one tracer); the service does not share them.
 """
 
@@ -93,6 +89,9 @@ class NullTracer:
     def instant(self, name: str, **args) -> None:
         return None
 
+    def complete(self, name: str, started: float, ended: float, **args) -> None:
+        return None
+
 
 #: The shared disabled tracer instance the hot paths default to.
 NULL_TRACER = NullTracer()
@@ -124,6 +123,11 @@ class Tracer:
         self.events.append(
             {"name": name, "ts": time.perf_counter() - self._t0, "dur": None, "args": args}
         )
+
+    def complete(self, name: str, started: float, ended: float, **args) -> None:
+        """Record a span the caller timed (``perf_counter`` instants) and
+        kept once it knew the region was worth a span."""
+        self._record(name, started, ended - started, args)
 
     def _record(self, name: str, started: float, duration: float, args: dict) -> None:
         self.events.append(

@@ -91,7 +91,6 @@ def main(argv: list[str] | None = None) -> int:
             registry,
             max_sessions=args.max_sessions,
             idle_timeout=args.session_idle,
-            perf=manager.perf,
             router=manager,
         )
     except ValueError as exc:

@@ -138,9 +138,7 @@ class ServiceServer(ThreadingHTTPServer):
         self.sessions = (
             sessions
             if sessions is not None
-            else SessionManager(
-                manager.registry, perf=manager.perf, router=manager
-            )
+            else SessionManager(manager.registry, router=manager)
         )
         self.started_at = time.monotonic()
 
@@ -469,8 +467,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
         for line in session.stream(events):
             self.wfile.write(line)
             self.wfile.flush()
-        if session.is_closed():
-            sessions.note_closed(session)
 
     # -- GET ---------------------------------------------------------------
 

@@ -18,8 +18,9 @@ scenario cannot starve requests routed to other shards.  Draining is
 global: once :meth:`ShardRouter.drain` starts, every shard rejects with
 :class:`DrainingError` (503) while queued and in-flight jobs run out.
 
-The router owns the global :mod:`repro.perf` registry (service counters,
-request/map latency histograms, every job's merged engine counters);
+The router owns the global :mod:`repro.perf` registry (service and
+session counters, request/map latency histograms, every job's and closed
+session's merged engine counters), written only under the router lock;
 each shard keeps a per-shard registry (``shard<k>.*`` counters,
 exact map-seconds histogram, queue/busy/cache gauges).
 :meth:`ShardRouter.metrics_document` rolls all of them into the one
@@ -128,7 +129,9 @@ class ShardRouter:
     global perf accounting (``service.*`` counters and latency
     histograms) lives on :attr:`perf` and is mutated only under
     ``_lock`` — submitters take it on admission, dispatcher threads take
-    it per finished job — so exact counts survive N concurrent shards.
+    it per finished job, the session layer takes it through
+    :meth:`record_perf` — so exact counts survive N concurrent shards
+    and a ``/metrics`` scrape never copies a registry mid-write.
     """
 
     def __init__(
@@ -148,8 +151,8 @@ class ShardRouter:
         # Resolved here, so a bad value is a constructor ValueError, not
         # a dead shard child.
         self.scenario_cache = resolve_scenario_cache(scenario_cache)
-        self.perf = PerfCounters()
         self._lock = threading.Lock()
+        self.perf = PerfCounters()  # guarded-by: _lock
         self._jobs: dict[str, Job] = {}  # guarded-by: _lock
         self._job_order: deque[str] = deque()  # guarded-by: _lock
         self._ids = itertools.count(1)  # guarded-by: _lock
@@ -358,6 +361,12 @@ class ShardRouter:
         )
         job.done.set()
 
+    def record_perf(self, update: PerfCounters | dict[str, float]) -> None:
+        """Fold *update* (a registry, or counter increments) into
+        :attr:`perf` under the router lock: how the session layer writes it."""
+        with self._lock:
+            self.perf.merge(update)
+
     # -- health ------------------------------------------------------------
 
     def health_doc(self) -> dict:
@@ -393,7 +402,9 @@ class ShardRouter:
         shard_registries = [shard.perf_registry() for shard in self.shards]
         with self._lock:
             own = PerfCounters().merge(self.perf)
-        merged = merge_registries(self.registry.perf, own, *shard_registries)
+        merged = merge_registries(
+            self.registry.perf_registry(), own, *shard_registries
+        )
         merged.set_gauge("service.queue_depth", float(self.queue_depth))
         merged.set_gauge("service.inflight", float(self.inflight))
         merged.set_gauge("service.draining", 1.0 if self.draining else 0.0)

@@ -1,4 +1,4 @@
-"""Load generator for the scheduling service → ``BENCH_service.json``.
+"""Load generator for the scheduling service → ``benchmarks/BENCH_service.json``.
 
 Drives N concurrent synchronous ``/v1/map`` clients against a running
 service (or a self-hosted in-process one), one level per requested
@@ -30,7 +30,8 @@ Usage::
     python -m repro.service.loadgen [--url http://host:port | --shards N]
                                     [--clients 1,4,16] [--requests 8]
                                     [--n-tasks 24] [--seed 7]
-                                    [--heuristic slrh1] [--out BENCH_service.json]
+                                    [--heuristic slrh1]
+                                    [--out benchmarks/BENCH_service.json]
 
 Without ``--url`` a service is booted in-process on an ephemeral port
 (with ``--shards`` worker processes) and torn down afterwards, so the
@@ -650,7 +651,8 @@ def measure_shard_speedup(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service.loadgen",
-        description="Benchmark a repro.service daemon; writes BENCH_service.json.",
+        description="Benchmark a repro.service daemon; writes "
+        "benchmarks/BENCH_service.json.",
     )
     parser.add_argument("--url", default=None,
                         help="base URL of a running service (default: self-host)")
@@ -680,7 +682,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n-tasks", type=int, default=24)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--heuristic", default="slrh1")
-    parser.add_argument("--out", default="BENCH_service.json")
+    parser.add_argument("--out", default="benchmarks/BENCH_service.json")
     args = parser.parse_args(argv)
     try:
         levels = tuple(int(c) for c in args.clients.split(",") if c.strip())

@@ -22,9 +22,9 @@ from repro.perf import PerfCounters
 class ScenarioRegistry:
     """Thread-safe content-addressed store of scenario documents."""
 
-    def __init__(self, perf: PerfCounters | None = None) -> None:
-        self.perf = perf if perf is not None else PerfCounters()
+    def __init__(self) -> None:
         self._lock = threading.Lock()
+        self.perf = PerfCounters()  # guarded-by: _lock
         self._docs: dict[str, dict] = {}  # guarded-by: _lock
 
     def put(self, doc: dict) -> tuple[str, bool]:
@@ -49,6 +49,12 @@ class ScenarioRegistry:
                 self.perf.inc("registry.put_dup")
             self.perf.set_gauge("registry.scenarios", float(len(self._docs)))
         return scenario_id, created
+
+    def perf_registry(self) -> PerfCounters:
+        """A copy of the registry's counters and gauges, taken under its
+        lock (a concurrent ``put`` may add keys)."""
+        with self._lock:
+            return PerfCounters().merge(self.perf)
 
     def get_doc(self, scenario_id: str) -> dict:
         """The stored document for *scenario_id* (KeyError when absent)."""

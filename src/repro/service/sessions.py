@@ -25,7 +25,13 @@ Concurrency model:
 * each **session lock** (``LiveSession.lock``) serialises event batches
   on that session, so two clients streaming into the same session
   interleave at batch granularity and the delta ``seq`` numbers stay
-  dense.
+  dense;
+* session counters and gauges (``session.opened``, ``event_errors``,
+  ``closed`` …) and a closed session's engine counters live in the
+  router's service registry, written only through
+  :meth:`~repro.service.jobs.ShardRouter.record_perf` under the router
+  lock — the lock ``/metrics`` copies it under.  Nothing holding the
+  router lock ever takes a manager or session lock.
 
 Sessions are evicted after :attr:`SessionManager.idle_timeout` seconds
 without a request (closed sessions too — the final mapping stays
@@ -85,9 +91,8 @@ class LiveSession:
     """One open session: a proxy over its hosting shard's kernel.
 
     Every method takes ``self.lock`` itself; callers never talk to the
-    hosting shard directly.  The proxy caches what the HTTP layer needs
-    between batches (closed flag, error count, the close-time perf
-    snapshot) so status checks after a stream don't need another RPC.
+    hosting shard directly.  Session counters go to the router's service
+    registry through :meth:`ShardRouter.record_perf`.
     """
 
     def __init__(
@@ -96,18 +101,15 @@ class LiveSession:
         scenario_id: str,
         heuristic: str,
         shard: ProcessShard,
-        perf: PerfCounters,
+        router: ShardRouter,
     ) -> None:
         self.id = session_id
         self.scenario_id = scenario_id
         self.heuristic = heuristic  # canonical registry name
         self.shard = shard  # hosting shard (RPCs are self-serialising)
-        self.perf = perf  # the service registry (mutated via manager lock paths)
+        self.router = router
         self.lock = threading.Lock()
         self.last_active = time.monotonic()  # guarded-by: lock
-        self.n_errors = 0  # guarded-by: lock
-        self._closed = False  # guarded-by: lock
-        self._perf_snapshot: dict | None = None  # guarded-by: lock
 
     def stream(self, events: Sequence[SessionEvent]) -> Iterator[bytes]:
         """Apply *events* in order on the hosting shard, yielding each
@@ -118,7 +120,10 @@ class LiveSession:
         engine rejects atomically, so the session stays usable and the
         remaining events of the batch are simply not applied.  A crashed
         shard yields one error record naming the crash — the stream
-        fails, it never hangs.
+        fails, it never hangs.  The batch that closes the session carries
+        the engine's perf snapshot (the hosting shard sends it exactly
+        once); it is merged into the service registry here, with
+        ``session.closed``.
         """
         with self.lock:
             self.last_active = time.monotonic()
@@ -127,45 +132,32 @@ class LiveSession:
                     self.id, [event.to_dict() for event in events]
                 )
             except ShardCrashedError as exc:
-                self.n_errors += 1
-                self.perf.inc("session.event_errors")
+                self.router.record_perf({"session.event_errors": 1})
                 yield canonical_json_bytes(
                     {"record": "error", "error": str(exc), "event_index": 0}
                 )
                 return
+            update = PerfCounters(reply["perf"])  # engine counters, at close
             if reply["errors"]:
-                self.n_errors += reply["errors"]
-                self.perf.inc("session.event_errors", reply["errors"])
-            if reply["closed"]:
-                self._closed = True
-                if reply["perf"] is not None:
-                    self._perf_snapshot = reply["perf"]
+                update.inc("session.event_errors", reply["errors"])
+            if reply["perf"] is not None:
+                update.inc("session.closed")
+                if _obs_enabled():
+                    _LOG.event("session.closed", session=self.id)
+            if len(update):
+                self.router.record_perf(update)
             yield from reply["lines"]
 
     def status_doc(self) -> dict:
         """JSON-ready status for ``GET /v1/session/<id>`` (one shard RPC)."""
         with self.lock:
-            doc = self.shard.session_status(self.id)
-            self._closed = doc["state"] == "closed"
-            return doc
+            return self.shard.session_status(self.id)
 
     def result_bytes(self) -> bytes | None:
         """Canonical mapping JSON of a closed session (None while open)
         — byte-identical to an offline replay of the same events."""
         with self.lock:
             return self.shard.session_result(self.id)
-
-    def is_closed(self) -> bool:
-        with self.lock:
-            return self._closed
-
-    def take_perf_snapshot(self) -> dict | None:
-        """The engine's close-time perf counters, exactly once (None
-        thereafter) — so closing twice never double-counts in the
-        service registry."""
-        with self.lock:
-            snapshot, self._perf_snapshot = self._perf_snapshot, None
-            return snapshot
 
 
 class SessionManager:
@@ -177,7 +169,6 @@ class SessionManager:
         *,
         max_sessions: int = DEFAULT_MAX_SESSIONS,
         idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
-        perf: PerfCounters | None = None,
         router: ShardRouter,
     ) -> None:
         if max_sessions < 1:
@@ -187,7 +178,6 @@ class SessionManager:
         self.registry = registry
         self.max_sessions = max_sessions
         self.idle_timeout = idle_timeout
-        self.perf = perf if perf is not None else PerfCounters()
         self.router = router
         self._lock = threading.Lock()
         self._sessions: dict[str, LiveSession] = {}  # guarded-by: _lock
@@ -222,12 +212,12 @@ class SessionManager:
         doc = self.registry.get_doc(scenario_id)
         with self._lock:
             if self._draining:
-                self.perf.inc("session.rejected_draining")
+                self.router.record_perf({"session.rejected_draining": 1})
                 raise DrainingError("service is draining; not accepting sessions")
             now = time.monotonic()
             self._evict_idle_locked(now)
             if len(self._sessions) >= self.max_sessions:
-                self.perf.inc("session.rejected")
+                self.router.record_perf({"session.rejected": 1})
                 raise SessionLimitError(len(self._sessions))
             numeric_id = self._next_id
             session_id = f"sess-{numeric_id:08d}"
@@ -243,11 +233,10 @@ class SessionManager:
                 scenario_id=scenario_id,
                 heuristic=canonical,
                 shard=shard,
-                perf=self.perf,
+                router=self.router,
             )
             self._sessions[session.id] = session
-            self.perf.inc("session.opened")
-            self._update_gauges_locked()
+            self._update_gauges_locked({"session.opened": 1})
         if _obs_enabled():
             _LOG.event(
                 "session.opened",
@@ -273,17 +262,6 @@ class SessionManager:
         with self._lock:
             return len(self._sessions)
 
-    def note_closed(self, session: LiveSession) -> None:
-        """Account a just-closed session: merge its engine counters
-        (pool builds, plan pairs …) into the service registry, once."""
-        snapshot = session.take_perf_snapshot()
-        if snapshot is None:
-            return  # a later batch on an already-closed session
-        self.perf.inc("session.closed")
-        self.perf.merge(snapshot)
-        if _obs_enabled():
-            _LOG.event("session.closed", session=session.id)
-
     # -- lifecycle ---------------------------------------------------------
 
     @property
@@ -299,11 +277,11 @@ class SessionManager:
             self._draining = True
             self._update_gauges_locked()
 
-    def _update_gauges_locked(self) -> None:
-        self.perf.set_gauge("session.active", float(len(self._sessions)))
-        self.perf.set_gauge(
-            "session.draining", 1.0 if self._draining else 0.0
-        )
+    def _update_gauges_locked(self, counters: dict[str, float] | None = None) -> None:
+        update = PerfCounters(counters)
+        update.set_gauge("session.active", float(len(self._sessions)))
+        update.set_gauge("session.draining", 1.0 if self._draining else 0.0)
+        self.router.record_perf(update)
 
     def _evict_idle_locked(self, now: float) -> None:
         """Drop sessions idle past the timeout.  A session whose lock is
@@ -311,6 +289,7 @@ class SessionManager:
         idle_after = self.idle_timeout
         if not math.isfinite(idle_after):
             return
+        evicted = 0
         for sid in list(self._sessions):
             session = self._sessions[sid]
             if not session.lock.acquire(blocking=False):
@@ -327,11 +306,11 @@ class SessionManager:
                     session.shard.session_discard(sid)
                 except ShardCrashedError:
                     pass
-                self.perf.inc("session.evicted")
+                evicted += 1
                 if _obs_enabled():
                     _LOG.event(
                         "session.evicted",
                         session=sid,
                         idle_seconds=round(idle, 3),
                     )
-        self._update_gauges_locked()
+        self._update_gauges_locked({"session.evicted": evicted} if evicted else None)

@@ -41,7 +41,7 @@ import math
 from repro.core.slrh import MappingResult, SlrhScheduler
 from repro.obs.log import enabled as _obs_enabled
 from repro.obs.log import get_logger
-from repro.obs.spans import NULL_SPAN, NULL_TRACER, NullTracer, Tracer
+from repro.obs.spans import NULL_SPAN, NullTracer, Tracer
 from repro.sim.engine import rollback_machine
 from repro.sim.schedule import Schedule
 from repro.session.events import SessionEvent, validate_events
@@ -97,8 +97,9 @@ class SessionEngine:
         segment — the per-event from-scratch arm of the replan-frequency
         benchmark.  Mappings are byte-identical either way.
     tracer:
-        Optional span tracer; each applied event is wrapped in a
-        ``session.event`` span and the usual map/tick spans nest below.
+        Optional span tracer, installed as ``schedule.tracer``; each
+        applied event is wrapped in a ``session.event`` span and every
+        replan segment's map/tick/stall spans nest below.
     """
 
     def __init__(
@@ -112,7 +113,6 @@ class SessionEngine:
     ) -> None:
         self.scenario = scenario
         self.scheduler = scheduler
-        self.tracer = NULL_TRACER if tracer is None else tracer
         self._is_slrh = isinstance(scheduler, SlrhScheduler)
         self.pending = set(pending)
         for task in self.pending:
@@ -125,7 +125,7 @@ class SessionEngine:
             )
         config = getattr(scheduler, "config", None)
         self.cycle_seconds = getattr(config, "cycle_seconds", CYCLE_SECONDS)
-        self.schedule = Schedule(scenario)
+        self.schedule = Schedule(scenario, tracer=tracer)
         for task in self.pending:
             self.schedule.set_release(task, math.inf)
         self.kernel = (
@@ -138,7 +138,6 @@ class SessionEngine:
         self.records: list[ChurnRecord] = []
         self._trace: "MappingTrace | None" = None
         self._seconds = 0.0
-        self._last_result: MappingResult | None = None
         self._outcome: SessionOutcome | None = None
         self._n_events = 0
 
@@ -164,7 +163,7 @@ class SessionEngine:
                 f"{event.kind} at cycle {event.cycle} arrives after "
                 f"cycle {self.cursor}"
             )
-        tracer = self.tracer
+        tracer = self.schedule.tracer
         span = (
             tracer.span("session.event", kind=event.kind, cycle=event.cycle)
             if tracer.enabled
@@ -256,7 +255,6 @@ class SessionEngine:
             start_cycle=self.cursor,
             stop_cycle=cycle,
             kernel=self.kernel,
-            tracer=self.tracer if self.tracer.enabled else None,
         )
         self._absorb(result)
         self.cursor = cycle
@@ -269,7 +267,6 @@ class SessionEngine:
                 schedule=self.schedule,
                 start_cycle=self.cursor,
                 kernel=self.kernel,
-                tracer=self.tracer if self.tracer.enabled else None,
             )
         else:
             # Final-state mapping: the statics see the grid as the events
@@ -309,7 +306,6 @@ class SessionEngine:
     def _absorb(self, result: MappingResult) -> None:
         self._seconds += result.heuristic_seconds
         self._trace = _merge_trace(self._trace, result.trace)
-        self._last_result = result
 
 
 def _merge_trace(

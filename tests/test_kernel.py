@@ -419,6 +419,28 @@ _STATIC_MAPPERS = [
 ]
 
 
+class TestStaticKernelMode:
+    """Max-Max and Min-Min obey the kernel mode: under ``rebuild`` the
+    static round loop plans every pair afresh (no memo), maps the same
+    bytes, and so plans strictly more pairs than under ``columnar``."""
+
+    @pytest.mark.parametrize("build", _STATIC_MAPPERS)
+    def test_rebuild_mode_plans_every_pair_afresh(self, build, monkeypatch):
+        scenario = paper_scaled_suite(40, n_etc=1, n_dag=1, seed=11).scenario(
+            0, 0, "A"
+        )
+        monkeypatch.setenv("REPRO_KERNEL", "columnar")
+        columnar = build().map(scenario)
+        monkeypatch.setenv("REPRO_KERNEL", "rebuild")
+        rebuild = build().map(scenario)
+        assert canonical_mapping_bytes(rebuild.schedule) == (
+            canonical_mapping_bytes(columnar.schedule)
+        )
+        assert rebuild.schedule.perf.get("plan.pairs") > (
+            columnar.schedule.perf.get("plan.pairs")
+        )
+
+
 class TestStaticPlanMemo:
     """The static round loop's plan memo returns exactly what fresh
     planning would: the same mapping bytes with the memo as shipped and

@@ -388,7 +388,7 @@ def test_repo_concurrency_rules_clean_and_exercised():
 
 def test_repo_lock_graph_matches_documented_hierarchy():
     """The audited order: router -> shard queue lock, manager/session ->
-    shard pipe and session-host locks, and never the reverse."""
+    shard pipe, session-host and router locks, and never the reverse."""
     from repro.lint.model import module_path_for
     from repro.lint.rules.lock_order import _function_edges
     from repro.lint.runner import iter_python_files
@@ -409,3 +409,7 @@ def test_repo_lock_graph_matches_documented_hierarchy():
     for upper in ("SessionManager._lock", "LiveSession.lock"):
         for lower in ("ProcessShard._pipe_lock", "SessionHost._lock"):
             assert (lower, upper) not in labels
+        # Sessions count into the router's registry under the router
+        # lock; the router never calls back up into a session lock.
+        assert (upper, "ShardRouter._lock") in labels
+        assert ("ShardRouter._lock", upper) not in labels

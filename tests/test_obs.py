@@ -37,6 +37,7 @@ from repro.obs import (
 )
 from repro.obs.ledger import iter_records
 from repro.perf import PerfCounters
+from repro.sim.schedule import Schedule
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -181,6 +182,104 @@ class TestTracer:
         with a:
             pass
         assert NULL_TRACER.instant("i") is None
+
+
+# ---------------------------------------------------------------------------
+# a traced run is the production run
+
+
+def _exact_counters() -> tuple[str, ...]:
+    """The regression gate's deterministic counter list (one source)."""
+    sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "benchmarks"))
+    try:
+        import check_regression
+    finally:
+        sys.path.pop(0)
+    return check_regression.EXACT_COUNTERS
+
+
+def _trace_shape(trace) -> tuple:
+    """Everything a MappingTrace records besides the timing-bearing perf
+    snapshot: the commit records and the tick/scan/stall counters."""
+    return (trace.records, trace.ticks, trace.machine_scans, trace.empty_pool_ticks)
+
+
+def _assert_same_run(plain, traced, tracer) -> None:
+    """Traced and untraced runs are one program: same bytes, records,
+    counters; the trace saw the columnar fast-forward; and every tick is
+    accounted for by exactly one ``kernel.tick`` span or one tick of a
+    ``kernel.stall`` span."""
+    assert canonical_mapping_bytes(traced.schedule) == canonical_mapping_bytes(
+        plain.schedule
+    )
+    assert _trace_shape(traced.trace) == _trace_shape(plain.trace)
+    for counter in _exact_counters():
+        assert traced.trace.perf.get(counter, 0.0) == plain.trace.perf.get(
+            counter, 0.0
+        ), counter
+    names = {e["name"] for e in tracer.events}
+    assert {"map", "kernel.tick", "kernel.stall", "pool.columnar", "commit"} <= names
+    assert "pool.build" not in names  # never the rebuild oracle
+    stalls = tracer.spans_named("kernel.stall")
+    assert all(e["args"]["ticks"] >= 1 for e in stalls)
+    assert all({"ticks", "tick", "clock"} <= set(e["args"]) for e in stalls)
+    ticks = len(tracer.spans_named("kernel.tick"))
+    assert ticks + sum(e["args"]["ticks"] for e in stalls) == traced.trace.ticks
+
+
+class TestTracedProductionRun:
+    """A live tracer keeps the columnar stall fast-forward: the traced
+    map is the production map, seen as one ``kernel.stall`` span per run
+    of stall ticks."""
+
+    @pytest.mark.parametrize("name", ["SLRH-1", "SLRH-2", "SLRH-3"])
+    def test_traced_map_is_the_production_map(self, name):
+        from repro.core.slrh import SLRH_VARIANTS
+
+        scenario = generate_named_scenario(48, 7)
+        config = SlrhConfig(
+            weights=Weights.from_alpha_beta(0.5, 0.2), kernel="columnar"
+        )
+        plain = SLRH_VARIANTS[name](config).map(scenario)
+        tracer = Tracer()
+        traced = SLRH_VARIANTS[name](config).map(scenario, tracer=tracer)
+        _assert_same_run(plain, traced, tracer)
+        assert len(tracer.spans_named("map")) == 1
+
+    def test_traced_event_replay_is_the_production_replay(self):
+        from repro.session import SessionEvent, run_with_events
+
+        scenario = generate_named_scenario(48, 7)
+        events = [
+            SessionEvent("machine_loss", 2, machine=1),
+            SessionEvent("machine_rejoin", 5, machine=1),
+            SessionEvent("task_arrival", 8, task=3),
+        ]
+        config = SlrhConfig(
+            weights=Weights.from_alpha_beta(0.5, 0.2), kernel="columnar"
+        )
+        plain = run_with_events(scenario, SLRH1(config), events)
+        tracer = Tracer()
+        traced = run_with_events(scenario, SLRH1(config), events, tracer=tracer)
+        assert traced.records == plain.records
+        assert any(r.rolled_back for r in traced.records)
+        _assert_same_run(plain.final, traced.final, tracer)
+        # One event span per applied event (the close included), and one
+        # map span per replan segment.
+        assert len(tracer.spans_named("session.event")) == len(events) + 1
+        assert len(tracer.spans_named("map")) == len(events) + 1
+
+    def test_ledgered_map_refuses_a_columnar_kernel(self):
+        scenario = generate_named_scenario(12, 1)
+        columnar = SLRH1(
+            SlrhConfig(weights=Weights.from_alpha_beta(0.5, 0.2), kernel="columnar")
+        )
+        ledgered = SLRH1(
+            SlrhConfig(weights=Weights.from_alpha_beta(0.5, 0.2), ledger=True)
+        )
+        kernel = columnar.make_kernel(Schedule(scenario))
+        with pytest.raises(ValueError, match="rebuild kernel"):
+            ledgered.map(scenario, schedule=kernel.schedule, kernel=kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.io.serialization import (
     mapping_to_dict,
     scenario_to_dict,
 )
+from repro.perf import PerfCounters
 from repro.service.app import make_server
 from repro.service.jobs import ShardRouter
 from repro.service.registry import ScenarioRegistry
@@ -83,7 +84,6 @@ def make_service():
             manager.registry,
             max_sessions=max_sessions,
             idle_timeout=idle_timeout,
-            perf=manager.perf,
             router=manager,
         )
         server = make_server("127.0.0.1", 0, manager, sessions=sessions)
@@ -366,6 +366,126 @@ class TestSessionAdmission:
         assert status == 404
         assert len(sessions) == 0
         assert manager.perf.get("session.evicted") == 1.0
+
+
+class TestServiceRegistryLock:
+    def test_every_registry_write_holds_the_router_lock(
+        self, make_service, monkeypatch
+    ):
+        """The router's service registry is what ``/metrics`` copies under
+        the router lock, so every writer — admission, job completion and
+        the whole session layer — must hold that lock too.  Drives open →
+        error batch → close → a batch after close → eviction → map →
+        ``/metrics`` with one request in flight at a time, so
+        ``locked()`` is exactly "this write holds the lock"."""
+        base, manager, _ = make_service(idle_timeout=1.0)
+        registry = manager.perf
+        writes: list[str] = []
+        unlocked: list[str] = []
+        for method in ("inc", "set_gauge", "observe", "merge"):
+
+            def checked(self, *args, _original=getattr(PerfCounters, method),
+                        _method=method, **kwargs):
+                if self is registry:
+                    if _method == "merge":
+                        other = args[0]
+                        names = ["merge", *other] if isinstance(other, dict) else [
+                            "merge", *other.snapshot(), *other.gauges_snapshot()
+                        ]
+                    else:
+                        names = [args[0]]
+                    writes.extend(names)
+                    if not manager._lock.locked():
+                        unlocked.extend(names)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(PerfCounters, method, checked)
+        sid = _register(base)
+        _, _, body = _post(
+            base, "/v1/session", {"scenario": sid, "heuristic": "slrh1"}
+        )
+        doc = json.loads(body)
+        batches = [
+            b'{"event":"advance","cycle":10}\n',
+            b'{"event":"advance","cycle":5}\n',  # time travel: one error
+            b'{"event":"close","cycle":12}\n',
+            b'{"event":"advance","cycle":20}\n',  # after close: one error
+        ]
+        for batch in batches:
+            status, _, _ = _post_ndjson(base, doc["events_url"], batch)
+            assert status == 200
+        time.sleep(1.2)
+        status, _, _ = _get(base, doc["status_url"])
+        assert status == 404  # evicted
+        status, _, body = _post(base, "/v1/map", {"scenario": sid})
+        assert status == 200, body
+        status, _, body = _get(base, "/metrics")
+        assert status == 200
+        assert unlocked == []
+        for name in (
+            "session.opened",
+            "session.event_errors",
+            "session.closed",
+            "merge",
+            "session.evicted",
+            "session.active",
+            "service.submitted",
+            "service.completed",
+        ):
+            assert name in writes, name
+        # Counted exactly once: one close, two rejected events, and the
+        # engine's own counters (two applied events + close) merged once.
+        counters = json.loads(body)["counters"]
+        assert counters["session.closed"] == 1.0
+        assert counters["session.event_errors"] == 2.0
+        assert counters["session.events"] == 2.0
+        assert counters["session.evicted"] == 1.0
+
+
+    def test_concurrent_writers_and_scrapes_stay_exact(self):
+        """Stress: more writer threads than cores, a 1 µs switch interval,
+        and a scraper copying the registry the whole time.  Every
+        increment lands, and no copy meets a dict growing under it."""
+        import sys
+
+        manager = ShardRouter(ScenarioRegistry(), shards=1)  # never started
+        n_threads, n_writes = 4, 5000
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def write(k: int) -> None:
+            try:
+                for i in range(n_writes):
+                    manager.record_perf({"session.event_errors": 1, f"t{k}.{i % 50}": 1})
+            except BaseException as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        def scrape() -> None:
+            try:
+                while not done.is_set():
+                    manager.metrics_document()
+            except BaseException as exc:
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            scraper = threading.Thread(target=scrape)
+            writers = [threading.Thread(target=write, args=(k,)) for k in range(n_threads)]
+            scraper.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            done.set()
+            scraper.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not scraper.is_alive()
+        assert not any(thread.is_alive() for thread in writers)
+        assert errors == []
+        counters = manager.metrics_document()["counters"]
+        assert counters["session.event_errors"] == n_threads * n_writes
 
 
 class TestSessionLoadgen:

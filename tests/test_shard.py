@@ -464,7 +464,7 @@ class TestShardedSessions:
         scenario = generate_named_scenario(24, 7)
         sid, _ = reg.put(scenario_to_dict(scenario))
         manager = ShardRouter(reg, shards=2, max_queue=8).start()
-        sessions = SessionManager(reg, perf=manager.perf, router=manager)
+        sessions = SessionManager(reg, router=manager)
         try:
             held, events = synthesize_events(
                 scenario, seed=11, n_events=14, max_cycle=60
@@ -478,7 +478,7 @@ class TestShardedSessions:
             lines: list[bytes] = []
             for start in range(0, len(events), 5):
                 lines.extend(session.stream(events[start : start + 5]))
-            assert session.is_closed()
+            assert session.status_doc()["state"] == "closed"
             oracle = run_with_events(
                 scenario,
                 make_scheduler("slrh1", Weights.from_alpha_beta(0.5, 0.2)),
@@ -502,7 +502,7 @@ class TestShardedSessions:
         scenario = generate_named_scenario(16, 3)
         sid, _ = reg.put(scenario_to_dict(scenario))
         manager = ShardRouter(reg, shards=shards, max_queue=8).start()
-        sessions = SessionManager(reg, perf=manager.perf, router=manager)
+        sessions = SessionManager(reg, router=manager)
         try:
             _, events = synthesize_events(
                 scenario, seed=5, n_events=6, max_cycle=40
