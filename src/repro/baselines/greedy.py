@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from repro.core.kernel import SchedulingKernel
-from repro.core.objective import Weights
+from repro.core.objective import ObjectiveFunction, Weights
 from repro.core.slrh import MappingResult
 from repro.sim.schedule import Schedule
 from repro.sim.trace import MappingTrace
@@ -36,9 +36,6 @@ class GreedyScheduler:
     """Minimum-completion-time greedy static mapper (see module docstring)."""
 
     name = "Greedy"
-
-    def __init__(self, insertion: bool = True) -> None:
-        self.insertion = insertion
 
     def map(
         self, scenario: Scenario, schedule: Schedule | None = None
@@ -66,7 +63,7 @@ class GreedyScheduler:
             for machine in range(scenario.n_machines):
                 # (primary, secondary) from one shared channel-slot search.
                 for plan in schedule.plan_versions(
-                    task, machine, not_before=0.0, insertion=self.insertion
+                    task, machine, not_before=0.0, insertion=True
                 ):
                     if not plan.feasible:
                         continue
@@ -75,16 +72,15 @@ class GreedyScheduler:
                     break  # primary fits: no need to consider secondary
             return best_plan, 0
 
-        kernel = SchedulingKernel(schedule, None, None)
+        # The kernel scores trace records under the weights the result
+        # reports.
+        objective = ObjectiveFunction.for_scenario(scenario, _GREEDY_WEIGHTS)
+        kernel = SchedulingKernel(schedule, None, objective)
         stopwatch = Stopwatch()
         with stopwatch:
-            kernel.run_static(select, trace, note_ticks=False)
-        return MappingResult(
-            schedule=schedule,
-            trace=trace,
-            heuristic_seconds=stopwatch.elapsed,
-            heuristic=self.name,
-            weights=_GREEDY_WEIGHTS,
+            kernel.run_static(select, trace)
+        return MappingResult.finish(
+            schedule, trace, stopwatch.elapsed, self.name, _GREEDY_WEIGHTS
         )
 
 

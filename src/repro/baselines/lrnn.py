@@ -183,10 +183,6 @@ class LrnnScheduler:
                         break
                 if not committed:
                     break  # resource exhaustion: incomplete static mapping
-        return MappingResult(
-            schedule=schedule,
-            trace=trace,
-            heuristic_seconds=stopwatch.elapsed,
-            heuristic=self.name,
-            weights=self.config.weights,
+        return MappingResult.finish(
+            schedule, trace, stopwatch.elapsed, self.name, self.config.weights
         )

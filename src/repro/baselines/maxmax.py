@@ -41,9 +41,6 @@ class MaxMaxConfig:
     """Max-Max tuning knobs (the objective weights, chiefly)."""
 
     weights: Weights
-    comm_reserve: bool = True
-    #: Allow scheduling into calendar holes (§V); disabling is an ablation.
-    insertion: bool = True
     #: AET-term semantics of the objective (ablation; see ObjectiveFunction).
     aet_mode: str = "tent"
     #: Machine-stage selection rule.  ``"completion"`` (default) assigns
@@ -74,7 +71,7 @@ class MaxMaxScheduler:
             schedule = Schedule(scenario)
         elif schedule.scenario is not scenario:
             raise ValueError("schedule was built for a different scenario")
-        checker = FeasibilityChecker(scenario, comm_reserve=self.config.comm_reserve)
+        checker = FeasibilityChecker(scenario)
         objective = ObjectiveFunction.for_scenario(
             scenario, self.config.weights, aet_mode=self.config.aet_mode
         )
@@ -83,7 +80,6 @@ class MaxMaxScheduler:
         completion_stage = self.config.machine_stage == "completion"
         if self.config.machine_stage not in ("completion", "objective"):
             raise ValueError(f"unknown machine_stage {self.config.machine_stage!r}")
-        insertion = self.config.insertion
         n_machines = scenario.n_machines
         # The columnar kernel's static plan memo re-prices a (task, machine)
         # pair only when a commit could have changed it; rebuild re-plans.
@@ -111,7 +107,7 @@ class MaxMaxScheduler:
                             continue
                         pair = pairs[machine]
                         if pair is None:
-                            pair = pairs[machine] = plans(task, machine, insertion)
+                            pair = pairs[machine] = plans(task, machine)
                         plan = pair[vi]
                         if not plan.feasible:
                             continue
@@ -144,22 +140,7 @@ class MaxMaxScheduler:
 
         stopwatch = Stopwatch()
         with stopwatch:
-            kernel.run_static(
-                select,
-                trace,
-                note_ticks=True,
-                note_empty_pool=True,
-                record_commits=True,
-            )
-        schedule.perf.inc("map.runs")
-        schedule.perf.inc("map.seconds", stopwatch.elapsed)
-        schedule.perf.inc("tick.count", trace.ticks)
-        schedule.perf.inc("pool.empty_ticks", trace.empty_pool_ticks)
-        trace.perf = schedule.perf.snapshot()
-        return MappingResult(
-            schedule=schedule,
-            trace=trace,
-            heuristic_seconds=stopwatch.elapsed,
-            heuristic=self.name,
-            weights=self.config.weights,
+            kernel.run_static(select, trace)
+        return MappingResult.finish(
+            schedule, trace, stopwatch.elapsed, self.name, self.config.weights
         )

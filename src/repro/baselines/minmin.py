@@ -15,6 +15,7 @@ the extended benches report it alongside the paper's heuristics.
 from __future__ import annotations
 
 from repro.core.kernel import SchedulingKernel, resolve_kernel_mode
+from repro.core.objective import ObjectiveFunction
 from repro.core.slrh import MappingResult
 from repro.sim.schedule import ExecutionPlan, Schedule
 from repro.sim.trace import MappingTrace
@@ -29,9 +30,6 @@ class MinMinScheduler:
 
     name = "Min-Min"
 
-    def __init__(self, insertion: bool = True) -> None:
-        self.insertion = insertion
-
     def _best_plan_for_task(
         self, kernel: SchedulingKernel, task: int
     ) -> ExecutionPlan | None:
@@ -40,7 +38,7 @@ class MinMinScheduler:
         for machine in range(kernel.schedule.scenario.n_machines):
             # (primary, secondary): the primary when affordable, else the
             # secondary.
-            for plan in kernel.static_plans(task, machine, self.insertion):
+            for plan in kernel.static_plans(task, machine):
                 if not plan.feasible:
                     continue
                 if best is None or plan.finish < best.finish - 1e-12:
@@ -60,7 +58,12 @@ class MinMinScheduler:
         trace = MappingTrace()
         # The columnar kernel's static plan memo re-prices a (task, machine)
         # pair only when a commit could have changed it; rebuild re-plans.
-        kernel = SchedulingKernel(schedule, None, None, mode=resolve_kernel_mode())
+        # The kernel scores trace records under the weights the result
+        # reports.
+        objective = ObjectiveFunction.for_scenario(scenario, _GREEDY_WEIGHTS)
+        kernel = SchedulingKernel(
+            schedule, None, objective, mode=resolve_kernel_mode()
+        )
 
         def select() -> tuple:
             """One Min-Min round: the smallest-MCT ready subtask."""
@@ -75,11 +78,7 @@ class MinMinScheduler:
 
         stopwatch = Stopwatch()
         with stopwatch:
-            kernel.run_static(select, trace, note_ticks=True)
-        return MappingResult(
-            schedule=schedule,
-            trace=trace,
-            heuristic_seconds=stopwatch.elapsed,
-            heuristic=self.name,
-            weights=_GREEDY_WEIGHTS,
+            kernel.run_static(select, trace)
+        return MappingResult.finish(
+            schedule, trace, stopwatch.elapsed, self.name, _GREEDY_WEIGHTS
         )

@@ -45,12 +45,8 @@ class _TopologicalMapper:
                 if plan is None:
                     break
                 schedule.commit(plan)
-        return MappingResult(
-            schedule=schedule,
-            trace=trace,
-            heuristic_seconds=stopwatch.elapsed,
-            heuristic=self.name,
-            weights=_GREEDY_WEIGHTS,
+        return MappingResult.finish(
+            schedule, trace, stopwatch.elapsed, self.name, _GREEDY_WEIGHTS
         )
 
     def _first_feasible(self, schedule: Schedule, task: int) -> ExecutionPlan | None:

@@ -24,11 +24,15 @@ The per-tick scan runs on index arithmetic:
 * touch-stamp certificates live in a CSR block (per-task offsets into a
   dependency-id/stamp column pair), so "nothing my plans read has moved"
   is a short loop over two arrays;
-* re-scoring after a commit reads per-version fact columns (feasibility,
-  energy margin — the plan's TEC delta — and finish time) and inlines the
-  objective arithmetic of :meth:`ObjectiveFunction.after_plan` verbatim:
-  the same float operations in the same order, so scores are
-  bit-identical to :func:`repro.core.pool.select_candidate`'s;
+* one scorer reads per-version fact columns (feasibility, energy margin
+  — the plan's TEC delta — and finish time) and inlines the objective
+  arithmetic of :meth:`ObjectiveFunction.after_plan` verbatim: the same
+  float operations in the same order, so scores are bit-identical to
+  :func:`repro.core.pool.select_candidate`'s.  It runs for every slot
+  whose score token is stale — a freshly replanned slot, or a clean one
+  after a commit moved the aggregates — and materialises the winning
+  version's :class:`~repro.sim.schedule.ExecutionPlan` from the columns
+  the first time that version wins;
 * candidate ordering is one stable descending sort over the score column.
   Members are gathered in ascending task order and CPython's sort is
   stable under ``reverse=True`` (equal keys keep their original order),
@@ -36,22 +40,17 @@ The per-tick scan runs on index arithmetic:
   ``(-score, task)`` order.
 
 The *dirty* path — entries whose certificates fail — is a **fused
-replan**: the same decisions as ``Schedule._plan_pair`` +
-:func:`repro.core.pool.select_candidate`, open-coded without the wrapper
-layers.  It runs the same channel-slot search
+replan**: the same decisions as ``Schedule._plan_pair``, open-coded
+without the wrapper layers.  It runs the same channel-slot search
 (``Schedule._plan_comms_floor``), then finishes the pair in flat
-arithmetic:
-
-* machine budgets, the rule-(b) gate, the offline set and the execution
-  calendar tail are hoisted once per build — nothing mutates during a
-  build, so per-replan ``available_energy`` / ``earliest_gap`` calls
-  collapse to float compares (append-only placement at a fixed tail is
-  ``max(data_ready, tail)`` by construction);
-* both versions are scored inline (the same ``after_plan`` operations in
-  the same order), and only the *winning* version's
-  :class:`~repro.sim.schedule.ExecutionPlan` is materialised — the loser
-  exists as column facts and is rebuilt on demand if a later aggregate
-  shift flips the selection.
+arithmetic against per-build hoists: machine budgets, the rule-(b) gate,
+the offline set and the execution calendar tail — nothing mutates during
+a build, so per-replan ``available_energy`` / ``earliest_gap`` calls
+collapse to float compares (append-only placement at a fixed tail is
+``max(data_ready, tail)`` by construction).  It only fills the slot's
+columns (per-version feasibility, start, finish and energy; data-ready
+time and comm floor) and marks the score token stale; the scorer above
+does the rest, so selection and plan construction each exist once.
 
 Pools, plans and scores are pinned identical to
 :func:`~repro.core.pool.build_candidate_pool` by the differential fuzz in
@@ -63,7 +62,7 @@ from __future__ import annotations
 import math
 from array import array
 
-from repro.core.constants import EPSILON
+from repro.core.constants import BUDGET_TOLERANCE, EPSILON
 from repro.core.feasibility import FeasibilityChecker
 from repro.core.objective import ObjectiveFunction
 from repro.core.pool import Candidate
@@ -75,10 +74,6 @@ __all__ = ["ColumnarPool"]
 
 _PRIMARY = Version.PRIMARY
 _SECONDARY = Version.SECONDARY
-#: The energy-budget comparison scale of Schedule._demand_shortfall /
-#: FeasibilityChecker.is_feasible — hoisted so the fused loop keeps the
-#: exact generic arithmetic.
-_BUDGET_SLACK = 1 + 1e-12
 
 # Slot kinds: never written, a scored candidate, a task whose tentative
 # plans are all energy-infeasible, and a rule-(b) reject (never planned).
@@ -161,10 +156,9 @@ class ColumnarPool:
         # copied so the pool never reads a stale release.
         self._release = schedule.release_times_view()
         # Lazily-materialised plan payloads per slot: ``[primary_plan |
-        # None, secondary_plan | None, comms]``.  The fused replan builds
-        # only the winning version's ExecutionPlan; the loser is rebuilt
-        # from the columns iff an aggregate shift later flips the
-        # selection.
+        # None, secondary_plan | None, comms]``.  The scorer builds a
+        # version's ExecutionPlan from the columns the first time that
+        # version wins.
         self._pairs: list[list | None] = [None] * size
         self._cands: list[Candidate | None] = [None] * size
         # Static per-slot facts, filled lazily from the schedule/checker
@@ -289,8 +283,8 @@ class ColumnarPool:
         parents = schedule.scenario.dag.parents
         objective = self.objective
         checker = self.checker
-        # Hoisted objective constants for the inline re-score: the exact
-        # operands of ObjectiveFunction.value / after_plan.
+        # Hoisted objective constants for the scorer: the exact operands
+        # of ObjectiveFunction.value / after_plan.
         weights = objective.weights
         alpha = weights.alpha
         beta = weights.beta
@@ -321,7 +315,7 @@ class ColumnarPool:
         # lookup against this threshold (same arithmetic, same slack).
         # Per-machine verdict thresholds are premultiplied once per build —
         # the _demand_shortfall comparison scale on the same availability.
-        rb_gate = avail(machine) * _BUDGET_SLACK + 1e-12
+        rb_gate = avail(machine) * (1 + BUDGET_TOLERANCE) + BUDGET_TOLERANCE
         thresh: list[float | None] = [None] * self._n_machines
         thresh[machine] = rb_gate
         required = checker.required_energy
@@ -381,206 +375,149 @@ class ColumnarPool:
                             clean = False
                 if clean:
                     reused += 1
-                    if k == _CANDIDATE:
-                        if token_col[idx] != token:
-                            # Aggregates moved: re-score both versions with
-                            # after_plan's exact arithmetic (same ops, same
-                            # order) and re-run the selection tie rule.
-                            win = -1
-                            best = 0.0
-                            if feas0[idx]:
-                                f = finish0[idx]
-                                aet = aet_base if aet_base >= f else f
-                                ratio = aet / tau
-                                if aet_mode == _AET_TENT:
-                                    two = 2.0 - ratio
-                                    term = ratio if ratio <= two else two
-                                    if term <= 0.0:
-                                        term = 0.0
-                                elif aet_mode == _AET_CLAMP:
-                                    term = ratio if ratio <= 1.0 else 1.0
-                                elif aet_mode == _AET_RAW:
-                                    term = ratio
-                                else:
-                                    term = -ratio
-                                best = (
-                                    a0
-                                    - beta * ((tec_base + energy0[idx]) / tse)
-                                    + gamma * term
-                                )
-                                win = 0
-                            if feas1[idx]:
-                                f = finish1[idx]
-                                aet = aet_base if aet_base >= f else f
-                                ratio = aet / tau
-                                if aet_mode == _AET_TENT:
-                                    two = 2.0 - ratio
-                                    term = ratio if ratio <= two else two
-                                    if term <= 0.0:
-                                        term = 0.0
-                                elif aet_mode == _AET_CLAMP:
-                                    term = ratio if ratio <= 1.0 else 1.0
-                                elif aet_mode == _AET_RAW:
-                                    term = ratio
-                                else:
-                                    term = -ratio
-                                score1 = (
-                                    a1
-                                    - beta * ((tec_base + energy1[idx]) / tse)
-                                    + gamma * term
-                                )
-                                # Tie rule: the secondary never counts
-                                # toward T100, so it wins only strictly.
-                                if win < 0 or score1 > best:
-                                    best = score1
-                                    win = 1
-                            score_col[idx] = best
-                            token_col[idx] = token
-                            pair = pairs[idx]
-                            plan = pair[win]
-                            if plan is None:
-                                # The aggregate shift flipped the winner to
-                                # the version the fused replan left as
-                                # column facts — materialise it now, from
-                                # the stored columns, bit-identically to
-                                # the plan the generic path built eagerly.
-                                plan = object.__new__(ExecutionPlan)
-                                plan.__dict__.update({
-                                    "task": task,
-                                    "version": _PRIMARY
-                                    if win == 0
-                                    else _SECONDARY,
-                                    "machine": machine,
-                                    "start": start0[idx]
-                                    if win == 0
-                                    else start1[idx],
-                                    "finish": finish0[idx]
-                                    if win == 0
-                                    else finish1[idx],
-                                    "exec_energy": exec_facts_fn(task, machine)[
-                                        win
-                                    ][1],
-                                    "comms": pair[2],
-                                    "energy_delta": energy0[idx]
-                                    if win == 0
-                                    else energy1[idx],
-                                    "data_ready": ready_col[idx],
-                                    "feasible": True,
-                                    "reason": "",
-                                })
-                                pair[win] = plan
-                            cand = object.__new__(Candidate)
-                            cand.__dict__.update({
-                                "task": task,
-                                "plan": plan,
-                                "score": best,
-                            })
-                            cands[idx] = cand
-                        members.append(idx)
-                    continue
-                invalidated += 1
-                slot_gen[idx] = gen
-                epoch_col[idx] = epochs[task]
-                req = req1_col[idx]
-                if req is None:
-                    req = required_memo.get((task, machine, _SECONDARY))
-                    if req is None:
-                        req = required(task, machine, _SECONDARY)
-                    req1_col[idx] = req
-                if req > rb_gate:
-                    kind[idx] = _RULE_B
-                    pairs[idx] = None
-                    cands[idx] = None
                 else:
-                    # -- fused replan: _plan_pair + select_candidate without
-                    # the wrapper layers: the same channel-slot search, then
-                    # flat arithmetic against the per-build hoists.
-                    n_pairs += 1
-                    pcomms, dr_floor = comms_floor(task, machine, not_before)
-                    min_comm = (
-                        min(c.start for c in pcomms) if pcomms else math.inf
-                    )
-                    # max() (not a bare compare) so signed-zero floors stay
-                    # bitwise identical to the generic path's data_ready.
-                    data_ready = max(not_before, dr_floor)
-                    offline = machine_offline
-                    comm_energy = 0.0
-                    for c in pcomms:
-                        comm_energy += c.energy
-                        if c.src in offline_set:
-                            offline = True
-                    facts = facts_col[idx]
-                    if facts is None:
-                        facts = exec_static.get((task, machine))
-                        if facts is None:
-                            facts = exec_facts_fn(task, machine)
-                        facts_col[idx] = facts
-                    vf0 = vf1 = False
-                    if not offline:
-                        # _net_energy_demand for both versions in one walk:
-                        # per-dict float operations in exactly the generic
-                        # order, the per-version worst-case outgoing reserve
-                        # from its memo.
-                        d0 = {machine: facts[0][1]}
-                        d1 = {machine: facts[1][1]}
+                    invalidated += 1
+                    slot_gen[idx] = gen
+                    epoch_col[idx] = epochs[task]
+                    req = req1_col[idx]
+                    if req is None:
+                        req = required_memo.get((task, machine, _SECONDARY))
+                        if req is None:
+                            req = required(task, machine, _SECONDARY)
+                        req1_col[idx] = req
+                    if req > rb_gate:
+                        kind[idx] = k = _RULE_B
+                        pairs[idx] = None
+                    else:
+                        # -- fused replan: _plan_pair without the wrapper
+                        # layers — the same channel-slot search, then flat
+                        # arithmetic against the per-build hoists.  It only
+                        # fills the slot's column facts; the scorer below
+                        # picks and materialises the winner.
+                        n_pairs += 1
+                        pcomms, dr_floor = comms_floor(task, machine, not_before)
+                        min_comm = (
+                            min(c.start for c in pcomms) if pcomms else math.inf
+                        )
+                        # max() (not a bare compare) so signed-zero floors
+                        # stay bitwise identical to the generic data_ready.
+                        data_ready = max(not_before, dr_floor)
+                        offline = machine_offline
+                        comm_energy = 0.0
                         for c in pcomms:
-                            src = c.src
-                            ce = c.energy
-                            d0[src] = d0.get(src, 0.0) + ce
-                            d1[src] = d1.get(src, 0.0) + ce
-                        if hold_reserves:
-                            for p in parents[task]:
-                                src = assignments[p].machine
-                                rel = edge_reserve.get((p, task), 0.0)
-                                d0[src] = d0.get(src, 0.0) - rel
-                                d1[src] = d1.get(src, 0.0) - rel
-                            w01 = wc_col[idx]
-                            if w01 is None:
-                                w0 = wc_memo.get((task, machine, _PRIMARY))
-                                if w0 is None:
-                                    w0 = wc_outgoing(task, machine, _PRIMARY)
-                                w1 = wc_memo.get((task, machine, _SECONDARY))
-                                if w1 is None:
-                                    w1 = wc_outgoing(task, machine, _SECONDARY)
-                                w01 = wc_col[idx] = (w0, w1)
-                            d0[machine] += w01[0]
-                            d1[machine] += w01[1]
-                        # _demand_shortfall's verdict, against the hoisted
-                        # budgets (nothing commits mid-build).
-                        vf0 = True
-                        for j, amount in d0.items():
-                            th = thresh[j]
-                            if th is None:
-                                th = thresh[j] = (
-                                    avail(j) * _BUDGET_SLACK + 1e-12
-                                )
-                            if amount > th:
-                                vf0 = False
-                                break
-                        vf1 = True
-                        for j, amount in d1.items():
-                            th = thresh[j]
-                            if th is None:
-                                th = thresh[j] = (
-                                    avail(j) * _BUDGET_SLACK + 1e-12
-                                )
-                            if amount > th:
-                                vf1 = False
-                                break
-                    # Placement + inline scoring.  Append-only earliest_gap
-                    # on a calendar whose busy intervals all end at/before
-                    # its tail is max(data_ready, tail) by construction;
-                    # dead versions carry no placement and are never read.
+                            comm_energy += c.energy
+                            if c.src in offline_set:
+                                offline = True
+                        facts = facts_col[idx]
+                        if facts is None:
+                            facts = exec_static.get((task, machine))
+                            if facts is None:
+                                facts = exec_facts_fn(task, machine)
+                            facts_col[idx] = facts
+                        vf0 = vf1 = False
+                        if not offline:
+                            # _net_energy_demand for both versions in one
+                            # walk: per-dict float operations in exactly the
+                            # generic order, the per-version worst-case
+                            # outgoing reserve from its memo.
+                            d0 = {machine: facts[0][1]}
+                            d1 = {machine: facts[1][1]}
+                            for c in pcomms:
+                                src = c.src
+                                ce = c.energy
+                                d0[src] = d0.get(src, 0.0) + ce
+                                d1[src] = d1.get(src, 0.0) + ce
+                            if hold_reserves:
+                                for p in parents[task]:
+                                    src = assignments[p].machine
+                                    rel = edge_reserve.get((p, task), 0.0)
+                                    d0[src] = d0.get(src, 0.0) - rel
+                                    d1[src] = d1.get(src, 0.0) - rel
+                                w01 = wc_col[idx]
+                                if w01 is None:
+                                    w0 = wc_memo.get((task, machine, _PRIMARY))
+                                    if w0 is None:
+                                        w0 = wc_outgoing(task, machine, _PRIMARY)
+                                    w1 = wc_memo.get((task, machine, _SECONDARY))
+                                    if w1 is None:
+                                        w1 = wc_outgoing(task, machine, _SECONDARY)
+                                    w01 = wc_col[idx] = (w0, w1)
+                                d0[machine] += w01[0]
+                                d1[machine] += w01[1]
+                            # _demand_shortfall's verdict, against the
+                            # hoisted budgets (nothing commits mid-build).
+                            vf0 = True
+                            for j, amount in d0.items():
+                                th = thresh[j]
+                                if th is None:
+                                    th = thresh[j] = (
+                                        avail(j) * (1 + BUDGET_TOLERANCE)
+                                        + BUDGET_TOLERANCE
+                                    )
+                                if amount > th:
+                                    vf0 = False
+                                    break
+                            vf1 = True
+                            for j, amount in d1.items():
+                                th = thresh[j]
+                                if th is None:
+                                    th = thresh[j] = (
+                                        avail(j) * (1 + BUDGET_TOLERANCE)
+                                        + BUDGET_TOLERANCE
+                                    )
+                                if amount > th:
+                                    vf1 = False
+                                    break
+                        if vf0 or vf1:
+                            # Append-only earliest_gap on a calendar whose
+                            # busy intervals all end at/before its tail is
+                            # max(data_ready, tail) by construction; dead
+                            # versions carry no placement and are never read.
+                            st = max(data_ready, exec_tail)
+                            if vf0:
+                                start0[idx] = st
+                                finish0[idx] = st + facts[0][0]
+                                energy0[idx] = facts[0][1] + comm_energy
+                            if vf1:
+                                start1[idx] = st
+                                finish1[idx] = st + facts[1][0]
+                                energy1[idx] = facts[1][1] + comm_energy
+                            kind[idx] = k = _CANDIDATE
+                            pairs[idx] = [None, None, pcomms]
+                            token_col[idx] = 0  # stale: tokens start at 1
+                        else:
+                            kind[idx] = k = _NO_VERSION
+                            pairs[idx] = None
+                        nb_col[idx] = not_before
+                        ready_col[idx] = data_ready
+                        comm_col[idx] = min_comm
+                        feas0[idx] = 1 if vf0 else 0
+                        feas1[idx] = 1 if vf1 else 0
+                    cands[idx] = None
+                    # Certificate stamps: the target machine plus every
+                    # parent's machine — exactly the set a commit can move.
+                    # Order is irrelevant: validity is a conjunction.
+                    deps = {machine}
+                    for p in parents[task]:
+                        deps.add(assignments[p].machine)
+                    db = dep_base + dep_off[task]
+                    d = 0
+                    for j in deps:
+                        dep_ids[db + d] = j
+                        dep_stamps[db + d] = touch[j]
+                        d += 1
+                    dep_n[idx] = d
+                if k != _CANDIDATE:
+                    continue
+                if token_col[idx] != token:
+                    # The one scorer: both versions with after_plan's exact
+                    # arithmetic (same ops, same order) from the column
+                    # facts, then the selection tie rule.
                     win = -1
                     best = 0.0
-                    if vf0:
-                        st = max(data_ready, exec_tail)
-                        fin = st + facts[0][0]
-                        ed = facts[0][1] + comm_energy
-                        start0[idx] = st
-                        finish0[idx] = fin
-                        energy0[idx] = ed
-                        aet = aet_base if aet_base >= fin else fin
+                    if feas0[idx]:
+                        f = finish0[idx]
+                        aet = aet_base if aet_base >= f else f
                         ratio = aet / tau
                         if aet_mode == _AET_TENT:
                             two = 2.0 - ratio
@@ -593,16 +530,15 @@ class ColumnarPool:
                             term = ratio
                         else:
                             term = -ratio
-                        best = a0 - beta * ((tec_base + ed) / tse) + gamma * term
+                        best = (
+                            a0
+                            - beta * ((tec_base + energy0[idx]) / tse)
+                            + gamma * term
+                        )
                         win = 0
-                    if vf1:
-                        st = max(data_ready, exec_tail)
-                        fin = st + facts[1][0]
-                        ed = facts[1][1] + comm_energy
-                        start1[idx] = st
-                        finish1[idx] = fin
-                        energy1[idx] = ed
-                        aet = aet_base if aet_base >= fin else fin
+                    if feas1[idx]:
+                        f = finish1[idx]
+                        aet = aet_base if aet_base >= f else f
                         ratio = aet / tau
                         if aet_mode == _AET_TENT:
                             two = 2.0 - ratio
@@ -615,17 +551,24 @@ class ColumnarPool:
                             term = ratio
                         else:
                             term = -ratio
-                        score1 = a1 - beta * ((tec_base + ed) / tse) + gamma * term
-                        # Tie rule: the secondary wins only strictly.
+                        score1 = (
+                            a1
+                            - beta * ((tec_base + energy1[idx]) / tse)
+                            + gamma * term
+                        )
+                        # Tie rule: the secondary never counts toward T100,
+                        # so it wins only strictly.
                         if win < 0 or score1 > best:
                             best = score1
                             win = 1
-                    if win < 0:
-                        kind[idx] = _NO_VERSION
-                        pairs[idx] = None
-                        cands[idx] = None
-                    else:
-                        wenergy = facts[win][1]
+                    score_col[idx] = best
+                    token_col[idx] = token
+                    pair = pairs[idx]
+                    plan = pair[win]
+                    if plan is None:
+                        # Materialise the winner from the columns the
+                        # fused replan stored — bit-identical to the plan
+                        # Schedule._plan_pair builds.
                         plan = object.__new__(ExecutionPlan)
                         plan.__dict__.update({
                             "task": task,
@@ -633,47 +576,22 @@ class ColumnarPool:
                             "machine": machine,
                             "start": start0[idx] if win == 0 else start1[idx],
                             "finish": finish0[idx] if win == 0 else finish1[idx],
-                            "exec_energy": wenergy,
-                            "comms": pcomms,
-                            "energy_delta": wenergy + comm_energy,
-                            "data_ready": data_ready,
+                            "exec_energy": facts_col[idx][win][1],
+                            "comms": pair[2],
+                            "energy_delta": energy0[idx] if win == 0 else energy1[idx],
+                            "data_ready": ready_col[idx],
                             "feasible": True,
                             "reason": "",
                         })
-                        kind[idx] = _CANDIDATE
-                        pairs[idx] = [
-                            plan if win == 0 else None,
-                            plan if win == 1 else None,
-                            pcomms,
-                        ]
-                        cand = object.__new__(Candidate)
-                        cand.__dict__.update({
-                            "task": task,
-                            "plan": plan,
-                            "score": best,
-                        })
-                        cands[idx] = cand
-                        score_col[idx] = best
-                        members.append(idx)
-                    nb_col[idx] = not_before
-                    ready_col[idx] = data_ready
-                    comm_col[idx] = min_comm
-                    feas0[idx] = 1 if vf0 else 0
-                    feas1[idx] = 1 if vf1 else 0
-                    token_col[idx] = token
-                # Certificate stamps: the target machine plus every parent's
-                # machine — exactly the set a commit can move.  Order is
-                # irrelevant: validity is a conjunction over the set.
-                deps = {machine}
-                for p in parents[task]:
-                    deps.add(assignments[p].machine)
-                db = dep_base + dep_off[task]
-                d = 0
-                for j in deps:
-                    dep_ids[db + d] = j
-                    dep_stamps[db + d] = touch[j]
-                    d += 1
-                dep_n[idx] = d
+                        pair[win] = plan
+                    cand = object.__new__(Candidate)
+                    cand.__dict__.update({
+                        "task": task,
+                        "plan": plan,
+                        "score": best,
+                    })
+                    cands[idx] = cand
+                members.append(idx)
             # One argsort over the score column: members were gathered in
             # ascending task order and reverse sorts are stable, so equal
             # scores keep task order — exactly the (-score, task) rule.
@@ -723,7 +641,7 @@ class ColumnarPool:
             )
             feasible = True
             for j, amount in demand.items():
-                if amount > avail(j) * _BUDGET_SLACK + 1e-12:
+                if amount > avail(j) * (1 + BUDGET_TOLERANCE) + BUDGET_TOLERANCE:
                     feasible = False
                     break
         if feasible:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.constants import BUDGET_TOLERANCE
 from repro.sim.schedule import Schedule
 from repro.workload.scenario import Scenario
 from repro.workload.versions import SECONDARY, Version
@@ -79,4 +80,4 @@ class FeasibilityChecker:
             return False
         required = self.required_energy(task, machine, version)
         available = schedule.available_energy(machine)
-        return required <= available * (1 + 1e-12) + 1e-12
+        return required <= available * (1 + BUDGET_TOLERANCE) + BUDGET_TOLERANCE

@@ -73,7 +73,8 @@ The static plan memo
 Max-Max and Min-Min re-price every ready (task, machine) pair in every
 round, and a round commits exactly one plan.  In ``columnar`` mode (the
 ``rebuild`` oracle plans afresh) :meth:`SchedulingKernel.run_static`
-therefore keeps one memo for the duration of the call, read through
+therefore keeps one memo of hole-insertion plan pairs, keyed by (task,
+machine), for the duration of the call, read through
 :meth:`SchedulingKernel.static_plans`.  A static run only ever
 *commits* — nothing is released, unassigned, re-timed or taken offline —
 so calendars only gain reservations, and a memoised pair whose comm and
@@ -81,9 +82,14 @@ exec slots are all still free is exactly what a fresh search returns: a
 gap search returns the earliest fit, and added busy time cannot open an
 earlier one.  Each lookup also re-checks both versions' energy verdicts
 against their stored demands (an infeasible version additionally pins
-the budgets its reason text quotes; any change re-plans), append-only
-placement re-plans whenever the execution calendar moved (it sits at the
-calendar tail), and a committed task's entries are dropped.
+the budgets its reason text quotes; any change re-plans), and a
+committed task's entries are dropped.
+
+Every static mapper ends the same way: :meth:`SchedulingKernel.run_static`
+notes one tick per round and one trace record per commit, and
+:meth:`MappingResult.finish <repro.core.slrh.MappingResult.finish>` —
+shared with the SLRH family and the non-kernel baselines — counts the run
+and snapshots the perf registry onto the trace.
 """
 
 from __future__ import annotations
@@ -95,7 +101,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.columnar import ColumnarPool
-from repro.core.constants import EPSILON
+from repro.core.constants import BUDGET_TOLERANCE, EPSILON
 from repro.core.feasibility import FeasibilityChecker
 from repro.core.objective import ObjectiveFunction
 from repro.core.pool import Candidate, build_candidate_pool
@@ -120,18 +126,17 @@ KERNEL_MODES = ("columnar", "rebuild")
 
 def resolve_kernel_mode(override: str | None = None, *, ledger: bool = False) -> str:
     """The kernel mode to run: *override* if given, else ``$REPRO_KERNEL``,
-    else ``columnar``.  A decision ledger forces ``rebuild`` — its
-    per-tick rejection records only exist when pools are actually rebuilt
-    (recording never changes the mapping either way).
+    else ``columnar`` (case and surrounding blanks ignored).  A decision
+    ledger forces ``rebuild`` — its per-tick rejection records only exist
+    when pools are actually rebuilt (recording never changes the mapping
+    either way).
     """
     if ledger:
         return "rebuild"
     mode = override if override is not None else os.environ.get("REPRO_KERNEL", "")
-    mode = str(mode).strip().lower()
-    if mode in ("", "columnar", "col", "flat"):
-        return "columnar"
-    if mode in ("rebuild", "full", "oracle", "0", "off"):
-        return "rebuild"
+    mode = str(mode).strip().lower() or "columnar"
+    if mode in KERNEL_MODES:
+        return mode
     raise ValueError(
         f"unknown kernel mode {mode!r}; expected one of {', '.join(KERNEL_MODES)}"
     )
@@ -156,10 +161,6 @@ class TickPolicy:
             raise ValueError(f"unknown refresh policy {self.refresh!r}")
         if self.max_commits is not None and self.max_commits < 1:
             raise ValueError("max_commits must be >= 1 (or None)")
-
-
-#: The energy-budget comparison scale of Schedule._demand_shortfall.
-_BUDGET_SLACK = 1 + 1e-12
 
 
 class _MemoEntry:
@@ -237,9 +238,9 @@ class SchedulingKernel:
             if checker is not None and objective is not None and mode == "columnar"
             else None
         )
-        # The static plan memo (see module docstring): task -> (machine,
-        # insertion) -> _MemoEntry, alive only inside run_static.
-        self._memo: dict[int, dict[tuple[int, bool], _MemoEntry]] | None = None
+        # The static plan memo (see module docstring): task -> machine ->
+        # _MemoEntry, alive only inside run_static.
+        self._memo: dict[int, dict[int, _MemoEntry]] | None = None
         # Per-machine sleep state, stored as the *raw* event times the last
         # serve observed (earliest unreleased-task release, earliest pool
         # data-ready) rather than a precomputed wake tick: the asleep test
@@ -654,28 +655,28 @@ class SchedulingKernel:
     # -- clockless mode (the static baselines) ------------------------------
 
     def static_plans(
-        self, task: int, machine: int, insertion: bool
+        self, task: int, machine: int
     ) -> tuple[ExecutionPlan, ExecutionPlan]:
-        """The (primary, secondary) plan pair for *task* on *machine* at
-        clock 0 — :meth:`Schedule.plan_versions` semantics, served from
-        the static plan memo while a ``columnar`` :meth:`run_static` runs
-        (see the module docstring) and computed afresh otherwise."""
+        """The (primary, secondary) hole-insertion plan pair for *task* on
+        *machine* at clock 0 — :meth:`Schedule.plan_versions` semantics,
+        served from the static plan memo while a ``columnar``
+        :meth:`run_static` runs (see the module docstring) and computed
+        afresh otherwise."""
         schedule = self.schedule
         memo = self._memo
         if memo is None:
-            return schedule.plan_versions(task, machine, 0.0, insertion)
+            return schedule.plan_versions(task, machine, 0.0, True)
         per_task = memo.get(task)
         if per_task is None:
             per_task = memo[task] = {}
-        key = (machine, insertion)
-        entry = per_task.get(key)
-        if entry is not None and self._memo_valid(entry, machine, insertion):
+        entry = per_task.get(machine)
+        if entry is not None and self._memo_valid(entry, machine):
             return entry.pair
-        pair, demands = schedule._plan_pair(task, machine, 0.0, insertion)
-        per_task[key] = _MemoEntry(schedule, machine, pair, demands)
+        pair, demands = schedule._plan_pair(task, machine, 0.0, True)
+        per_task[machine] = _MemoEntry(schedule, machine, pair, demands)
         return pair
 
-    def _memo_valid(self, entry: _MemoEntry, machine: int, insertion: bool) -> bool:
+    def _memo_valid(self, entry: _MemoEntry, machine: int) -> bool:
         """Whether *entry* is still exactly what a fresh search returns.
         Calendars only gain reservations during a static run, so a slot
         still free is still the earliest fit; timeline versions skip the
@@ -684,10 +685,7 @@ class SchedulingKernel:
         pair = entry.pair
         exec_tl = schedule.exec_timeline[machine]
         if exec_tl.version != entry.exec_version:
-            # Append-only placement sits at the calendar tail, which any
-            # reservation moves; dead plans carry no placement.
-            if not insertion:
-                return False
+            # Dead plans carry no placement.
             for plan in pair:
                 if plan.feasible and not exec_tl.is_free(plan.start, plan.finish):
                     return False
@@ -718,7 +716,8 @@ class SchedulingKernel:
             for demand, pins in zip(demands, entry.pins):
                 if pins is None:
                     for j, amount in demand.items():
-                        if amount > available(j) * _BUDGET_SLACK + 1e-12:
+                        budget = available(j)
+                        if amount > budget * (1 + BUDGET_TOLERANCE) + BUDGET_TOLERANCE:
                             return False
                 else:
                     for j, avail, reserved in pins:
@@ -733,46 +732,43 @@ class SchedulingKernel:
         self,
         select: Callable[[], tuple[ExecutionPlan | None, int]],
         trace: MappingTrace,
-        *,
-        note_ticks: bool = True,
-        note_empty_pool: bool = False,
-        record_commits: bool = False,
     ) -> None:
         """Drive a static (clockless) heuristic's round loop.
 
         *select* is a zero-argument callable returning ``(plan, pool_size)``
-        — the round's winning plan (``None`` stops the loop) and, when
-        *record_commits*, the candidate count to stamp on the trace record.
-        The kernel owns the loop, the commit, the trace bookkeeping and —
-        in ``columnar`` mode — the static plan memo *select* may read
-        through :meth:`static_plans`; the heuristic owns only its
-        selection rule.
+        — the round's winning plan (``None`` stops the loop) and the
+        candidate count to stamp on the trace record.  The kernel owns the
+        loop, the commit, the trace bookkeeping — every round is a tick,
+        an empty round an empty pool, and every commit one trace record
+        scored under the kernel's objective — and, in ``columnar`` mode,
+        the static plan memo *select* may read through
+        :meth:`static_plans`; the heuristic owns only its selection rule.
         """
         schedule = self.schedule
+        objective = self.objective
+        if objective is None:
+            raise ValueError("run_static scores its trace records: pass an objective")
         # Columnar only: the rebuild oracle plans every lookup afresh.
         self._memo = {} if self.mode == "columnar" else None
         memo = self._memo
         try:
             while not schedule.is_complete:
-                if note_ticks:
-                    trace.note_tick()
+                trace.note_tick()
                 plan, pool_size = select()
                 if plan is None:
-                    if note_empty_pool:
-                        trace.note_empty_pool()
+                    trace.note_empty_pool()
                     break
                 schedule.commit(plan)
                 if memo is not None:
                     memo.pop(plan.task, None)
-                if record_commits:
-                    trace.record_commit(
-                        clock=0.0,
-                        plan=plan,
-                        objective=self.objective.of_schedule(schedule),
-                        pool_size=pool_size,
-                        t100=schedule.t100,
-                        tec=schedule.total_energy_consumed,
-                        aet=schedule.makespan,
-                    )
+                trace.record_commit(
+                    clock=0.0,
+                    plan=plan,
+                    objective=objective.of_schedule(schedule),
+                    pool_size=pool_size,
+                    t100=schedule.t100,
+                    tec=schedule.total_energy_consumed,
+                    aet=schedule.makespan,
+                )
         finally:
             self._memo = None

@@ -49,15 +49,13 @@ from repro.workload.scenario import Scenario
 class SlrhConfig:
     """SLRH tuning knobs.
 
-    Paper defaults: ΔT = 10 cycles, H = 100 cycles, 0.1 s cycles (§VII).
+    Paper defaults: ΔT = 10 cycles, H = 100 cycles (§VII); a cycle is
+    always :data:`~repro.util.units.CYCLE_SECONDS` (0.1 s).
     """
 
     weights: Weights
     delta_t_cycles: int = 10
     horizon_cycles: int = 100
-    cycle_seconds: float = CYCLE_SECONDS
-    #: Hard cap on heuristic invocations; ``None`` derives it from τ.
-    max_ticks: int | None = None
     #: Disable the worst-case comm-energy reserve (ablation only).
     comm_reserve: bool = True
     #: AET-term semantics of the objective (ablation; see ObjectiveFunction).
@@ -108,6 +106,35 @@ class MappingResult:
     heuristic_seconds: float
     heuristic: str
     weights: Weights
+
+    @classmethod
+    def finish(
+        cls,
+        schedule: Schedule,
+        trace: MappingTrace,
+        seconds: float,
+        heuristic: str,
+        weights: Weights,
+    ) -> MappingResult:
+        """Close one map run — the end-of-map bookkeeping every mapper
+        shares: count the run on the schedule's perf registry
+        (``map.runs``, ``map.seconds``, and the trace's tick-level
+        starvation as ``tick.count`` / ``pool.empty_ticks``, so it reaches
+        the perf JSON and the daemon's ``/metrics``), snapshot the registry
+        onto *trace* and build the result."""
+        perf = schedule.perf
+        perf.inc("map.runs")
+        perf.inc("map.seconds", seconds)
+        perf.inc("tick.count", trace.ticks)
+        perf.inc("pool.empty_ticks", trace.empty_pool_ticks)
+        trace.perf = perf.snapshot()
+        return cls(
+            schedule=schedule,
+            trace=trace,
+            heuristic_seconds=seconds,
+            heuristic=heuristic,
+            weights=weights,
+        )
 
     @property
     def complete(self) -> bool:
@@ -199,7 +226,7 @@ class SlrhScheduler:
             mode=resolve_kernel_mode(cfg.kernel, ledger=cfg.ledger),
             machine_order=cfg.machine_order,
             decision_latency_seconds=(
-                cfg.decision_latency_cycles * cfg.cycle_seconds
+                cfg.decision_latency_cycles * CYCLE_SECONDS
             ),
         )
 
@@ -260,13 +287,11 @@ class SlrhScheduler:
         clock = SimulationClock(
             delta_t_cycles=cfg.delta_t_cycles,
             horizon_cycles=cfg.horizon_cycles,
-            cycle_seconds=cfg.cycle_seconds,
             cycle=start_cycle,
         )
         trace = MappingTrace(ledger=DecisionLedger() if cfg.ledger else None)
-        max_ticks = cfg.max_ticks
-        if max_ticks is None:
-            max_ticks = int(math.ceil(scenario.tau / clock.delta_t_seconds)) + 2
+        # Safety cap on heuristic invocations: every tick to τ, plus two.
+        max_ticks = int(math.ceil(scenario.tau / clock.delta_t_seconds)) + 2
 
         stopwatch = Stopwatch()
         tracing = tracer.enabled
@@ -299,19 +324,8 @@ class SlrhScheduler:
                             f"{scenario.tau:.6g}s with the task unmapped"
                         ),
                     )
-        schedule.perf.inc("map.runs")
-        schedule.perf.inc("map.seconds", stopwatch.elapsed)
-        # Tick-level starvation surfaced as counters so it reaches the
-        # perf JSON and the daemon's /metrics, not just in-memory traces.
-        schedule.perf.inc("tick.count", trace.ticks)
-        schedule.perf.inc("pool.empty_ticks", trace.empty_pool_ticks)
-        trace.perf = schedule.perf.snapshot()
-        return MappingResult(
-            schedule=schedule,
-            trace=trace,
-            heuristic_seconds=stopwatch.elapsed,
-            heuristic=self.name,
-            weights=cfg.weights,
+        return MappingResult.finish(
+            schedule, trace, stopwatch.elapsed, self.name, cfg.weights
         )
 
 

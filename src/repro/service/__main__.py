@@ -13,8 +13,6 @@ Options::
     --shards N|auto      shard worker processes  (default $REPRO_SHARDS,
                          else 1); each shard is one forked child
     --max-queue N        per-shard admission bound (default 64)
-    --scenario-cache N   deserialised scenarios kept hot per shard
-                         (default $REPRO_SCENARIO_CACHE or 8)
     --max-sessions N     bound on live streaming sessions (default 64)
     --session-idle S     idle seconds before a session is evicted
     --drain-grace S      max seconds to wait for drain on shutdown
@@ -55,9 +53,6 @@ def main(argv: list[str] | None = None) -> int:
                         "(default: $REPRO_SHARDS, else 1)")
     parser.add_argument("--max-queue", type=int, default=64,
                         help="bounded per-shard job queue size (429 beyond it)")
-    parser.add_argument("--scenario-cache", default=None, metavar="N",
-                        help="deserialised scenarios kept hot per shard "
-                        "(default: $REPRO_SCENARIO_CACHE or 8)")
     parser.add_argument("--max-sessions", type=int, default=DEFAULT_MAX_SESSIONS,
                         help="bound on live streaming sessions (429 beyond it)")
     parser.add_argument("--session-idle", type=float, default=DEFAULT_IDLE_TIMEOUT,
@@ -82,7 +77,6 @@ def main(argv: list[str] | None = None) -> int:
             registry,
             shards=resolve_shards(args.shards),
             max_queue=args.max_queue,
-            scenario_cache=args.scenario_cache,
         )
     except ValueError as exc:
         parser.error(str(exc))

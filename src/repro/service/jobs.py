@@ -47,11 +47,14 @@ from repro.obs.log import get_logger
 from repro.perf import PerfCounters, merge_registries
 from repro.service.registry import ScenarioRegistry
 from repro.service.shard import ProcessShard
-from repro.service.worker import resolve_scenario_cache
 from repro.util.parallel import resolve_shards
 
 #: Fallback per-job seconds used for Retry-After before any job finished.
 _DEFAULT_JOB_SECONDS = 1.0
+
+#: Jobs (with their mapping bytes) the table behind ``GET /v1/jobs/<id>``
+#: keeps; beyond it the oldest finished job is forgotten.
+MAX_JOBS_KEPT = 1024
 
 #: Structured job-lifecycle events (no-op unless repro.obs.log is configured).
 _LOG = get_logger("service.jobs")
@@ -139,18 +142,12 @@ class ShardRouter:
         registry: ScenarioRegistry,
         shards: int | str | None = None,
         max_queue: int = 64,
-        max_jobs_kept: int = 1024,
-        scenario_cache: int | str | None = None,
     ) -> None:
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         self.registry = registry
         self.n_shards = resolve_shards(shards)
         self.max_queue = max_queue
-        self.max_jobs_kept = max_jobs_kept
-        # Resolved here, so a bad value is a constructor ValueError, not
-        # a dead shard child.
-        self.scenario_cache = resolve_scenario_cache(scenario_cache)
         self._lock = threading.Lock()
         self.perf = PerfCounters()  # guarded-by: _lock
         self._jobs: dict[str, Job] = {}  # guarded-by: _lock
@@ -295,7 +292,7 @@ class ShardRouter:
     def _remember_locked(self, job: Job) -> None:
         self._jobs[job.id] = job
         self._job_order.append(job.id)
-        while len(self._job_order) > self.max_jobs_kept:
+        while len(self._job_order) > MAX_JOBS_KEPT:
             old = self._job_order.popleft()
             stale = self._jobs.get(old)
             # Never evict a job that hasn't finished: its submitter may

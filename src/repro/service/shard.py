@@ -135,7 +135,7 @@ class ProcessShard:
             conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=shard_main,
-                args=(child_conn, self.index, self.router.scenario_cache),
+                args=(child_conn, self.index),
                 name=f"repro-shard-{self.index}",
                 daemon=True,
             )

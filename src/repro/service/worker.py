@@ -8,10 +8,9 @@ results byte-identical to the batch CLI at any shard count.
 Each shard keeps one small LRU of deserialised scenarios keyed by content
 digest (:class:`_ScenarioCache`), shared by its jobs and its sessions, so
 a stream of requests against one hot scenario deserialises it once per
-shard, not once per request.  The bound is ``--scenario-cache`` /
-``$REPRO_SCENARIO_CACHE`` (default :data:`DEFAULT_SCENARIO_CACHE`,
-resolved once by :func:`resolve_scenario_cache`), and every
-hit/miss/eviction is reported back in the job outcome's perf snapshot as
+shard, not once per request.  The bound is the constant
+:data:`SCENARIO_CACHE_SIZE`, and every hit/miss/eviction is reported
+back in the job outcome's perf snapshot as
 ``worker.scenario_cache_{hits,misses,evictions}``.
 
 :func:`shard_main` is the shard child's top-level loop: it reads command
@@ -50,33 +49,13 @@ from repro.session import DeltaEncoder, SessionEngine, event_from_dict
 from repro.sim.trace import MappingTrace
 from repro.workload.scenario import Scenario
 
-#: Default bound on deserialised scenarios kept hot per shard.
-DEFAULT_SCENARIO_CACHE = 8
+#: Bound on deserialised scenarios kept hot per shard.
+SCENARIO_CACHE_SIZE = 8
 
 #: SlrhConfig fields a session-open request may override.  Everything
 #: else (weights aside) is pinned to the registry defaults so "same
 #: scenario + heuristic + overrides" means the same mapping everywhere.
 _CONFIG_OVERRIDES = ("delta_t_cycles", "horizon_cycles", "kernel")
-
-
-def resolve_scenario_cache(limit: int | str | None = None) -> int:
-    """Effective per-shard scenario-cache bound: *limit*, else
-    ``$REPRO_SCENARIO_CACHE``, else :data:`DEFAULT_SCENARIO_CACHE`.
-
-    Raises ``ValueError`` for a non-integer or a bound below 1.
-    """
-    if limit is None:
-        raw = os.environ.get("REPRO_SCENARIO_CACHE", "").strip()
-        limit = raw if raw else DEFAULT_SCENARIO_CACHE
-    try:
-        value = int(limit.strip() if isinstance(limit, str) else limit)
-    except ValueError:
-        raise ValueError(
-            f"scenario cache size must be an integer, got {limit!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(f"scenario cache size must be >= 1, got {value}")
-    return value
 
 
 class _ScenarioCache:
@@ -365,11 +344,7 @@ class SessionHost:
             return len(self._sessions)
 
 
-def shard_main(
-    conn: Connection,
-    index: int,
-    scenario_cache: int = DEFAULT_SCENARIO_CACHE,
-) -> None:
+def shard_main(conn: Connection, index: int) -> None:
     """Shard child main loop: one reply per command, state kept hot.
 
     Commands (plain tuples; first element is the op):
@@ -380,7 +355,7 @@ def shard_main(
       scenario reaches this shard (affine routing makes that sticky);
       afterwards the parent sends ``None`` and the shard replays from
       its resident copy.  Jobs and sessions share one scenario LRU of
-      *scenario_cache* entries.
+      :data:`SCENARIO_CACHE_SIZE` entries.
     * ``("session_open", scenario_id, doc|None, session_id, body)`` —
       open a hosted session; the doc is shipped like a job's.
     * ``("session_events"|"session_status"|"session_result"|
@@ -400,7 +375,7 @@ def shard_main(
     parent's sentinel as well, which fires however the parent exits.
     """
     docs: dict[str, dict] = {}
-    cache = _ScenarioCache(scenario_cache)
+    cache = _ScenarioCache(SCENARIO_CACHE_SIZE)
     sessions = SessionHost(cache)
     parent = multiprocessing.parent_process()
     watched: list[Connection | int] = [conn]

@@ -123,8 +123,6 @@ class SessionEngine:
                 "held tasks (pending arrivals) require a clock-driven "
                 "SLRH-family scheduler; static baselines have no clock"
             )
-        config = getattr(scheduler, "config", None)
-        self.cycle_seconds = getattr(config, "cycle_seconds", CYCLE_SECONDS)
         self.schedule = Schedule(scenario, tracer=tracer)
         for task in self.pending:
             self.schedule.set_release(task, math.inf)
@@ -199,7 +197,7 @@ class SessionEngine:
                 )
             self._advance_to(event.cycle)
             self.pending.discard(task)
-            self.schedule.set_release(task, event.cycle * self.cycle_seconds)
+            self.schedule.set_release(task, event.cycle * CYCLE_SECONDS)
             if self.kernel is not None:
                 self.kernel.note_arrival(task)
             return None
@@ -210,7 +208,7 @@ class SessionEngine:
             if machine in self.schedule.offline:
                 raise ValueError(f"machine {machine} is already offline")
             self._advance_to(event.cycle)
-            loss_time = event.cycle * self.cycle_seconds
+            loss_time = event.cycle * CYCLE_SECONDS
             rolled_back, sunk = rollback_machine(self.schedule, machine, loss_time)
             self.schedule.set_offline(machine, True)
             if self.kernel is not None:

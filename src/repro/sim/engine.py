@@ -42,6 +42,7 @@ from repro.obs.log import enabled as _obs_enabled
 from repro.obs.log import get_logger
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.schedule import Assignment, ExecutionPlan, Schedule
+from repro.util.units import CYCLE_SECONDS
 from repro.workload.scenario import Scenario
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a core<->sim cycle
@@ -263,7 +264,7 @@ def run_with_machine_loss(
         raise IndexError(f"no machine {lost_machine}")
     if scenario.n_machines < 2:
         raise ValueError("cannot lose the only machine in the grid")
-    loss_time = loss_cycle * scheduler.config.cycle_seconds
+    loss_time = loss_cycle * CYCLE_SECONDS
 
     initial = scheduler.map(scenario)
     kept, dropped = surviving_tasks(initial.schedule, lost_machine)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.constants import EPSILON
+from repro.core.constants import BUDGET_TOLERANCE, EPSILON
 from repro.grid.energy import EnergyLedger
 from repro.obs.spans import NULL_TRACER
 from repro.perf import PerfCounters
@@ -154,13 +154,12 @@ class Schedule:
         self,
         scenario: Scenario,
         hold_comm_reserves: bool = True,
-        perf: PerfCounters | None = None,
         tracer=None,
     ) -> None:
         self.scenario = scenario
         self.hold_comm_reserves = hold_comm_reserves
         #: Performance counter registry (see :mod:`repro.perf`).
-        self.perf = perf if perf is not None else PerfCounters()
+        self.perf = PerfCounters()
         #: Span tracer (see :mod:`repro.obs.spans`); the shared null tracer
         #: unless a caller opts into tracing, so span sites cost two no-op
         #: calls on the default path.
@@ -401,10 +400,11 @@ class Schedule:
         """Empty string if *demand* fits every machine's available budget,
         else a human-readable reason."""
         for j, amount in demand.items():
-            if amount > self.available_energy(j) * (1 + 1e-12) + 1e-12:
+            budget = self.available_energy(j)
+            if amount > budget * (1 + BUDGET_TOLERANCE) + BUDGET_TOLERANCE:
                 return (
                     f"machine {j} needs {amount:.6g} energy units, "
-                    f"{self.available_energy(j):.6g} available "
+                    f"{budget:.6g} available "
                     f"({self._reserved[j]:.6g} held in comm reserve)"
                 )
         return ""

@@ -91,6 +91,18 @@ class TestRunHeuristic:
         with pytest.raises(ValueError):
             run_heuristic("minmin", tiny_scenario, alpha=0.5)
 
+    @pytest.mark.parametrize("name", HEURISTIC_NAMES)
+    def test_every_map_keeps_the_same_record(self, name):
+        """One end-of-map bookkeeping for every heuristic: a trace record
+        per commit, and one counted run whose ticks match the trace."""
+        result = run_heuristic(name, generate_named_scenario(48, 7))
+        n_mapped = result.schedule.n_mapped
+        trace = result.trace
+        assert len(trace.records) == n_mapped
+        assert result.perf["map.runs"] == 1
+        assert result.perf["commit.count"] == n_mapped
+        assert result.perf["tick.count"] == trace.ticks > 0
+
 
 class TestComparisonFactoryIntegration:
     def test_factory_dispatches_through_registry(self):

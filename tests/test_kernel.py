@@ -78,10 +78,7 @@ class TestModeResolution:
     @pytest.mark.parametrize(
         "alias,mode",
         [
-            ("full", "rebuild"), ("oracle", "rebuild"),
-            ("0", "rebuild"), ("off", "rebuild"),
             ("Rebuild", "rebuild"), (" rebuild ", "rebuild"),
-            ("col", "columnar"), ("flat", "columnar"),
             ("Columnar", "columnar"), (" columnar ", "columnar"),
         ],
     )
@@ -92,9 +89,14 @@ class TestModeResolution:
         with pytest.raises(ValueError, match="unknown kernel mode"):
             resolve_kernel_mode("bogus")
 
-    @pytest.mark.parametrize("retired", ["incremental", "inc", "delta", "1", "on"])
+    @pytest.mark.parametrize(
+        "retired",
+        ["incremental", "inc", "delta", "1", "on",
+         "col", "flat", "full", "oracle", "0", "off"],
+    )
     def test_retired_object_pool_mode_raises(self, retired, monkeypatch):
-        """The object-pool mode and its aliases are gone: asking for it
+        """The object-pool mode and its aliases are gone, and so are the
+        old alias spellings of the two live modes: asking for any of them
         names the two modes that remain."""
         monkeypatch.setenv("REPRO_KERNEL", retired)
         with pytest.raises(ValueError, match="columnar, rebuild"):
@@ -392,30 +394,19 @@ def _always_miss(monkeypatch) -> None:
     monkeypatch.setattr(
         SchedulingKernel,
         "_memo_valid",
-        lambda self, entry, machine, insertion: False,
+        lambda self, entry, machine: False,
     )
 
 
 _STATIC_MAPPERS = [
     pytest.param(lambda: MaxMaxScheduler(MaxMaxConfig(weights=_WEIGHTS)), id="maxmax"),
     pytest.param(
-        lambda: MaxMaxScheduler(MaxMaxConfig(weights=_WEIGHTS, insertion=False)),
-        id="maxmax-append",
-    ),
-    pytest.param(
         lambda: MaxMaxScheduler(
             MaxMaxConfig(weights=_WEIGHTS, machine_stage="objective")
         ),
         id="maxmax-objective",
     ),
-    pytest.param(
-        lambda: MaxMaxScheduler(
-            MaxMaxConfig(weights=_WEIGHTS, insertion=False, machine_stage="objective")
-        ),
-        id="maxmax-objective-append",
-    ),
     pytest.param(MinMinScheduler, id="minmin"),
-    pytest.param(lambda: MinMinScheduler(insertion=False), id="minmin-append"),
 ]
 
 
@@ -477,12 +468,12 @@ class TestStaticPlanMemo:
         served = SchedulingKernel.static_plans
         lookups = 0
 
-        def checked(kernel, task, machine, insertion):
+        def checked(kernel, task, machine):
             nonlocal lookups
             lookups += 1
-            pair = served(kernel, task, machine, insertion)
-            fresh, _ = kernel.schedule._plan_pair(task, machine, 0.0, insertion)
-            assert pair == fresh, (task, machine, insertion)
+            pair = served(kernel, task, machine)
+            fresh, _ = kernel.schedule._plan_pair(task, machine, 0.0, True)
+            assert pair == fresh, (task, machine)
             return pair
 
         monkeypatch.setattr(SchedulingKernel, "static_plans", checked)
@@ -516,53 +507,48 @@ class TestStaticPlanMemo:
         assert shipped == fresh
 
     @pytest.mark.parametrize(
-        "change",
-        ["in_channel", "out_channel", "exec_slot", "exec_tail", "energy"],
+        "change", ["in_channel", "out_channel", "exec_slot", "energy"]
     )
     def test_each_check_rejects_the_change_it_guards(self, change, tiny_scenario):
         """White-box, one check at a time: a memoised pair for a task with
         one remote parent goes stale when its transfer slot is taken on
-        either channel, its execution slot (or, append-only, the calendar
-        tail) moves, or its energy verdict no longer holds.  Commits rarely
-        move one of these alone, so the end-to-end tests above cannot
-        single each check out."""
+        either channel, its execution slot is taken, or its energy verdict
+        no longer holds.  Commits rarely move one of these alone, so the
+        end-to-end tests above cannot single each check out."""
         schedule = Schedule(tiny_scenario)
         kernel = SchedulingKernel(schedule, None, None)
         root = tiny_scenario.dag.roots[0]
         schedule.commit(schedule.plan(root, PRIMARY, 0, insertion=True))
         task, machine = 8, 1  # root's only child on machine 0 -> 1
-        insertion = change != "exec_tail"
-        pair, demands = schedule._plan_pair(task, machine, 0.0, insertion)
+        pair, demands = schedule._plan_pair(task, machine, 0.0, True)
         entry = _MemoEntry(schedule, machine, pair, demands)
         (comm,) = pair[0].comms
-        assert pair[0].feasible and kernel._memo_valid(entry, machine, insertion)
+        assert pair[0].feasible and kernel._memo_valid(entry, machine)
         if change == "in_channel":
             schedule.in_channel[machine].reserve(comm.start, comm.finish)
         elif change == "out_channel":
             schedule.out_channel[comm.src].reserve(comm.start, comm.finish)
         elif change == "exec_slot":
             schedule.exec_timeline[machine].reserve(pair[0].start, pair[0].finish)
-        elif change == "exec_tail":
-            tail = schedule.exec_timeline[machine].tail
-            schedule.exec_timeline[machine].reserve(tail, pair[0].start)
         else:
             schedule.debit_external(machine, schedule.available_energy(machine))
-        assert not kernel._memo_valid(entry, machine, insertion)
+        assert not kernel._memo_valid(entry, machine)
 
     def test_memo_lives_only_inside_run_static(self, small_scenario):
         schedule = Schedule(small_scenario)
-        kernel = SchedulingKernel(schedule, None, None)
+        objective = ObjectiveFunction.for_scenario(small_scenario, _WEIGHTS)
+        kernel = SchedulingKernel(schedule, None, objective)
         root = small_scenario.dag.roots[0]
         # Outside a run every lookup is a fresh plan_versions call.
-        assert kernel.static_plans(root, 0, True) == schedule.plan_versions(
+        assert kernel.static_plans(root, 0) == schedule.plan_versions(
             root, 0, insertion=True
         )
         assert kernel._memo is None
         seen = []
 
         def select():
-            seen.append(kernel.static_plans(root, 0, True))
-            seen.append(kernel.static_plans(root, 0, True))
+            seen.append(kernel.static_plans(root, 0))
+            seen.append(kernel.static_plans(root, 0))
             return None, 0
 
         kernel.run_static(select, MappingTrace())

@@ -82,20 +82,3 @@ class TestVersionMixing:
         result = MaxMaxScheduler(config).map(small_scenario)
         versions = {a.version for a in result.schedule.assignments.values()}
         assert len(versions) >= 1  # at minimum it ran; mixing depends on regime
-
-
-def test_insertion_toggle(small_scenario, mid_weights):
-    with_holes = MaxMaxScheduler(
-        MaxMaxConfig(weights=mid_weights, insertion=True)
-    ).map(small_scenario)
-    without = MaxMaxScheduler(
-        MaxMaxConfig(weights=mid_weights, insertion=False)
-    ).map(small_scenario)
-    validate_schedule(with_holes.schedule)
-    validate_schedule(without.schedule)
-    # Insertion changes the committed mappings (it cannot be a no-op knob);
-    # note per-step greedy means the final makespan is not guaranteed to
-    # improve, only the per-candidate start times.
-    a = {(t, x.machine, x.start) for t, x in with_holes.schedule.assignments.items()}
-    b = {(t, x.machine, x.start) for t, x in without.schedule.assignments.items()}
-    assert a != b

@@ -264,6 +264,38 @@ class TestHTTPSurface:
         (trace,) = [e for e in events if e["event"] == "trace"]
         assert trace["commits"] == len(commits)
 
+    def test_every_heuristic_streams_one_commit_per_task(self, service):
+        """Every registry heuristic's job streams one ``commit`` event per
+        task and a ``trace`` summary counting them, and each map reaches
+        /metrics once: ``map.runs`` is the completed jobs, ``commit.count``
+        the tasks they mapped."""
+        base, _ = service
+        _, _, body = _post(base, "/v1/scenarios", _scenario_doc(32, 7))
+        sid = json.loads(body)["id"]
+        mapped = 0
+        for heuristic in HEURISTIC_NAMES:
+            status, _, body = _post(
+                base,
+                "/v1/map",
+                {"scenario": sid, "heuristic": heuristic, "wait": False},
+            )
+            assert status == 202
+            pending = json.loads(body)
+            _, _, stream = _get(base, pending["events_url"])
+            events = [json.loads(line) for line in stream.splitlines() if line]
+            assert events[-1]["state"] == "succeeded", heuristic
+            commits = [e for e in events if e["event"] == "commit"]
+            (trace,) = [e for e in events if e["event"] == "trace"]
+            assert len(commits) == trace["commits"] == 32, heuristic
+            _, _, body = _get(base, pending["status_url"])
+            mapped += json.loads(body)["summary"]["n_mapped"]
+        _, _, body = _get(base, "/metrics")
+        counters = json.loads(body)["counters"]
+        assert counters["map.runs"] == counters["service.completed"] == len(
+            HEURISTIC_NAMES
+        )
+        assert counters["commit.count"] == mapped
+
     def test_error_statuses(self, service):
         base, _ = service
         status, _, _ = _post(base, "/v1/map", {"scenario": "sha256:nope"})

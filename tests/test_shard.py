@@ -25,11 +25,10 @@ from repro.service.jobs import QueueFullError, ShardRouter
 from repro.service.registry import ScenarioRegistry
 from repro.service.shard import ProcessShard, ShardCrashedError
 from repro.service.worker import (
-    DEFAULT_SCENARIO_CACHE,
+    SCENARIO_CACHE_SIZE,
     SessionHost,
     _ScenarioCache,
     execute_mapping,
-    resolve_scenario_cache,
 )
 from repro.util.parallel import resolve_shards
 
@@ -363,24 +362,6 @@ class TestConcurrentAdmission:
 
 
 class TestScenarioCache:
-    def test_configure_parses_and_validates(self):
-        assert resolve_scenario_cache("3") == 3
-        assert resolve_scenario_cache(5) == 5
-        with pytest.raises(ValueError):
-            resolve_scenario_cache(0)
-        with pytest.raises(ValueError):
-            resolve_scenario_cache("lots")
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCENARIO_CACHE", "5")
-        assert resolve_scenario_cache(None) == 5
-        assert resolve_scenario_cache(2) == 2  # explicit beats the environment
-        monkeypatch.setenv("REPRO_SCENARIO_CACHE", "0")
-        with pytest.raises(ValueError):
-            resolve_scenario_cache(None)
-        monkeypatch.delenv("REPRO_SCENARIO_CACHE")
-        assert resolve_scenario_cache(None) == DEFAULT_SCENARIO_CACHE
-
     def test_lru_evicts_and_reports(self):
         cache = _ScenarioCache(1)
         doc_a, doc_b = _scenario_doc(12, 1), _scenario_doc(12, 2)
@@ -421,30 +402,25 @@ class TestScenarioCache:
         outcome = execute_mapping(a, reg.get_doc(a), "greedy", None, None, cache)
         assert outcome["perf"]["worker.scenario_cache_evictions"] == 1
 
-    def test_router_rejects_bad_cache_size_eagerly(self, monkeypatch):
-        with pytest.raises(ValueError):
-            ShardRouter(ScenarioRegistry(), shards=1, scenario_cache="0")
-        monkeypatch.setenv("REPRO_SCENARIO_CACHE", "lots")
-        with pytest.raises(ValueError):
-            ShardRouter(ScenarioRegistry(), shards=1)
-
     def test_eviction_counter_reaches_metrics(self):
         reg = ScenarioRegistry()
-        a, _ = reg.put(_scenario_doc(12, 1))
-        b, _ = reg.put(_scenario_doc(12, 2))
-        manager = ShardRouter(reg, shards=1, scenario_cache=1, max_queue=16)
-        assert manager.scenario_cache == 1
+        ids = [
+            reg.put(_scenario_doc(12, seed))[0]
+            for seed in range(1, SCENARIO_CACHE_SIZE + 2)
+        ]
+        manager = ShardRouter(reg, shards=1, max_queue=16)
         manager.start()
         try:
-            for sid in (a, b, a, b):
+            for sid in ids + ids[:1]:
                 job = manager.submit(sid, "greedy")
                 assert job.done.wait(timeout=120)
                 assert job.state == "succeeded"
-            # Alternating two scenarios through a 1-deep LRU must evict.
-            assert manager.perf.get("worker.scenario_cache_evictions") >= 2
+            # Nine scenarios cycled through the 8-entry LRU: the ninth
+            # evicts the first, and the first's return evicts the second.
+            assert manager.perf.get("worker.scenario_cache_evictions") == 2
             metrics = manager.metrics_document()
-            assert metrics["counters"]["shard0.cache_evictions"] >= 2
-            assert metrics["counters"]["worker.scenario_cache_misses"] >= 3
+            assert metrics["counters"]["shard0.cache_evictions"] == 2
+            assert metrics["counters"]["worker.scenario_cache_misses"] == len(ids) + 1
         finally:
             manager.close(drain_timeout=0)
 

@@ -52,11 +52,6 @@ class TestClockDiscipline:
         # The clock never runs meaningfully past tau.
         assert result.trace.ticks <= 3
 
-    def test_max_ticks_cap(self, small_scenario, mid_weights):
-        config = SlrhConfig(weights=mid_weights, max_ticks=1)
-        result = SLRH1(config).map(small_scenario)
-        assert result.trace.ticks == 1
-
     def test_resume_from_cycle(self, small_scenario, mid_config):
         result = SLRH1(mid_config).map(small_scenario, start_cycle=500)
         for a in result.schedule.assignments.values():
