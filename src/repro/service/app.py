@@ -11,9 +11,11 @@ Routes (all bodies JSON; streaming endpoints NDJSON):
     Run a registry heuristic on a registered scenario.  Default is
     synchronous: the response body is the canonical mapping JSON,
     byte-identical to ``python -m repro.experiments map``.  With
-    ``"wait": false`` returns 202 and a job id to poll.  Backpressure:
-    429 + ``Retry-After`` when the bounded queue is full, 503 while
-    draining.
+    ``"wait": false`` returns 202 and a job id to poll.  A repeat of a
+    request the router still holds is answered from that job, and a
+    duplicate of one in flight waits on it; each gets its own job id.
+    Backpressure: 429 + ``Retry-After`` when the bounded queue is full,
+    503 while draining.
 ``GET /v1/jobs/<id>``
     Job status document.
 ``GET /v1/jobs/<id>/result``
@@ -35,7 +37,8 @@ Routes (all bodies JSON; streaming endpoints NDJSON):
     session table is full, 503 while draining.
 ``POST /v1/session/<id>/events``
     Stream grid events in (NDJSON request body, one
-    :mod:`repro.session.events` document per line); mapping deltas
+    :mod:`repro.session.events` document per line, each at most
+    :data:`MAX_EVENT_LINE_BYTES`); mapping deltas
     stream out (NDJSON response): per event one delta block — new or
     changed assignments only, in the exact per-task encoding of the
     full-mapping NDJSON stream — and after ``close`` a final footer.  A
@@ -98,6 +101,10 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: the generated document (11.8 MiB at 65,536 tasks) still fits in an
 #: upload of :data:`MAX_BODY_BYTES`.  A larger spec gets a 400.
 MAX_GENERATE_TASKS = 65536
+
+#: Longest line of a ``/v1/session/<id>/events`` batch; a valid event
+#: line is under 100 bytes.  A longer line gets a 400 before it is parsed.
+MAX_EVENT_LINE_BYTES = 4096
 
 #: Bound on every socket read and write of a connection.  A client that
 #: stops sending mid-body gets a 408; an idle keep-alive connection is
@@ -353,19 +360,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
         body = self._read_body()
         if body is None:
             return
-        scenario_id = body.get("scenario")
-        heuristic = body.get("heuristic", "slrh1")
-        if not scenario_id:
-            self._error(400, "missing 'scenario' (a registered scenario id)")
-            return
+        wait = body.get("wait", True)
         try:
-            alpha = body.get("alpha")
-            beta = body.get("beta")
+            if not isinstance(wait, bool):
+                raise ValueError(f"'wait' must be a boolean, not {type(wait).__name__}")
             job = self.manager.submit(
-                scenario_id,
-                heuristic,
-                None if alpha is None else float(alpha),
-                None if beta is None else float(beta),
+                body.get("scenario"),
+                body.get("heuristic", "slrh1"),
+                body.get("alpha"),
+                body.get("beta"),
             )
         except QueueFullError as exc:
             self._error(
@@ -380,10 +383,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
         except KeyError as exc:
             self._error(404, str(exc.args[0] if exc.args else exc))
             return
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             self._error(400, str(exc))
             return
-        if body.get("wait", True):
+        if wait:
             job.done.wait()
             self._job_result(job)
         else:
@@ -444,6 +447,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return
         events = []
         for lineno, line in enumerate(raw.splitlines(), start=1):
+            if len(line) > MAX_EVENT_LINE_BYTES:
+                self._error(
+                    400,
+                    f"event line {lineno} is {len(line)} bytes; the limit "
+                    f"is {MAX_EVENT_LINE_BYTES}",
+                )
+                return
             if not line.strip():
                 continue
             try:

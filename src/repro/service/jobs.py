@@ -31,6 +31,18 @@ depth, last heartbeat) for ``/healthz``.
 A crashed shard child fails its in-flight job and every job queued
 behind it (each surfaced as a ``failed`` job with the crash message —
 never a hang), stays dead, and flips ``/healthz`` to 503.
+
+Mapping is deterministic, so the router answers a repeated request
+without a shard.  Its *request index* maps each request's
+:class:`RequestKey` (scenario id, canonical heuristic, resolved weights)
+to the newest retained job holding that key's result.  A repeat of a
+succeeded job is answered at once; a duplicate of a queued or running
+job attaches to it (single flight), up to ``max_queue`` duplicates per
+job; only a miss is admitted to a shard.  Every request still gets its
+own :class:`Job` record; a repeat or a duplicate names the job that ran
+the map as its ``source`` and reads that job's :class:`MapRun`.  The
+index holds no key beyond the job table (:data:`MAX_JOBS_KEPT`), and a
+failed job leaves it.
 """
 
 from __future__ import annotations
@@ -40,7 +52,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
+from repro.core.objective import Weights
 from repro.heuristics import normalize_heuristic, resolve_weights
 from repro.io.serialization import canonical_json_bytes
 from repro.obs.log import get_logger
@@ -53,7 +67,10 @@ from repro.util.parallel import resolve_shards
 _DEFAULT_JOB_SECONDS = 1.0
 
 #: Jobs (with their mapping bytes) the table behind ``GET /v1/jobs/<id>``
-#: keeps; beyond it the oldest finished job is forgotten.
+#: keeps; beyond it the oldest finished job is forgotten.  Unfinished jobs
+#: stay, at most ``max_queue + 1`` shard jobs per shard and ``max_queue``
+#: duplicates waiting on each.  It bounds the request index too: a key
+#: lives only as long as the record it points at.
 MAX_JOBS_KEPT = 1024
 
 #: Structured job-lifecycle events (no-op unless repro.obs.log is configured).
@@ -75,42 +92,138 @@ class DrainingError(Exception):
     """The service is draining and no longer admits jobs (HTTP 503)."""
 
 
+class RequestKey(NamedTuple):
+    """The canonical form of one map request: everything
+    :func:`~repro.heuristics.run_heuristic` reads from it, so equal keys
+    map to equal bytes.  The request index's key."""
+
+    scenario_id: str
+    heuristic: str  # canonical registry name
+    weights: Weights | None  # None for the weight-free baselines
+
+
+def _weight(name: str, value: object) -> float | None:
+    """A request's α or β as a float (None when absent).  ValueError for a
+    boolean, a non-number, or an integer too large for a float."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name!r} must be a number, not {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name!r} is out of range") from None
+
+
+class MapRun:
+    """One shard map, shared by the job that ran it and by every record
+    answered from it.  Its shard's dispatcher sets ``state`` and
+    ``started_at``; the router sets the rest when the map ends, then
+    ``done``."""
+
+    def __init__(self) -> None:
+        self.state = "queued"  # queued | running | succeeded | failed
+        self.error: str | None = None
+        self.started_at: float | None = None
+        self.finished_at: float | None = None
+        self.outcome: dict | None = None
+        self.done = threading.Event()
+        self._encode_lock = threading.Lock()
+        self._mapping_bytes: bytes | None = None  # guarded-by: _encode_lock
+
+    def mapping_bytes(self) -> bytes | None:
+        """Canonical mapping JSON of a succeeded map (None otherwise).
+
+        The first reader encodes it and the outcome drops the mapping
+        dict, so every reply sends bytes encoded once, and the encode
+        runs on a request's thread, not on the shard's dispatcher.
+        """
+        with self._encode_lock:
+            if self._mapping_bytes is None and self.outcome is not None:
+                self._mapping_bytes = canonical_json_bytes(
+                    self.outcome.pop("mapping")
+                )
+            return self._mapping_bytes
+
+
+def _not_before(floor: float, moment: float | None) -> float | None:
+    return None if moment is None else max(floor, moment)
+
+
 @dataclass
 class Job:
-    """One ``/v1/map`` request through its lifecycle."""
+    """One ``/v1/map`` request through its lifecycle.
+
+    A job that ran its own map has no :attr:`source`.  A repeat, or a
+    duplicate attached to a job in flight, names that job as its source
+    and reads state, error, outcome and ``done`` from the source's
+    :class:`MapRun`.  Its own wait and total start at its submission.
+    """
 
     id: str
-    scenario_id: str
-    heuristic: str
-    alpha: float | None
-    beta: float | None
+    key: RequestKey
     shard: int = 0
-    state: str = "queued"  # queued | running | succeeded | failed
-    error: str | None = None
     submitted_at: float = 0.0
-    started_at: float | None = None
-    finished_at: float | None = None
-    outcome: dict | None = None
-    done: threading.Event = field(default_factory=threading.Event, repr=False)
+    source: Job | None = None
+    run: MapRun = field(default_factory=MapRun, repr=False)
+
+    @property
+    def state(self) -> str:
+        return self.run.state
+
+    @property
+    def error(self) -> str | None:
+        return self.run.error
+
+    @property
+    def outcome(self) -> dict | None:
+        return self.run.outcome
+
+    @property
+    def done(self) -> threading.Event:
+        return self.run.done
+
+    @property
+    def started_at(self) -> float | None:
+        return _not_before(self.submitted_at, self.run.started_at)
+
+    @property
+    def finished_at(self) -> float | None:
+        return _not_before(self.submitted_at, self.run.finished_at)
+
+    @property
+    def scenario_id(self) -> str:
+        return self.key.scenario_id
+
+    @property
+    def heuristic(self) -> str:
+        return self.key.heuristic
+
+    @property
+    def alpha_beta(self) -> tuple[float | None, float | None]:
+        """The (α, β) the map runs with; (None, None) when weight-free."""
+        weights = self.key.weights
+        return (None, None) if weights is None else (weights.alpha, weights.beta)
 
     @property
     def mapping_bytes(self) -> bytes | None:
         """Canonical mapping JSON of a succeeded job (None otherwise)."""
-        if self.outcome is None:
-            return None
-        return canonical_json_bytes(self.outcome["mapping"])
+        return self.run.mapping_bytes()
 
     def status_doc(self) -> dict:
         """JSON-ready status for ``GET /v1/jobs/<id>``."""
+        alpha, beta = self.alpha_beta
         doc = {
             "job": self.id,
             "state": self.state,
             "scenario": self.scenario_id,
             "heuristic": self.heuristic,
-            "alpha": self.alpha,
-            "beta": self.beta,
+            "alpha": alpha,
+            "beta": beta,
             "shard": self.shard,
         }
+        if self.source is not None:
+            doc["source"] = self.source.id
         if self.error is not None:
             doc["error"] = self.error
         if self.finished_at is not None:
@@ -126,9 +239,10 @@ class ShardRouter:
     """Thin global front: validation, affine routing, admission, job table.
 
     The router never executes anything itself — it picks the target
-    shard from the scenario digest, makes the global admission decision
-    (draining → 503, target shard full → 429 + Retry-After), and keeps
-    the bounded global job table that ``GET /v1/jobs/<id>`` reads.  All
+    shard from the scenario digest, answers repeats from its request
+    index, makes the global admission decision (draining → 503, target
+    shard full → 429 + Retry-After), and keeps the bounded global job
+    table that ``GET /v1/jobs/<id>`` reads.  All
     global perf accounting (``service.*`` counters and latency
     histograms) lives on :attr:`perf` and is mutated only under
     ``_lock`` — submitters take it on admission, dispatcher threads take
@@ -152,6 +266,10 @@ class ShardRouter:
         self.perf = PerfCounters()  # guarded-by: _lock
         self._jobs: dict[str, Job] = {}  # guarded-by: _lock
         self._job_order: deque[str] = deque()  # guarded-by: _lock
+        # The newest retained record holding each key's result.
+        self._index: dict[RequestKey, Job] = {}  # guarded-by: _lock
+        # Source job id → the duplicates waiting on it, at most max_queue.
+        self._attached: dict[str, list[Job]] = {}  # guarded-by: _lock
         self._ids = itertools.count(1)  # guarded-by: _lock
         self._draining = False  # guarded-by: _lock
         self._stopped = False  # guarded-by: _lock
@@ -225,6 +343,40 @@ class ShardRouter:
 
     # -- admission ---------------------------------------------------------
 
+    def request_key(
+        self,
+        scenario_id: object,
+        heuristic: object,
+        alpha: object = None,
+        beta: object = None,
+    ) -> RequestKey:
+        """The canonical form of one map request.
+
+        Raises :class:`ValueError` (400 upstream) for a missing or
+        non-string scenario id, a non-string heuristic, a boolean or
+        non-numeric weight, and weights
+        :func:`~repro.heuristics.resolve_weights` rejects;
+        :class:`KeyError` (404) for an unknown heuristic or an
+        unregistered scenario.
+        """
+        if scenario_id is None or scenario_id == "":
+            raise ValueError("missing 'scenario' (a registered scenario id)")
+        if not isinstance(scenario_id, str):
+            raise ValueError(
+                f"'scenario' must be a string, not {type(scenario_id).__name__}"
+            )
+        if not isinstance(heuristic, str):
+            raise ValueError(
+                f"'heuristic' must be a string, not {type(heuristic).__name__}"
+            )
+        canonical = normalize_heuristic(heuristic)  # KeyError when unknown
+        weights = resolve_weights(
+            canonical, _weight("alpha", alpha), _weight("beta", beta)
+        )
+        if scenario_id not in self.registry:
+            raise KeyError(f"scenario {scenario_id!r} is not registered")
+        return RequestKey(scenario_id, canonical, weights)
+
     # acquires: ProcessShard._lock
     def submit(
         self,
@@ -233,61 +385,81 @@ class ShardRouter:
         alpha: float | None = None,
         beta: float | None = None,
     ) -> Job:
-        """Admit one mapping request; returns its :class:`Job`.
+        """Answer one mapping request with its own :class:`Job`.
 
-        Raises :class:`KeyError` for an unregistered scenario or unknown
-        heuristic, :class:`ValueError` for weights
-        :func:`~repro.heuristics.resolve_weights` rejects,
-        :class:`DrainingError` during shutdown and :class:`QueueFullError`
-        when the target shard's bounded queue is at capacity.
+        After :meth:`request_key` has validated the request: draining
+        raises :class:`DrainingError`; a key the index holds is answered
+        without a shard (a repeat of a succeeded job is done at once, a
+        duplicate of a queued or running job attaches to it); a miss is
+        admitted to its shard.  A miss waits in its shard's queue and a
+        duplicate on its source; either raises :class:`QueueFullError`
+        when ``max_queue`` requests already wait there.
         """
-        canonical = normalize_heuristic(heuristic)  # KeyError when unknown
-        resolve_weights(canonical, alpha, beta)  # ValueError before admission
-        if scenario_id not in self.registry:
-            raise KeyError(f"scenario {scenario_id!r} is not registered")
-        shard = self.shard_for(scenario_id)
+        key = self.request_key(scenario_id, heuristic, alpha, beta)
+        shard = self.shard_for(key.scenario_id)
         with self._lock:
             if self._stopped or self._draining:
                 self.perf.inc("service.rejected_draining")
-                _LOG.event("job.rejected", reason="draining", scenario=scenario_id)
+                _LOG.event("job.rejected", reason="draining", scenario=key.scenario_id)
                 raise DrainingError("service is draining; not accepting jobs")
-            # Admission is serialised on this lock, so the depth read here
-            # cannot be raced upward by another submitter; the dispatcher
-            # only ever shrinks it.
-            depth, retry_after = shard.admission_state(
-                self._per_job_seconds_locked()
-            )
-            if depth >= self.max_queue:
-                self.perf.inc("service.rejected")
-                _LOG.event(
-                    "job.rejected",
-                    reason="queue_full",
-                    scenario=scenario_id,
-                    shard=shard.index,
-                    queue_depth=depth,
+            held = self._index.get(key)
+            source = None if held is None else held.source or held
+            if source is not None and source.state == "succeeded":
+                job = self._new_job_locked(key, shard, source)
+                self.perf.inc("service.repeats")
+                self.perf.observe("service.request_seconds", 0.0)
+                _LOG.event("job.repeat", job=job.id, source=source.id)
+            else:
+                # Admission is serialised on this lock, so a depth read
+                # here cannot be raced upward by another submitter; the
+                # dispatcher and finishing jobs only ever shrink it.
+                depth, retry_after = shard.admission_state(
+                    self._per_job_seconds_locked()
                 )
-                raise QueueFullError(depth, retry_after)
-            job = Job(
-                id=f"job-{next(self._ids):08d}",
-                scenario_id=scenario_id,
-                heuristic=canonical,
-                alpha=alpha,
-                beta=beta,
-                shard=shard.index,
-                submitted_at=time.monotonic(),
-            )
-            new_depth = shard.enqueue(job)
+                if source is not None:
+                    depth = len(self._attached.get(source.id, ()))
+                if depth >= self.max_queue:
+                    self.perf.inc("service.rejected")
+                    _LOG.event(
+                        "job.rejected",
+                        reason="queue_full" if source is None else "attach_full",
+                        scenario=key.scenario_id,
+                        shard=shard.index,
+                        queue_depth=depth,
+                    )
+                    raise QueueFullError(depth, retry_after)
+                job = self._new_job_locked(key, shard, source)
+                if source is None:
+                    depth = shard.enqueue(job)
+                    self.perf.inc("service.submitted")
+                    _LOG.event(
+                        "job.submitted",
+                        job=job.id,
+                        scenario=key.scenario_id,
+                        heuristic=key.heuristic,
+                        shard=shard.index,
+                        queue_depth=depth,
+                    )
+                else:
+                    self._attached.setdefault(source.id, []).append(job)
+                    self.perf.inc("service.attached")
+                    _LOG.event("job.attached", job=job.id, source=source.id)
+            self._index[key] = job
             self._remember_locked(job)
-            self.perf.inc("service.submitted")
-            _LOG.event(
-                "job.submitted",
-                job=job.id,
-                scenario=scenario_id,
-                heuristic=canonical,
-                shard=shard.index,
-                queue_depth=new_depth,
-            )
         return job
+
+    def _new_job_locked(
+        self, key: RequestKey, shard: ProcessShard, source: Job | None
+    ) -> Job:
+        """A request's record: its own map's, or a view of *source*'s."""
+        return Job(
+            id=f"job-{next(self._ids):08d}",
+            key=key,
+            shard=shard.index,
+            submitted_at=time.monotonic(),
+            source=source,
+            run=MapRun() if source is None else source.run,
+        )
 
     def _remember_locked(self, job: Job) -> None:
         self._jobs[job.id] = job
@@ -299,6 +471,8 @@ class ShardRouter:
             # still be blocked on it.
             if stale is not None and stale.done.is_set():
                 del self._jobs[old]
+                if self._index.get(stale.key) is stale:
+                    del self._index[stale.key]
             else:
                 self._job_order.append(old)
                 break
@@ -329,25 +503,32 @@ class ShardRouter:
     def _record_finish(
         self, job: Job, outcome: dict | None = None, error: str | None = None
     ) -> None:
-        """Global accounting for one finished job (any dispatcher thread);
-        the router lock makes concurrent shard completions exact."""
-        job.finished_at = time.monotonic()
+        """Global accounting for one finished shard job (any dispatcher
+        thread) and the records attached to it; the router lock makes
+        concurrent shard completions exact."""
+        run = job.run
         with self._lock:
+            run.finished_at = time.monotonic()
             if error is not None:
-                job.state = "failed"
-                job.error = error
+                run.state = "failed"
+                run.error = error
                 self.perf.inc("service.failed")
+                held = self._index.get(job.key)
+                if held is not None and held.run is run:
+                    del self._index[job.key]  # failures are never retained
             else:
-                job.state = "succeeded"
-                job.outcome = outcome
+                run.state = "succeeded"
+                run.outcome = outcome
                 self.perf.inc("service.completed")
                 self.perf.observe(
                     "service.map_seconds", outcome["heuristic_seconds"]
                 )
                 self.perf.merge(outcome["perf"])  # engine counters (pool, plan …)
-            self.perf.observe(
-                "service.request_seconds", job.finished_at - job.submitted_at
-            )
+            for record in (job, *self._attached.pop(job.id, ())):
+                self.perf.observe(
+                    "service.request_seconds",
+                    run.finished_at - record.submitted_at,
+                )
         _LOG.event(
             "job.finished",
             job=job.id,

@@ -11,19 +11,24 @@ latency per level.  The artefact layout::
       "heuristic": "slrh1",
       "levels": [
         {"clients": 1, "requests": ..., "errors": 0,
-         "retries_429": ..., "gave_up": ...,
+         "retries_429": ..., "gave_up": ..., "repeats": 0,
          "wall_seconds": ..., "throughput_rps": ...,
          "latency_seconds": {"count": ..., "mean": ..., "p50": ...,
                              "p95": ..., "p99": ...}},
         ...
       ],
+      "metrics_after": {... selected /metrics fields ...}
+    }
+
+Every map request of a weighted heuristic asks for its own α
+(:func:`run_level`), so each one runs a map rather than a repeat the
+daemon answers from its request index; ``repeats`` counts the requests
+the index answered anyway.
 
 Backpressure handling is **bounded**: a 429 response is retried after the
 server's ``Retry-After`` hint, but only up to ``--max-retries`` times per
 request — a persistently saturated queue shows up as ``gave_up`` counts in
 the report instead of hanging the benchmark forever.
-      "metrics_after": {... selected /metrics fields ...}
-    }
 
 Usage::
 
@@ -81,6 +86,10 @@ _HTTP_TIMEOUT = 600.0
 
 #: Default per-request budget of 429 retries before a client gives up.
 DEFAULT_MAX_RETRIES = 8
+
+#: How far each map request's α sits below the previous one's
+#: (:func:`run_level`): distinct keys, the same work.
+ALPHA_STEP = 1e-12
 
 
 def _post_json(base_url: str, path: str, doc: dict) -> tuple[int, bytes]:
@@ -155,44 +164,70 @@ def register_scenario(base_url: str, n_tasks: int, seed: int) -> str:
     return json.loads(body)["id"]
 
 
+def _index_answers(base_url: str) -> float | None:
+    """Requests the daemon's request index has answered so far; None when
+    the server has no readable ``/metrics``."""
+    try:
+        counters = _get_json(base_url, "/metrics").get("counters", {})
+    except (OSError, ValueError):
+        return None
+    return counters.get("service.repeats", 0.0) + counters.get(
+        "service.attached", 0.0
+    )
+
+
 def run_level(
     base_url: str,
     scenario_ids: Sequence[str],
     heuristic: str,
     clients: int,
     requests_per_client: int,
-    alpha: float | None = None,
-    beta: float | None = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
+    first_request: int = 0,
 ) -> dict:
     """One concurrency level: *clients* threads × *requests_per_client*
     sequential synchronous map requests each.  Client *i* maps scenario
     ``scenario_ids[i % len(scenario_ids)]``, so the clients split evenly
     over the scenarios.
 
+    Every request of a weighted heuristic asks for its own α, so the
+    daemon maps each one instead of answering it from its request index:
+    request *n* (numbered from ``first_request + 1``, client by client)
+    asks for α = ``DEFAULT_ALPHA − n · ALPHA_STEP`` at the default β.
+    A step of 10⁻¹² leaves the work unchanged: every scenario this module
+    sends maps to its default-weight bytes for n up to 4096 (tested),
+    more requests than any of its runs sends.  A weight-free heuristic
+    takes no weights, so its requests repeat; ``repeats`` (the change in
+    ``service.repeats + service.attached`` on ``/metrics``, None without
+    a readable ``/metrics``) shows it.
+
     Each request retries on 429 backpressure at most *max_retries* times
     (honouring the server's ``Retry-After``); exhausting the budget counts
     the request as ``gave_up`` rather than retrying forever.
     """
+    from repro.heuristics import (
+        DEFAULT_ALPHA,
+        WEIGHTED_HEURISTICS,
+        normalize_heuristic,
+    )
+
+    weighted = normalize_heuristic(heuristic) in WEIGHTED_HEURISTICS
     latencies = Histogram()
     lock = threading.Lock()
     errors = [0]
     retries_429 = [0]
     gave_up = [0]
-    weights: dict = {}
-    if alpha is not None:
-        weights["alpha"] = alpha
-    if beta is not None:
-        weights["beta"] = beta
 
     def client(index: int) -> None:
-        payload = {
+        payload: dict = {
             "scenario": scenario_ids[index % len(scenario_ids)],
             "heuristic": heuristic,
             "wait": True,
-            **weights,
         }
-        for _ in range(requests_per_client):
+        for k in range(requests_per_client):
+            if weighted:
+                n = first_request + index * requests_per_client + k + 1
+                payload["alpha"] = DEFAULT_ALPHA - n * ALPHA_STEP
             attempts = 0
             while True:
                 started = time.perf_counter()
@@ -239,6 +274,7 @@ def run_level(
         threading.Thread(target=client, args=(i,), name=f"loadgen-{i}")
         for i in range(clients)
     ]
+    answered_before = _index_answers(base_url)
     wall_started = time.perf_counter()
     for t in threads:
         t.start()
@@ -246,12 +282,18 @@ def run_level(
         t.join()
     wall = time.perf_counter() - wall_started
     completed = latencies.count
+    answered_after = _index_answers(base_url)
     return {
         "clients": clients,
         "requests": completed,
         "errors": errors[0],
         "retries_429": retries_429[0],
         "gave_up": gave_up[0],
+        "repeats": (
+            None
+            if answered_before is None or answered_after is None
+            else int(answered_after - answered_before)
+        ),
         "wall_seconds": wall,
         "throughput_rps": completed / wall if wall > 0 else 0.0,
         "latency_seconds": latencies.summary(),
@@ -428,17 +470,21 @@ def run_loadgen(
     """
     seeds = spread_seeds(spread_shards, n_tasks, seed)
     scenario_ids = [register_scenario(base_url, n_tasks, s) for s in seeds]
-    results = [
-        run_level(
-            base_url,
-            scenario_ids,
-            heuristic,
-            c,
-            requests_per_client,
-            max_retries=max_retries,
+    results = []
+    sent = 0
+    for c in levels:
+        results.append(
+            run_level(
+                base_url,
+                scenario_ids,
+                heuristic,
+                c,
+                requests_per_client,
+                max_retries=max_retries,
+                first_request=sent,
+            )
         )
-        for c in levels
-    ]
+        sent += c * requests_per_client
     metrics = _get_json(base_url, "/metrics")
     return {
         "schema": _SCHEMA,
@@ -616,7 +662,8 @@ def measure_shard_speedup(
     within each repeat (like the other self-normalised gates) so
     frequency scaling biases both equally.  The queue bound is sized to
     the client count, so no request is ever rejected and both arms
-    complete identical work.
+    complete identical work: every request a map (:func:`run_level`),
+    none answered from the daemon's request index.
     """
     seeds = spread_seeds(max(shard_counts), n_tasks, seed)
     best: dict[int, float] = {n: 0.0 for n in shard_counts}
@@ -627,10 +674,11 @@ def measure_shard_speedup(
                 level = run_level(
                     base, scenario_ids, heuristic, clients, requests_per_client
                 )
-            if level["errors"] or level["gave_up"]:
+            if level["errors"] or level["gave_up"] or level["repeats"] != 0:
                 raise RuntimeError(
                     f"shard speedup measurement unsound at {n_shards} shard(s): "
-                    f"{level['errors']} errors, {level['gave_up']} gave up"
+                    f"{level['errors']} errors, {level['gave_up']} gave up, "
+                    f"{level['repeats']} answered from the request index"
                 )
             best[n_shards] = max(best[n_shards], level["throughput_rps"])
     baseline_rps = best[shard_counts[0]]

@@ -358,8 +358,8 @@ class ProcessShard:
                     self._idle.notify_all()
                     return
                 job = self._queue.popleft()
-                job.state = "running"
-                job.started_at = time.monotonic()
+                job.run.state = "running"
+                job.run.started_at = time.monotonic()
                 self._busy = True
             self._run_job(job)
             with self._lock:
@@ -377,14 +377,15 @@ class ProcessShard:
         try:
             doc = router.registry.get_doc(job.scenario_id)
             outcome = self.run_job(
-                job.scenario_id, doc, job.heuristic, job.alpha, job.beta
+                job.scenario_id, doc, job.heuristic, *job.alpha_beta
             )
         except Exception as exc:  # shard/crash failure: fail the job
-            router._record_finish(job, error=f"{type(exc).__name__}: {exc}")
             self._note_outcome(None)
+            router._record_finish(job, error=f"{type(exc).__name__}: {exc}")
             return
-        router._record_finish(job, outcome=outcome)
+        # Per-shard counts first: a woken waiter already sees its job there.
         self._note_outcome(outcome)
+        router._record_finish(job, outcome=outcome)
 
     def _note_outcome(self, outcome: dict | None) -> None:
         """Per-shard instruments (``shard<k>.*``) for the roll-up."""

@@ -153,7 +153,9 @@ class TestShardKilledMidJob:
         assert manager.shard_of(small) != victim.index
 
         first = manager.submit(big, "maxmax")
-        second = manager.submit(big, "maxmax")  # queued behind it, same shard
+        # Queued behind it on the same shard; another α, so it is not
+        # attached to the first.
+        second = manager.submit(big, "maxmax", alpha=0.4)
         deadline = time.monotonic() + 60
         while first.state != "running":
             assert time.monotonic() < deadline, first.state

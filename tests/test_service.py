@@ -353,7 +353,11 @@ class TestHTTPSurface:
             payload = {"scenario": sid, "heuristic": "slrh1", "wait": False}
             status, _, _ = _post(base, "/v1/map", payload)
             assert status == 202
-            status, headers, body = _post(base, "/v1/map", payload)
+            # Another α: a miss, which needs the full queue (a repeat of
+            # the queued request would attach to it instead).
+            status, headers, body = _post(
+                base, "/v1/map", {**payload, "alpha": 0.4}
+            )
             assert status == 429
             # RFC 9110 delta-seconds: a plain decimal string, no float repr.
             assert headers["Retry-After"].isdigit()
@@ -740,3 +744,25 @@ class TestLoadgen:
         after = doc["metrics_after"]
         assert after["counters"]["service.completed"] == 6.0
         assert "service.request_seconds" in after["histograms"]
+
+    def test_alpha_steps_leave_the_loadgen_maps_unchanged(self):
+        """Loadgen's per-request α, DEFAULT_ALPHA − n·ALPHA_STEP, maps each
+        scenario the loadgen sends (16, 24 and 32 tasks, spread over four
+        shards from seed 7) to its default-weight bytes, for n up to 4096:
+        above the 3,584 requests of the sweep behind BENCH_service.json."""
+        from repro.heuristics import DEFAULT_ALPHA, WEIGHTED_HEURISTICS, run_heuristic
+        from repro.io.serialization import mapping_to_dict
+        from repro.service.loadgen import ALPHA_STEP, spread_seeds
+
+        def mapped(heuristic, scenario, alpha=None):
+            schedule = run_heuristic(heuristic, scenario, alpha=alpha).schedule
+            return canonical_json_bytes(mapping_to_dict(schedule))
+
+        for n_tasks in (16, 24, 32):
+            for seed in spread_seeds(4, n_tasks, 7):
+                scenario = generate_named_scenario(n_tasks, seed)
+                for heuristic in WEIGHTED_HEURISTICS:
+                    default = mapped(heuristic, scenario)
+                    for n in (1, 4096):
+                        shifted = mapped(heuristic, scenario, DEFAULT_ALPHA - n * ALPHA_STEP)
+                        assert shifted == default, (n_tasks, seed, heuristic, n)

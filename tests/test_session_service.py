@@ -20,7 +20,7 @@ from repro.io.serialization import (
     scenario_to_dict,
 )
 from repro.perf import PerfCounters
-from repro.service.app import make_server
+from repro.service.app import MAX_EVENT_LINE_BYTES, make_server
 from repro.service.jobs import ShardRouter
 from repro.service.registry import ScenarioRegistry
 from repro.service.sessions import SessionManager
@@ -287,6 +287,38 @@ class TestSessionErrors:
         # The 400 rejected the whole batch before any event applied.
         status, _, body = _get(base, doc["status_url"])
         assert json.loads(body)["cursor"] == 0
+
+    def test_overlong_event_line_is_refused_before_parsing(self, make_service):
+        base, _, _ = make_service()
+        sid = _register(base)
+        _, _, body = _post(
+            base, "/v1/session", {"scenario": sid, "heuristic": "slrh1"}
+        )
+        doc = json.loads(body)
+        status, _, body = _post_ndjson(
+            base, doc["events_url"], b'{"event":"advance","cycle":2}\n'
+        )
+        assert status == 200
+        _, _, body = _get(base, doc["status_url"])
+        before = json.loads(body)
+        # Line 2 is a valid event padded to 5 KiB: refused unparsed.
+        padded = b'{"event":"advance","cycle":4' + b" " * 5 * 1024 + b"}"
+        assert len(padded) > MAX_EVENT_LINE_BYTES
+        status, _, body = _post_ndjson(
+            base, doc["events_url"], b'{"event":"advance","cycle":3}\n' + padded
+        )
+        assert status == 400
+        assert b"line 2" in body and str(MAX_EVENT_LINE_BYTES).encode() in body
+        _, _, body = _get(base, doc["status_url"])
+        after = json.loads(body)
+        assert (after["cursor"], after["seq"]) == (before["cursor"], before["seq"])
+        # The next valid batch applies.
+        status, _, body = _post_ndjson(
+            base, doc["events_url"], b'{"event":"advance","cycle":5}\n'
+        )
+        assert status == 200
+        _, _, body = _get(base, doc["status_url"])
+        assert json.loads(body)["cursor"] == 5
 
     def test_illegal_event_yields_error_record_not_corruption(
         self, make_service

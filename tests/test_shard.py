@@ -319,11 +319,14 @@ class TestConcurrentAdmission:
         lock = threading.Lock()
         barrier = threading.Barrier(12)
 
-        def hammer() -> None:
+        def hammer(index: int) -> None:
             barrier.wait()
-            for _ in range(3):
+            for k in range(3):
+                # A distinct α per request: every one is a miss that needs
+                # admission, none attaches to an admitted job.
+                alpha = 0.01 * (1 + 3 * index + k)
                 try:
-                    job = manager.submit(sid, "greedy")
+                    job = manager.submit(sid, "maxmax", alpha=alpha)
                 except QueueFullError as exc:
                     with lock:
                         rejections.append(exc)
@@ -331,7 +334,7 @@ class TestConcurrentAdmission:
                     with lock:
                         admitted.append(job)
 
-        threads = [threading.Thread(target=hammer) for _ in range(12)]
+        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(12)]
         for t in threads:
             t.start()
         for t in threads:
@@ -411,8 +414,12 @@ class TestScenarioCache:
         manager = ShardRouter(reg, shards=1, max_queue=16)
         manager.start()
         try:
-            for sid in ids + ids[:1]:
-                job = manager.submit(sid, "greedy")
+            # The first scenario returns under another heuristic: a
+            # request the index does not hold, so it maps (and decodes).
+            for sid, heuristic in [(sid, "greedy") for sid in ids] + [
+                (ids[0], "minmin")
+            ]:
+                job = manager.submit(sid, heuristic)
                 assert job.done.wait(timeout=120)
                 assert job.state == "succeeded"
             # Nine scenarios cycled through the 8-entry LRU: the ninth
