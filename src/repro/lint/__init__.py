@@ -24,28 +24,13 @@ Rule families (see DESIGN.md §12 for the invariant ↔ PR mapping):
 * **lock-discipline** — attributes declared shared via ``# guarded-by:
   <lock>`` may only be touched inside ``with self.<lock>:`` (or a method
   that documents holding it) — a lightweight static race detector for
-  the service's dispatcher/worker/handler threads.
+  the service's dispatcher/worker/handler threads.  Lock *order*, and
+  whether a ``*_locked`` method's caller really holds its lock, are
+  checked at run time instead: the test suite's lock witness
+  (``tests/lock_witness.py``, DESIGN.md §12.4) watches every lock the
+  service takes.
 * **hygiene** — no mutable default arguments, no bare ``except:``, no
   ``assert`` for runtime validation anywhere in ``src/repro``.
-
-Four *whole-program* families (PR 10) run against a project-wide symbol
-table and call graph (:mod:`repro.lint.callgraph`) instead of one file at
-a time:
-
-* **lock-order** — a lock-acquisition graph from nested ``with <lock>:``
-  contexts, ``*_locked`` call edges and ``# acquires: <lock>``
-  annotations; any cycle (Router ↔ Dispatcher ↔ Session …) is a
-  potential deadlock, reported with the full witness path.
-* **guard-verification** — stop trusting the ``_locked`` suffix: any
-  resolved call path reaching a ``# guarded-by:`` attribute or a
-  lock-contract function without the declared lock provably held.
-* **process-boundary** — payloads crossing a shard's pipe to its child
-  process must be picklable-by-construction (no locks, threads,
-  sockets, generators, lambdas, open files), and no thread may start
-  before ``fork()`` on the shard setup path.
-* **blocking-discipline** — ``Queue.get``/bounded ``put`` and
-  ``Connection.recv`` in service/util threads need a timeout (or a prior
-  ``poll()``), or a justified suppression.
 
 Suppressions are inline and must carry a justification::
 
@@ -55,13 +40,11 @@ A suppression without the ``-- reason`` tail is itself a finding, so the
 CI gate fails on unjustified opt-outs by construction.
 """
 
-from repro.lint.callgraph import Project, build_project
 from repro.lint.model import FileContext, Finding, Suppression
 from repro.lint.registry import Rule, all_rules, get_rule, register
 from repro.lint.runner import (
     LintReport,
     SCHEMA,
-    changed_files,
     lint_file,
     lint_paths,
     render_json,
@@ -76,13 +59,10 @@ __all__ = [
     "FileContext",
     "Finding",
     "LintReport",
-    "Project",
     "Rule",
     "SCHEMA",
     "Suppression",
     "all_rules",
-    "build_project",
-    "changed_files",
     "get_rule",
     "lint_file",
     "lint_paths",

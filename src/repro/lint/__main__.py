@@ -13,7 +13,6 @@ from pathlib import Path
 
 from repro.lint import (
     all_rules,
-    changed_files,
     get_rule,
     lint_paths,
     render_json,
@@ -45,16 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("text", "json", "sarif"),
         default="text",
         help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--changed",
-        metavar="BASE-REF",
-        default=None,
-        help=(
-            "diff-aware mode: report findings only in files changed since "
-            "this git ref (whole-program graph is still built over all "
-            "paths)"
-        ),
     )
     parser.add_argument(
         "--list-rules",
@@ -93,18 +82,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"repro-lint: no such path: {path}", file=sys.stderr)
             return 2
 
-    changed: set[Path] | None = None
-    if args.changed is not None:
-        try:
-            changed = changed_files(args.changed)
-        except Exception as exc:
-            print(
-                f"repro-lint: cannot resolve --changed {args.changed}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-
-    report = lint_paths(paths, rule_ids=args.rule, changed_only=changed)
+    report = lint_paths(paths, rule_ids=args.rule)
     if args.format == "json":
         print(render_json(report))
     elif args.format == "sarif":

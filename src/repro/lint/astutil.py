@@ -175,18 +175,3 @@ def enabled_proxies(tree: ast.AST) -> frozenset[str]:
                         break
     return frozenset(names)
 
-
-def enclosing_function(
-    node: ast.AST, parents: ParentMap
-) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-    for parent in parents.ancestors(node):
-        if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return parent
-    return None
-
-
-def enclosing_class(node: ast.AST, parents: ParentMap) -> ast.ClassDef | None:
-    for parent in parents.ancestors(node):
-        if isinstance(parent, ast.ClassDef):
-            return parent
-    return None

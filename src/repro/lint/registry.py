@@ -1,17 +1,10 @@
 """Rule base class and registry.
 
 A rule is a named check scoped to the packages where its invariant holds.
-``check(ctx)`` yields :class:`~repro.lint.model.Finding`s with
-``suppressed=False``; the runner applies inline suppressions afterwards so
-rules never need to know about them.
-
-Two kinds of rule exist.  *Per-file* rules (the PR 5 families) see one
-:class:`~repro.lint.model.FileContext` at a time.  *Program* rules
-(``program=True``) see the whole-program
-:class:`~repro.lint.callgraph.Project` built over every file in the run —
-that is what lets them follow call chains and lock orders across modules.
-Both yield plain findings; scope filtering and suppressions are applied
-per finding by the runner, using the file each finding lands in.
+``check(ctx)`` sees one :class:`~repro.lint.model.FileContext` at a time
+and yields :class:`~repro.lint.model.Finding`s with ``suppressed=False``;
+the runner applies inline suppressions afterwards so rules never need to
+know about them.
 """
 
 from __future__ import annotations
@@ -42,11 +35,7 @@ class Rule:
         Dotted module prefixes the rule applies to (empty = everywhere
         under the linted tree).
     check:
-        ``FileContext -> Iterable[Finding]`` for per-file rules;
-        ``Project -> Iterable[Finding]`` when ``program=True``.
-    program:
-        Whole-program rule: runs once per lint invocation against the
-        :class:`~repro.lint.callgraph.Project`, not per file.
+        ``FileContext -> Iterable[Finding]``.
     """
 
     def __init__(
@@ -55,8 +44,7 @@ class Rule:
         family: str,
         description: str,
         scopes: tuple[str, ...],
-        check: Callable[..., Iterable[Finding]],
-        program: bool = False,
+        check: Callable[[FileContext], Iterable[Finding]],
     ) -> None:
         if not _RULE_ID_RE.match(rule_id):
             raise ValueError(f"rule id {rule_id!r} is not kebab-case")
@@ -64,27 +52,13 @@ class Rule:
         self.family = family
         self.description = description
         self.scopes = scopes
-        self.program = program
         self._check = check
 
     def applies_to(self, ctx: FileContext) -> bool:
         return ctx.in_scope(self.scopes)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if self.program:
-            raise TypeError(
-                f"rule {self.id!r} is whole-program; use check_program()"
-            )
-        for finding in self._check(ctx):
-            yield finding
-
-    def check_program(self, project: Any) -> Iterator[Finding]:
-        """Run a ``program=True`` rule against the whole
-        :class:`~repro.lint.callgraph.Project`."""
-        if not self.program:
-            raise TypeError(f"rule {self.id!r} is per-file; use check()")
-        for finding in self._check(project):
-            yield finding
+        yield from self._check(ctx)
 
     def finding(self, ctx: FileContext, node: Any, message: str) -> Finding:
         """Convenience constructor stamping this rule's id and *node*'s
@@ -109,20 +83,17 @@ def register(
     family: str,
     description: str,
     scopes: tuple[str, ...] = (),
-    program: bool = False,
-) -> Callable[[Callable[..., Iterable[Finding]]], Rule]:
+) -> Callable[[Callable[[FileContext], Iterable[Finding]]], Rule]:
     """Decorator registering a check function as a :class:`Rule`.
 
     The decorated name rebinds to the :class:`Rule` instance, so rule
-    modules can cross-reference each other's scopes if needed.  Pass
-    ``program=True`` for whole-program rules (the check receives the
-    :class:`~repro.lint.callgraph.Project` instead of a file context).
+    modules can cross-reference each other's scopes if needed.
     """
 
-    def wrap(check: Callable[..., Iterable[Finding]]) -> Rule:
+    def wrap(check: Callable[[FileContext], Iterable[Finding]]) -> Rule:
         if rule_id in _REGISTRY:
             raise ValueError(f"duplicate rule id {rule_id!r}")
-        rule = Rule(rule_id, family, description, scopes, check, program)
+        rule = Rule(rule_id, family, description, scopes, check)
         _REGISTRY[rule_id] = rule
         return rule
 

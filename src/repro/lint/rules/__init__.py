@@ -1,13 +1,9 @@
 """Built-in rule families — importing this package registers every rule."""
 
 from repro.lint.rules import (  # noqa: F401  (registration side effects)
-    blocking_discipline,
     determinism,
-    guard_verification,
     hygiene,
     lock_discipline,
-    lock_order,
     obs_discipline,
-    process_boundary,
     stdlib_only,
 )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -103,9 +102,7 @@ def lint_file(
     rules: list[Rule] | None = None,
     module: str | None = None,
 ) -> list[Finding]:
-    """Lint one file with the *per-file* rules; returns every finding
-    (suppressed ones flagged).  Whole-program rules are skipped — they
-    need :func:`lint_paths`, which builds the project graph.
+    """Lint one file; returns every finding (suppressed ones flagged).
 
     *module* overrides the inferred dotted module path (tests use this to
     pin fixture files to arbitrary scopes).
@@ -116,7 +113,7 @@ def lint_file(
     )
     findings: list[Finding] = []
     for rule in rules if rules is not None else all_rules():
-        if rule.program or not rule.applies_to(ctx):
+        if not rule.applies_to(ctx):
             continue
         for finding in rule.check(ctx):
             findings.append(_apply_suppression(ctx, finding))
@@ -125,54 +122,12 @@ def lint_file(
     return findings
 
 
-def changed_files(base_ref: str, repo_root: Path | None = None) -> set[Path]:
-    """Absolute paths of files changed since *base_ref* (``git diff`` plus
-    untracked), for ``--changed`` runs."""
-    root = repo_root
-    if root is None:
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        root = Path(top.stdout.strip())
-    out: set[Path] = set()
-    diff = subprocess.run(
-        ["git", "diff", "--name-only", base_ref, "--"],
-        capture_output=True,
-        text=True,
-        check=True,
-        cwd=root,
-    )
-    untracked = subprocess.run(
-        ["git", "ls-files", "--others", "--exclude-standard"],
-        capture_output=True,
-        text=True,
-        check=True,
-        cwd=root,
-    )
-    for line in diff.stdout.splitlines() + untracked.stdout.splitlines():
-        name = line.strip()
-        if name:
-            out.add((root / name).resolve())
-    return out
-
-
 def lint_paths(
     paths: list[str | Path],
     rule_ids: list[str] | None = None,
     modules: dict[Path, str] | None = None,
-    changed_only: set[Path] | None = None,
 ) -> LintReport:
     """Lint every Python file under *paths* with the selected rules.
-
-    Per-file rules run file by file; whole-program rules run once against
-    a :class:`~repro.lint.callgraph.Project` built over the *entire* file
-    set, with each finding then scoped and suppression-checked via the
-    file it lands in.  With *changed_only* (absolute paths), the project
-    graph still covers everything, but only findings in changed files are
-    reported — the diff-aware ``--changed`` mode.
 
     *modules* overrides inferred dotted module paths per file (tests use
     this to pin fixtures to arbitrary scopes).
@@ -181,45 +136,10 @@ def lint_paths(
         [get_rule(rid) for rid in rule_ids] if rule_ids else all_rules()
     )
     report = LintReport(rules_run=tuple(r.id for r in selected))
-    contexts: list[FileContext] = []
     for path in iter_python_files([Path(p) for p in paths]):
         module = (modules or {}).get(path)
-        contexts.append(
-            FileContext(
-                path,
-                path.read_text(encoding="utf-8"),
-                module if module is not None else module_path_for(path),
-            )
-        )
-
-    def reportable(ctx: FileContext) -> bool:
-        return changed_only is None or ctx.path.resolve() in changed_only
-
-    per_file = [r for r in selected if not r.program]
-    program = [r for r in selected if r.program]
-    by_path = {str(ctx.path): ctx for ctx in contexts}
-    for ctx in contexts:
+        report.findings.extend(lint_file(path, selected, module))
         report.files_checked += 1
-        if not reportable(ctx):
-            continue
-        for rule in per_file:
-            if not rule.applies_to(ctx):
-                continue
-            for finding in rule.check(ctx):
-                report.findings.append(_apply_suppression(ctx, finding))
-        report.findings.extend(_unjustified_findings(ctx))
-    if program and contexts:
-        from repro.lint.callgraph import build_project
-
-        project = build_project(contexts)
-        for rule in program:
-            for finding in rule.check_program(project):
-                ctx = by_path.get(finding.path)
-                if ctx is None or not reportable(ctx):
-                    continue
-                if not rule.applies_to(ctx):
-                    continue
-                report.findings.append(_apply_suppression(ctx, finding))
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return report
 

@@ -243,8 +243,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def _read_raw_body(self) -> bytes | None:
         """The request body, or ``None`` once a 400 (negative or
-        non-integer ``Content-Length``), 413 (above
-        :data:`MAX_BODY_BYTES`) or 408 (the body stalled for
+        non-integer ``Content-Length``, or a body that ends before it),
+        413 (above :data:`MAX_BODY_BYTES`) or 408 (the body stalled for
         :data:`SOCKET_TIMEOUT_SECONDS`) has been sent.  A refused body is
         never read in full, so the reply closes the connection."""
         declared = self.headers.get("Content-Length", "0")
@@ -273,7 +273,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if not length:
             return b""
         try:
-            return self.rfile.read(length)
+            body = self.rfile.read(length)
         except TimeoutError:
             self._send_json(
                 408,
@@ -281,6 +281,16 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 extra_headers={"Connection": "close"},
             )
             return None
+        if len(body) < length:
+            # The client half-closed early: RFC 9112 §6.3 calls the
+            # message incomplete, so no prefix of it is acted on.
+            self._send_json(
+                400,
+                {"error": f"request body ended after {len(body)} of {length} bytes"},
+                extra_headers={"Connection": "close"},
+            )
+            return None
+        return body
 
     def _read_body(self) -> dict | None:
         raw = self._read_raw_body()

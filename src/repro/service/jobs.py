@@ -377,7 +377,6 @@ class ShardRouter:
             raise KeyError(f"scenario {scenario_id!r} is not registered")
         return RequestKey(scenario_id, canonical, weights)
 
-    # acquires: ProcessShard._lock
     def submit(
         self,
         scenario_id: str,

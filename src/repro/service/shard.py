@@ -39,8 +39,8 @@ are conditions on it) and ``_pipe_lock`` the pipe side (every
 exchange, and ``_shipped``).  The two are never nested.  The router
 acquires ``_lock`` while holding its own; a shard never acquires the
 router lock while holding either of its locks (:meth:`_run_job` records
-results *between* lock scopes).  The ``lock-order-cycle`` analysis
-(``repro.lint.rules.lock_order``) checks that order on every lint run.
+results *between* lock scopes).  The test suite's lock witness checks
+that order on every lock the service takes (DESIGN.md §12.4).
 """
 
 from __future__ import annotations

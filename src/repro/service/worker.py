@@ -385,7 +385,9 @@ def shard_main(conn: Connection, index: int) -> None:
         if conn not in wait(watched):
             break  # only the parent's sentinel fired: the daemon is gone
         try:
-            # repro-lint: disable=blocking-call-timeout -- the child's only job is this wait; wait() above returns on a command or on the parent's death, so a dead daemon ends the loop
+            # No timeout: the child's only job is this wait, and wait()
+            # above returns on a command or on the parent's death, so a
+            # dead daemon ends the loop.
             command = conn.recv()
         except (EOFError, OSError):
             break

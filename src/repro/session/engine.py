@@ -168,7 +168,7 @@ class SessionEngine:
             else NULL_SPAN
         )
         with span:
-            record = self._apply_locked(event)
+            record = self._apply_event(event)
         self._n_events += 1
         self.schedule.perf.inc("session.events")
         if _obs_enabled():
@@ -183,7 +183,7 @@ class SessionEngine:
             )
         return record
 
-    def _apply_locked(self, event: SessionEvent) -> ChurnRecord | None:
+    def _apply_event(self, event: SessionEvent) -> ChurnRecord | None:
         kind = event.kind
         if kind == "close":
             self._close()

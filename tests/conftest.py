@@ -1,4 +1,5 @@
-"""Shared fixtures: small, fast scenarios reused across the test suite."""
+"""Shared fixtures: small, fast scenarios reused across the test suite,
+and the lock witness that checks every lock the service takes."""
 
 from __future__ import annotations
 
@@ -13,6 +14,25 @@ from repro import (
     paper_scaled_grid,
     paper_scaled_spec,
     paper_scaled_suite,
+)
+from tests.lock_witness import WITNESS, install_service
+
+install_service()
+
+
+@pytest.hookimpl(wrapper=True)
+def _fail_on_lock_violations(item):
+    """Fail the test phase in which the service broke its lock order or
+    a lock contract, in whichever thread it happened."""
+    result = yield
+    found = WITNESS.unreported()
+    if found:
+        pytest.fail("lock witness:\n\n" + "\n\n".join(found), pytrace=False)
+    return result
+
+
+pytest_runtest_setup = pytest_runtest_call = pytest_runtest_teardown = (
+    _fail_on_lock_violations
 )
 
 

@@ -3,7 +3,8 @@
 Each case forces one fault and asserts a defined outcome: shard children
 that exit with a killed daemon, jobs that fail (never hang) when their
 shard is killed mid-job, and a 400 (never a dropped connection) for a
-request body the JSON parser cannot decode."""
+request body the JSON parser cannot decode, one that ends before its
+``Content-Length`` or one that is not UTF-8."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -88,6 +90,44 @@ def _post_raw(base: str, path: str, body: bytes) -> tuple[int, dict]:
         return resp.status, json.loads(resp.read())
     finally:
         conn.close()
+
+
+def _post_truncated(base: str, path: str, body: bytes) -> tuple[int, str, dict]:
+    """POST *body* with a ``Content-Length`` 10 bytes longer, then
+    half-close: the client will send nothing more."""
+    url = urlsplit(base)
+    with socket.create_connection((url.hostname, url.port), timeout=30) as sock:
+        sock.sendall(
+            f"POST {path} HTTP/1.1\r\nHost: {url.hostname}\r\n"
+            f"Content-Length: {len(body) + 10}\r\n\r\n".encode() + body
+        )
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), head.decode("latin-1"), json.loads(payload)
+
+
+def _open_session(base: str) -> dict:
+    status, doc = _post_raw(
+        base,
+        "/v1/scenarios",
+        json.dumps({"generate": {"n_tasks": 12, "seed": 1}}).encode(),
+    )
+    assert status == 201
+    status, doc = _post_raw(
+        base,
+        "/v1/session",
+        json.dumps({"scenario": doc["id"], "heuristic": "greedy"}).encode(),
+    )
+    assert status == 201, doc
+    return doc
+
+
+def _cursor(base: str, session: dict) -> int:
+    with urllib.request.urlopen(base + session["status_url"], timeout=30) as resp:
+        return json.loads(resp.read())["cursor"]
 
 
 def _healthz(base: str) -> tuple[int, dict]:
@@ -192,21 +232,69 @@ class TestDeeplyNestedJson:
     def test_answers_400_and_the_daemon_keeps_serving(self, served, route):
         base, _ = served
         if "{id}" in route:
-            status, doc = _post_raw(
-                base,
-                "/v1/scenarios",
-                json.dumps({"generate": {"n_tasks": 12, "seed": 1}}).encode(),
-            )
-            assert status == 201
-            status, doc = _post_raw(
-                base,
-                "/v1/session",
-                json.dumps({"scenario": doc["id"], "heuristic": "greedy"}).encode(),
-            )
-            assert status == 201, doc
-            route = route.format(id=doc["session"])
+            route = route.format(id=_open_session(base)["session"])
         status, doc = _post_raw(base, route, NESTED_JSON)
         assert status == 400, doc
         assert "error" in doc
         status, _ = _healthz(base)
         assert status == 200
+
+
+# ---------------------------------------------------------------------------
+# bodies that end before their Content-Length (RFC 9112 §6.3)
+
+
+class TestTruncatedBody:
+    def test_scenario_registration_registers_nothing(self, served):
+        base, manager = served
+        body = json.dumps({"generate": {"n_tasks": 8, "seed": 1}}).encode()
+        status, head, doc = _post_truncated(base, "/v1/scenarios", body)
+        assert status == 400, doc
+        assert "Connection: close" in head
+        assert "ended after" in doc["error"]
+        assert len(manager.registry) == 0
+        assert _healthz(base)[0] == 200
+
+    def test_map_submits_no_job(self, served):
+        base, manager = served
+        sid, _ = manager.registry.put(
+            scenario_to_dict(generate_named_scenario(12, 1))
+        )
+        body = json.dumps({"scenario": sid, "heuristic": "greedy"}).encode()
+        status, head, doc = _post_truncated(base, "/v1/map", body)
+        assert status == 400, doc
+        assert "Connection: close" in head
+        assert manager.perf.get("service.submitted") == 0
+        assert _healthz(base)[0] == 200
+
+    def test_event_batch_cut_after_its_first_line_applies_nothing(self, served):
+        base, _ = served
+        session = _open_session(base)
+        first = b'{"event":"advance","cycle":10}\n'
+        status, head, doc = _post_truncated(base, session["events_url"], first)
+        assert status == 400, doc
+        assert "Connection: close" in head
+        assert _cursor(base, session) == 0
+        assert _healthz(base)[0] == 200
+
+
+# ---------------------------------------------------------------------------
+# bodies that are not UTF-8
+
+
+class TestNonUtf8Body:
+    def test_map_body_answers_400(self, served):
+        base, manager = served
+        status, doc = _post_raw(base, "/v1/map", b'{"scenario": "\xff"}')
+        assert status == 400, doc
+        assert manager.perf.get("service.submitted") == 0
+
+    def test_event_line_answers_400_and_applies_nothing(self, served):
+        base, _ = served
+        session = _open_session(base)
+        batch = b'{"event":"advance","cycle":10}\n{"event":"adv\xffance","cycle":12}\n'
+        status, doc = _post_raw(base, session["events_url"], batch)
+        assert status == 400, doc
+        assert "line 2" in doc["error"]
+        assert _cursor(base, session) == 0
+        assert _healthz(base)[0] == 200

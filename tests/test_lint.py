@@ -22,6 +22,7 @@ from repro.lint import (
     lint_file,
     lint_paths,
     render_json,
+    render_sarif,
     render_text,
 )
 from repro.lint.__main__ import main as lint_main
@@ -52,28 +53,15 @@ def test_all_rule_families_are_registered():
         "obs-discipline",
         "lock-discipline",
         "api-hygiene",
-        # whole-program families (PR 10)
-        "lock-order",
-        "guard-verification",
-        "process-boundary",
-        "blocking-discipline",
     }
+    assert len(all_rules()) == 12
 
 
-def test_program_rules_are_marked_program():
-    by_family = {}
-    for rule in all_rules():
-        by_family.setdefault(rule.family, []).append(rule)
-    for family in (
-        "lock-order",
-        "guard-verification",
-        "process-boundary",
-        "blocking-discipline",
-    ):
-        assert by_family[family], family
-        assert all(r.program for r in by_family[family])
-    for family in ("determinism", "api-hygiene", "lock-discipline"):
-        assert all(not r.program for r in by_family[family])
+def test_every_rule_fires_on_the_fixtures():
+    """Each registered rule has a seeded violation in the fixture tree,
+    so none of them can go blind unnoticed."""
+    fired = {f.rule for f in lint_paths([FIXTURES]).findings}
+    assert {r.id for r in all_rules()} <= fired
 
 
 def test_get_rule_unknown_lists_known_ids():
@@ -243,6 +231,39 @@ def test_json_report_schema():
         assert {"rule", "path", "line", "col", "message", "suppressed"} <= set(finding)
         if finding["suppressed"]:
             assert finding["justification"]
+
+
+def test_sarif_output_is_valid_and_carries_suppressions():
+    report = lint_paths([FIXTURES / "repro" / "core" / "suppressed.py"])
+    doc = json.loads(render_sarif(report, base_dir=REPO))
+    assert doc["version"] == "2.1.0"
+    run = doc["runs"][0]
+    assert run["tool"]["driver"]["name"] == "repro-lint"
+    rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
+    assert {"no-assert", "no-set-iteration", UNJUSTIFIED} <= rule_ids
+    results = run["results"]
+    assert {r["level"] for r in results} == {"error", "none"}
+    suppressed = [r for r in results if r.get("suppressions")]
+    assert len(suppressed) == 2
+    for result in suppressed:
+        assert result["level"] == "none"
+        assert result["suppressions"][0]["kind"] == "inSource"
+        assert result["suppressions"][0]["justification"]
+    for result in results:
+        loc = result["locations"][0]["physicalLocation"]
+        uri = loc["artifactLocation"]["uri"]
+        assert uri == "tests/lint_fixtures/repro/core/suppressed.py"
+        assert loc["region"]["startLine"] >= 1
+
+
+def test_cli_sarif_format(capsys):
+    rc = lint_main(
+        ["--format", "sarif", str(FIXTURES / "repro" / "core" / "suppressed.py")]
+    )
+    assert rc == 1  # the unjustified suppression leaves findings standing
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["version"] == "2.1.0"
+    assert len(doc["runs"][0]["results"]) == 4
 
 
 def test_text_report_locations_are_clickable():

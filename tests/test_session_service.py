@@ -29,6 +29,7 @@ from repro.session import (
     run_with_events,
     synthesize_events,
 )
+from tests.lock_witness import owns
 
 N_TASKS, SEED = 24, 3
 
@@ -408,8 +409,8 @@ class TestServiceRegistryLock:
         the router lock, so every writer — admission, job completion and
         the whole session layer — must hold that lock too.  Drives open →
         error batch → close → a batch after close → eviction → map →
-        ``/metrics`` with one request in flight at a time, so
-        ``locked()`` is exactly "this write holds the lock"."""
+        ``/metrics``, and asks the lock witness whether the writing
+        thread owns the lock."""
         base, manager, _ = make_service(idle_timeout=1.0)
         registry = manager.perf
         writes: list[str] = []
@@ -427,7 +428,7 @@ class TestServiceRegistryLock:
                     else:
                         names = [args[0]]
                     writes.extend(names)
-                    if not manager._lock.locked():
+                    if not owns(manager._lock):
                         unlocked.extend(names)
                 return _original(self, *args, **kwargs)
 
@@ -474,16 +475,26 @@ class TestServiceRegistryLock:
         assert counters["session.evicted"] == 1.0
 
 
-    def test_concurrent_writers_and_scrapes_stay_exact(self):
+    def test_concurrent_writers_and_scrapes_stay_exact(self, monkeypatch):
         """Stress: more writer threads than cores, a 1 µs switch interval,
         and a scraper copying the registry the whole time.  Every
-        increment lands, and no copy meets a dict growing under it."""
+        increment lands, no copy meets a dict growing under it, and each
+        writing thread owns the router lock while it writes."""
         import sys
 
         manager = ShardRouter(ScenarioRegistry(), shards=1)  # never started
         n_threads, n_writes = 4, 5000
         errors: list[BaseException] = []
         done = threading.Event()
+        unlocked: list[str] = []
+        merge = PerfCounters.merge
+
+        def checked_merge(self, other):
+            if self is manager.perf and not owns(manager._lock):
+                unlocked.append(threading.current_thread().name)
+            return merge(self, other)
+
+        monkeypatch.setattr(PerfCounters, "merge", checked_merge)
 
         def write(k: int) -> None:
             try:
@@ -516,6 +527,7 @@ class TestServiceRegistryLock:
         assert not scraper.is_alive()
         assert not any(thread.is_alive() for thread in writers)
         assert errors == []
+        assert unlocked == []
         counters = manager.metrics_document()["counters"]
         assert counters["session.event_errors"] == n_threads * n_writes
 
