@@ -3,20 +3,19 @@
 
 A field-deployed grid (2 notebooks + 2 PDAs) is a quarter of the way
 through executing a 64-subtask application when one machine drops off the
-network.  The dynamic engine rolls back every assignment whose results are
-unrecoverable and lets SLRH-1 re-map the remainder on the surviving grid —
-no global restart, exactly the "reschedule on-the-fly" capability §I calls
-for.
+network.  The session engine rolls back every assignment whose results are
+unrecoverable and SLRH-1 replans the remainder from the loss cycle on the
+machines still online — no global restart, exactly the "reschedule
+on-the-fly" capability §I calls for.
 
-The study compares losing each machine in turn, and also reports the
-paper's static Cases B and C (grids that *start* without the machine) as
-reference points.
+The study loses each machine in turn, and also reports the paper's static
+Cases B and C (grids that *start* without the machine) as reference points.
 
 Run:  python examples/machine_loss_study.py
 """
 
 from repro import SLRH1, SlrhConfig, Weights, paper_scaled_suite, validate_schedule
-from repro.sim.engine import run_with_machine_loss
+from repro.session import SessionEngine, SessionEvent
 
 N_TASKS = 64
 
@@ -32,16 +31,18 @@ def main() -> None:
 
     loss_cycle = int(scenario.tau / 4 / 0.1)
     print(f"\nlosing one machine at t={loss_cycle * 0.1:.0f}s (tau/4):\n")
-    header = (f"{'lost machine':>14} {'survivors':>9} {'re-mapped':>9} "
-              f"{'T100 after':>10} {'complete':>8}")
+    header = (f"{'lost machine':>14} {'rolled back':>11} {'kept':>5} "
+              f"{'T100 final':>10} {'complete':>8}")
     print(header)
     print("-" * len(header))
     for lost in range(scenario.n_machines):
-        out = run_with_machine_loss(scenario, scheduler, lost, loss_cycle)
-        validate_schedule(out.final.schedule)
-        print(f"{scenario.grid[lost].name:>14} {len(out.survivors):>9} "
-              f"{len(out.invalidated):>9} {out.final.t100:>10} "
-              f"{str(out.final.complete):>8}")
+        engine = SessionEngine(scenario, scheduler)
+        record = engine.apply(SessionEvent("machine_loss", loss_cycle, machine=lost))
+        kept = len(engine.schedule.assignments)
+        final = engine.close().final
+        validate_schedule(final.schedule)
+        print(f"{scenario.grid[lost].name:>14} {len(record.rolled_back):>11} "
+              f"{kept:>5} {final.t100:>10} {str(final.complete):>8}")
 
     # The paper's static comparison points: grids that never had the machine.
     print("\nstatic reference (paper Cases B and C, machine absent from t=0):")

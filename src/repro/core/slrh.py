@@ -245,10 +245,11 @@ class SlrhScheduler:
         ----------
         schedule:
             Optional partially-built schedule to continue from — the
-            dynamic re-mapping engine passes the surviving assignments
-            after a machine loss.  Defaults to an empty schedule.
+            session engine passes its live schedule, which after a
+            machine loss holds only the kept assignments.  Defaults to an
+            empty schedule.
         start_cycle:
-            Clock cycle to start at (e.g. the loss time when resuming).
+            Clock cycle to start at (e.g. the loss cycle when resuming).
         stop_cycle:
             Pause the loop once the clock reaches this cycle (exclusive),
             leaving the schedule partially built — the session engine

@@ -82,13 +82,6 @@ class GridConfig:
             name=self.name,
         )
 
-    def without_machine(self, j: int, name: str | None = None) -> "GridConfig":
-        """Return a new grid with machine *j* removed (ad hoc loss event)."""
-        if not 0 <= j < len(self.machines):
-            raise IndexError(f"no machine {j} in a {len(self.machines)}-machine grid")
-        remaining = self.machines[:j] + self.machines[j + 1 :]
-        return GridConfig(machines=remaining, name=name or f"{self.name}-minus-{j}")
-
 
 def make_case(
     n_fast: int,

@@ -86,7 +86,7 @@ class EnergyLedger:
 
     def credit(self, j: int, energy: float) -> None:
         """Refund *energy* units on machine *j* (used when an assignment is
-        rolled back, e.g. by the dynamic re-mapping engine)."""
+        rolled back, e.g. by a machine loss)."""
         if energy < 0:
             raise ValueError(f"cannot credit negative energy {energy}")
         if energy > self._consumed[j] + 1e-9:

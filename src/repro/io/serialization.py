@@ -32,8 +32,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Any, Iterable, Iterator, Union
 
 from repro.grid.config import GridConfig
 from repro.grid.machine import MachineClass, MachineSpec
@@ -133,6 +135,39 @@ def load_scenario(path: PathLike) -> Scenario:
 # -- mappings ---------------------------------------------------------------------
 
 
+def _integer(value: object, what: str, bound: float = math.inf) -> int:
+    """*value* if it is an integer in ``[0, bound)``; ``ValueError`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < bound:
+        raise ValueError(f"{what} must be an integer in [0, {bound}), got {value!r:.40}")
+    return value
+
+
+def _number(value: object, what: str) -> float:
+    """*value* as a finite float; ``ValueError`` otherwise."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:  # False for inf, NaN and huge ints
+            return float(value)
+    raise ValueError(f"{what} must be a finite number, got {value!r:.40}")
+
+
+def _typed(value: object, kind: type, what: str) -> Any:
+    """*value* if it is a JSON object (*kind* ``dict``) or array (``list``)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got {value!r:.40}")
+    return value
+
+
+def _ndjson_record(raw: bytes | str, what: str) -> dict | None:
+    """One NDJSON line as a JSON object, ``None`` for a blank line."""
+    text = (raw.decode("ascii") if isinstance(raw, bytes) else raw).strip()
+    if not text:
+        return None
+    try:
+        return _typed(json.loads(text), dict, what)
+    except RecursionError as exc:
+        raise ValueError(f"{what} nests too deeply") from exc
+
+
 def assignment_to_dict(a: ExecutionPlan) -> dict:
     """Plain-dict form of one committed assignment — the per-task record
     of :func:`mapping_to_dict`, and the exact ``assignment``-line document
@@ -178,8 +213,9 @@ def mapping_from_dict(data: dict, scenario: Scenario) -> Schedule:
 
     Every assignment passes through :meth:`Schedule.commit`, so all model
     invariants (precedence, channel capacity, energy) are re-verified;
-    energies and durations are re-derived from the scenario, guarding
-    against stale or tampered files.
+    energies and durations are re-derived from the scenario.  A stale or
+    tampered file — a malformed record, an index out of range, a task
+    assigned twice, a broken invariant — raises ``ValueError``.
 
     The replay does *not* hold communication reserves: reserve
     availability is a transient planning guard whose value depends on
@@ -189,54 +225,69 @@ def mapping_from_dict(data: dict, scenario: Scenario) -> Schedule:
     is order-independent, so the real feasibility invariants still hold
     step by step and are reconciled by ``validate_schedule`` at the end.
     """
+    data = _typed(data, dict, "mapping document")
     if data.get("kind") != "mapping":
         raise ValueError(f"not a mapping document (kind={data.get('kind')!r})")
     if data.get("format") != _FORMAT_VERSION:
         raise ValueError(f"unsupported mapping format {data.get('format')!r}")
-    by_task = {int(rec["task"]): rec for rec in data["assignments"]}
+    n_tasks, n_machines = scenario.n_tasks, scenario.n_machines
+    by_task: dict[int, dict] = {}
+    for rec in _typed(data.get("assignments"), list, "assignments"):
+        task = _integer(_typed(rec, dict, "assignment").get("task"), "task", n_tasks)
+        if task in by_task:
+            raise ValueError(f"task {task} is assigned twice")
+        by_task[task] = rec
     schedule = Schedule(scenario, hold_comm_reserves=False)
     for task in scenario.dag.topological_order:
         rec = by_task.get(task)
         if rec is None:
             continue
-        version = Version(rec["version"])
-        machine = int(rec["machine"])
-        comms = tuple(
-            PlannedComm(
-                parent=int(c["parent"]),
+        version = Version(rec.get("version"))
+        machine = _integer(rec.get("machine"), "machine", n_machines)
+        comms = []
+        for c in _typed(rec.get("comms"), list, "comms"):
+            c = _typed(c, dict, "transfer")
+            src = _integer(c.get("src"), "src", n_machines)
+            start, finish = (_number(c.get(key), key) for key in ("start", "finish"))
+            comms.append(PlannedComm(
+                parent=_integer(c.get("parent"), "parent", n_tasks),
                 child=task,
-                src=int(c["src"]),
-                dst=int(c["dst"]),
-                bits=float(c["bits"]),
-                start=float(c["start"]),
-                finish=float(c["finish"]),
-                energy=scenario.grid[int(c["src"])].transmit_energy(
-                    float(c["finish"]) - float(c["start"])
-                ),
-            )
-            for c in rec["comms"]
-        )
+                src=src,
+                dst=_integer(c.get("dst"), "dst", n_machines),
+                bits=_number(c.get("bits"), "bits"),
+                start=start,
+                finish=finish,
+                energy=scenario.grid[src].transmit_energy(finish - start),
+            ))
+        start = _number(rec.get("start"), "start")
+        exec_energy = scenario.compute_energy(task, machine, version)
         plan = ExecutionPlan(
             task=task,
             version=version,
             machine=machine,
-            start=float(rec["start"]),
-            finish=float(rec["finish"]),
-            exec_energy=scenario.compute_energy(task, machine, version),
-            comms=comms,
-            energy_delta=scenario.compute_energy(task, machine, version)
-            + sum(c.energy for c in comms),
-            data_ready=float(rec["start"]),
+            start=start,
+            finish=_number(rec.get("finish"), "finish"),
+            exec_energy=exec_energy,
+            comms=tuple(comms),
+            energy_delta=exec_energy + sum(c.energy for c in comms),
+            data_ready=start,
         )
         schedule.commit(plan)
-    for j, debit in enumerate(data.get("external_debits", [])):
-        if debit:
-            schedule.debit_external(j, float(debit))
+    debits = _typed(data.get("external_debits", []), list, "external_debits")
+    if len(debits) > n_machines:
+        raise ValueError(f"{len(debits)} external debits for {n_machines} machines")
+    for j, debit in enumerate(debits):
+        amount = _number(debit, "external debit")
+        if amount:
+            schedule.debit_external(j, amount)
     # Full independent re-check (durations vs ETC, transfer times vs
     # bandwidth, channel capacity...) — a corrupted document fails here.
-    from repro.sim.validate import validate_schedule
+    from repro.sim.validate import ValidationError, validate_schedule
 
-    validate_schedule(schedule)
+    try:
+        validate_schedule(schedule)
+    except ValidationError as exc:
+        raise ValueError(f"mapping breaks the model: {exc}") from exc
     return schedule
 
 
@@ -318,26 +369,25 @@ def mapping_from_ndjson(
     assignment count.  A *partial* stream — header plus a prefix of the
     assignment lines, no footer — replays the prefix, supporting
     resumable transfer of large mappings; a stream cut mid-document is
-    rejected by the replay invariants exactly like a tampered file.
+    rejected (``ValueError``) exactly like a tampered file.
     """
     header: dict | None = None
     assignments: list[dict] = []
     debits: list = []
     saw_footer = False
     for raw in lines:
-        text = raw.decode("ascii") if isinstance(raw, bytes) else raw
-        text = text.strip()
-        if not text:
+        rec = _ndjson_record(raw, "NDJSON mapping line")
+        if rec is None:
             continue
         if saw_footer:
             raise ValueError("NDJSON mapping stream continues past its footer")
-        rec = json.loads(text)
         kind = rec.get("record")
         if kind == "header":
             if header is not None:
                 raise ValueError("duplicate NDJSON mapping header")
             if rec.get("kind") != "mapping" or rec.get("format") != _FORMAT_VERSION:
                 raise ValueError("not a supported NDJSON mapping header")
+            _integer(rec.get("n_assignments"), "n_assignments")
             header = rec
         elif kind == "assignment":
             if header is None:
@@ -353,7 +403,7 @@ def mapping_from_ndjson(
             raise ValueError(f"unknown NDJSON mapping record {kind!r}")
     if header is None:
         raise ValueError("empty NDJSON mapping stream")
-    if saw_footer and len(assignments) != int(header["n_assignments"]):
+    if saw_footer and len(assignments) != header["n_assignments"]:
         raise ValueError(
             f"NDJSON mapping stream carries {len(assignments)} assignments, "
             f"header advertised {header['n_assignments']}"

@@ -31,11 +31,12 @@ sequence is rejected rather than silently skipped.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Iterator
 
 from repro.io.serialization import (
     _FORMAT_VERSION,
+    _integer,
+    _ndjson_record,
     assignment_to_dict,
     canonical_json_bytes,
     mapping_from_dict,
@@ -127,23 +128,23 @@ def _parse_blocks(
     current: dict | None = None
     footer: dict | None = None
     for raw in lines:
-        text = raw.decode("ascii") if isinstance(raw, bytes) else raw
-        text = text.strip()
-        if not text:
+        rec = _ndjson_record(raw, "delta-stream line")
+        if rec is None:
             continue
-        rec = json.loads(text)
         kind = rec.get("record")
         if kind == "delta":
             if rec.get("format") != _FORMAT_VERSION:
                 raise ValueError(
                     f"unsupported delta format {rec.get('format')!r}"
                 )
+            for key in ("seq", "n_new", "n_retracted"):
+                _integer(rec.get(key), key)
             current = {"head": rec, "retracts": [], "assignments": []}
             blocks.append(current)
         elif kind == "retract":
             if current is None:
                 raise ValueError("retract line outside any delta block")
-            current["retracts"].append(int(rec["task"]))
+            current["retracts"].append(_integer(rec.get("task"), "task"))
         elif kind == "assignment":
             if current is None:
                 raise ValueError("assignment line outside any delta block")
@@ -152,6 +153,7 @@ def _parse_blocks(
         elif kind == "footer":
             if footer is not None:
                 raise ValueError("duplicate delta-stream footer")
+            _integer(rec.get("n_assignments"), "n_assignments")
             footer = rec
             current = None  # nothing may append to a block past the footer
         else:
@@ -171,6 +173,7 @@ def mapping_from_delta_ndjson(
     footer is present — the final assignment count must match.  The
     result replays through :func:`repro.io.serialization.mapping_from_dict`,
     so it passes every model invariant a freshly computed mapping does.
+    A malformed or tampered stream raises ``ValueError``.
     """
     blocks, footer = _parse_blocks(lines)
     if not blocks:
@@ -189,12 +192,12 @@ def mapping_from_delta_ndjson(
             scenario_name = head.get("scenario")
         elif head.get("scenario") != scenario_name:
             raise ValueError("delta stream mixes scenarios")
-        if len(block["retracts"]) != int(head["n_retracted"]):
+        if len(block["retracts"]) != head["n_retracted"]:
             raise ValueError(
                 f"delta block {index} advertises {head['n_retracted']} "
                 f"retractions, carries {len(block['retracts'])}"
             )
-        if len(block["assignments"]) != int(head["n_new"]):
+        if len(block["assignments"]) != head["n_new"]:
             raise ValueError(
                 f"delta block {index} advertises {head['n_new']} "
                 f"assignments, carries {len(block['assignments'])}"
@@ -206,10 +209,10 @@ def mapping_from_delta_ndjson(
                     "which was never announced"
                 )
         for rec in block["assignments"]:
-            mapping[int(rec["task"])] = rec
+            mapping[_integer(rec.get("task"), "task")] = rec
     debits: list = []
     if footer is not None:
-        if len(mapping) != int(footer["n_assignments"]):
+        if len(mapping) != footer["n_assignments"]:
             raise ValueError(
                 f"delta stream reassembles to {len(mapping)} assignments, "
                 f"footer advertised {footer['n_assignments']}"

@@ -12,18 +12,14 @@ package provides the machinery they share:
   assumption against a finished schedule;
 * :class:`~repro.sim.clock.SimulationClock` — the 0.1 s-cycle clock driving
   the SLRH loop;
-* :mod:`~repro.sim.engine` — an event-driven executor that *runs* a schedule
-  and can inject machine-loss events (the ad hoc scenario of §I); loss and
-  rejoin timelines replay through :func:`repro.session.run_with_events`.
+* :mod:`~repro.sim.engine` — an event-driven executor that *runs* a schedule,
+  and :func:`~repro.sim.engine.rollback_machine`, the one machine-loss rule
+  (the ad hoc scenario of §I); loss and rejoin timelines replay through
+  :func:`repro.session.run_with_events`.
 """
 
 from repro.sim.clock import SimulationClock
-from repro.sim.engine import (
-    ExecutionLog,
-    MachineLossOutcome,
-    execute_schedule,
-    run_with_machine_loss,
-)
+from repro.sim.engine import ExecutionLog, execute_schedule
 from repro.sim.schedule import Assignment, ExecutionPlan, PlannedComm, Schedule
 from repro.sim.timeline import IntervalTimeline
 from repro.sim.trace import MappingTrace, TraceRecord
@@ -42,6 +38,4 @@ __all__ = [
     "ValidationError",
     "ExecutionLog",
     "execute_schedule",
-    "MachineLossOutcome",
-    "run_with_machine_loss",
 ]

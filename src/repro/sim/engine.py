@@ -1,4 +1,4 @@
-"""Event-driven execution of schedules, with dynamic machine loss.
+"""Event-driven execution of schedules, and the machine-loss rule.
 
 Two capabilities live here:
 
@@ -8,14 +8,15 @@ Two capabilities live here:
    and energy-over-time statistics.  This is how examples and tests
    demonstrate a mapping actually *runs* under the §III machine model.
 
-2. :func:`run_with_machine_loss` realises the ad hoc scenario that
-   motivates the paper (§I) but was deferred to future work: a machine
-   vanishes mid-execution; every assignment whose results are unrecoverable
-   is rolled back, and the resource manager re-maps the remainder on the
-   surviving grid from the loss instant onward.  :func:`rollback_machine`
-   applies the same loss to a live schedule in place, keeping the machine
-   indexing so the machine can rejoin (the session engine's
-   ``machine_loss``).
+2. :func:`rollback_machine` is the one machine-loss rule, for the ad hoc
+   scenario that motivates the paper (§I) but was deferred to future
+   work: a machine vanishes mid-execution and every assignment whose
+   results are unrecoverable is rolled back from the live schedule, in
+   place.  Machine indices stay as they are, so the machine can rejoin.
+   The session engine applies it at a ``machine_loss`` event and the
+   heuristic then replans from the loss cycle on the machines still
+   online; :func:`repro.session.run_with_events` replays loss and rejoin
+   timelines through that engine.
 
 Loss semantics (checkpoint-free and artifact-free, per the paper's remark
 that recovering partial results "may prove too costly"):
@@ -35,18 +36,12 @@ that recovering partial results "may prove too costly"):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.core.constants import EPSILON
 from repro.obs.log import enabled as _obs_enabled
 from repro.obs.log import get_logger
 from repro.sim.events import Event, EventKind, EventQueue
-from repro.sim.schedule import Assignment, ExecutionPlan, Schedule
-from repro.util.units import CYCLE_SECONDS
-from repro.workload.scenario import Scenario
-
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a core<->sim cycle
-    from repro.core.slrh import MappingResult, SlrhScheduler
+from repro.sim.schedule import Schedule
 
 #: Structured event log (no-op unless :mod:`repro.obs.log` is configured).
 _LOG = get_logger("engine")
@@ -134,24 +129,6 @@ def execute_schedule(schedule: Schedule) -> ExecutionLog:
 # -- dynamic machine loss -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MachineLossOutcome:
-    """Result of an ad hoc machine-loss run."""
-
-    #: The heuristic's original mapping on the full grid.
-    initial: "MappingResult"
-    #: Final mapping on the surviving grid (kept + re-mapped assignments).
-    final: "MappingResult"
-    #: The reduced scenario the final mapping lives on.
-    reduced_scenario: Scenario
-    #: Tasks whose assignments survived the loss.
-    survivors: tuple[int, ...]
-    #: Tasks rolled back and re-mapped (directly hit or descendants).
-    invalidated: tuple[int, ...]
-    lost_machine: int
-    loss_time: float
-
-
 def surviving_tasks(
     schedule: Schedule, lost_machine: int
 ) -> tuple[set[int], set[int]]:
@@ -208,106 +185,3 @@ def rollback_machine(
                     schedule.debit_external(c.src, energy)
                     sunk += energy
     return tuple(order), sunk
-
-
-def _replan_assignment(a: Assignment, machine_map: dict[int, int]) -> ExecutionPlan:
-    """Rebuild an :class:`ExecutionPlan` for re-committing a surviving
-    assignment onto the reduced grid (machine indices remapped)."""
-    comms = tuple(
-        type(c)(
-            parent=c.parent,
-            child=c.child,
-            src=machine_map[c.src],
-            dst=machine_map[c.dst],
-            bits=c.bits,
-            start=c.start,
-            finish=c.finish,
-            energy=c.energy,
-        )
-        for c in a.comms
-    )
-    return ExecutionPlan(
-        task=a.task,
-        version=a.version,
-        machine=machine_map[a.machine],
-        start=a.start,
-        finish=a.finish,
-        exec_energy=a.energy,
-        comms=comms,
-        energy_delta=a.energy + sum(c.energy for c in comms),
-        data_ready=a.start,
-    )
-
-
-def run_with_machine_loss(
-    scenario: Scenario,
-    scheduler: "SlrhScheduler",
-    lost_machine: int,
-    loss_cycle: int,
-) -> MachineLossOutcome:
-    """Map, lose a machine mid-run, roll back, and re-map (module docstring).
-
-    Parameters
-    ----------
-    scheduler:
-        The SLRH instance used both for the initial mapping and for the
-        re-mapping pass (which resumes at *loss_cycle*).  Each pass runs
-        on its own :class:`repro.core.kernel.SchedulingKernel` — the
-        rebuilt schedule lives on a *reduced* scenario, so the initial
-        pass's columnar pool cannot carry over (contrast
-        :func:`repro.session.run_with_events`, which keeps machine
-        indexing stable and threads one kernel through every segment).
-    loss_cycle:
-        Clock cycle at which *lost_machine* vanishes.
-    """
-    if not 0 <= lost_machine < scenario.n_machines:
-        raise IndexError(f"no machine {lost_machine}")
-    if scenario.n_machines < 2:
-        raise ValueError("cannot lose the only machine in the grid")
-    loss_time = loss_cycle * CYCLE_SECONDS
-
-    initial = scheduler.map(scenario)
-    kept, dropped = surviving_tasks(initial.schedule, lost_machine)
-
-    reduced = scenario.without_machine(lost_machine)
-    machine_map = {
-        old: new
-        for new, old in enumerate(
-            k for k in range(scenario.n_machines) if k != lost_machine
-        )
-    }
-    rebuilt = Schedule(reduced)
-    for task in scenario.dag.topological_order:
-        if task not in kept:
-            continue
-        a = initial.schedule.assignments[task]
-        rebuilt.commit(_replan_assignment(a, machine_map))
-
-    # Energy that surviving machines had already burnt on invalidated work
-    # before the loss is gone for good — debit it as sunk cost.
-    for task in dropped:
-        a = initial.schedule.assignments[task]
-        if a.machine != lost_machine and a.start < loss_time:
-            wasted = min(a.finish, loss_time) - a.start
-            rebuilt.debit_external(
-                machine_map[a.machine],
-                scenario.grid[a.machine].compute_energy(wasted),
-            )
-        for c in a.comms:
-            if c.src != lost_machine and c.start < loss_time:
-                wasted = min(c.finish, loss_time) - c.start
-                rebuilt.debit_external(
-                    machine_map[c.src],
-                    scenario.grid[c.src].transmit_energy(wasted),
-                )
-
-    final = scheduler.map(reduced, schedule=rebuilt, start_cycle=loss_cycle)
-    return MachineLossOutcome(
-        initial=initial,
-        final=final,
-        reduced_scenario=reduced,
-        survivors=tuple(sorted(kept)),
-        invalidated=tuple(sorted(dropped)),
-        lost_machine=lost_machine,
-        loss_time=loss_time,
-    )

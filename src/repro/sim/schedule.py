@@ -709,7 +709,7 @@ class Schedule:
         return assignment
 
     def unassign(self, task: int) -> Assignment:
-        """Roll back a committed assignment (dynamic re-mapping support).
+        """Roll back a committed assignment (machine-loss rollback).
 
         The task's children must all be unmapped — their incoming transfers
         reference this assignment's machine and version.

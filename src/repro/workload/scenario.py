@@ -175,19 +175,6 @@ class Scenario:
             release_times=self.release_times,
         )
 
-    def without_machine(self, j: int) -> "Scenario":
-        """Drop machine *j* — the ad hoc "machine loss" transformation."""
-        keep = [k for k in range(self.n_machines) if k != j]
-        return Scenario(
-            grid=self.grid.without_machine(j),
-            etc=self.etc[:, keep],
-            dag=self.dag,
-            data_sizes=self.data_sizes,
-            tau=self.tau,
-            name=f"{self.name}-minus-m{j}",
-            release_times=self.release_times,
-        )
-
 
 def generate_scenario(
     spec: ScenarioSpec = ScenarioSpec(),

@@ -54,15 +54,6 @@ class TestMakeCase:
 
 
 class TestGridAlgebra:
-    def test_without_machine(self):
-        g = CASE_A.without_machine(3)
-        assert len(g) == 3
-        assert [m.name for m in g] == [m.name for m in CASE_A][:3]
-
-    def test_without_machine_out_of_range(self):
-        with pytest.raises(IndexError):
-            CASE_A.without_machine(4)
-
     def test_battery_scale(self):
         g = CASE_A.with_battery_scale(0.25)
         assert g.total_system_energy == pytest.approx(1276.0 * 0.25)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from repro.core.objective import Weights
 from repro.core.slrh import SLRH1, SlrhConfig
-from repro.session import SessionEvent, run_with_events
-from repro.sim.engine import run_with_machine_loss, surviving_tasks
+from repro.session import SessionEngine, SessionEvent, run_with_events
+from repro.sim.engine import surviving_tasks
 from repro.sim.validate import validate_schedule
 from repro.workload.scenario import (
     generate_scenario,
@@ -36,18 +36,33 @@ def _scenario(seed: int):
 def test_machine_loss_always_yields_valid_partition(seed, machine, fraction):
     scenario = _scenario(seed)
     loss_cycle = max(1, int(scenario.tau * fraction / 0.1))
-    out = run_with_machine_loss(scenario, _SCHEDULER, machine, loss_cycle)
-    # Partition of the original assignments.
-    assert set(out.survivors) | set(out.invalidated) == set(
-        out.initial.schedule.assignments
+    engine = SessionEngine(scenario, _SCHEDULER)
+    engine.apply(SessionEvent("advance", loss_cycle))
+    before = dict(engine.schedule.assignments)
+    expect_kept, expect_dropped = surviving_tasks(engine.schedule, machine)
+    record = engine.apply(
+        SessionEvent("machine_loss", loss_cycle, machine=machine)
     )
-    assert not set(out.survivors) & set(out.invalidated)
-    # Nothing survives on the lost machine.
-    for t in out.survivors:
-        assert out.initial.schedule.assignments[t].machine != machine
-    # The final schedule is model-valid on the reduced grid.
-    validate_schedule(out.final.schedule)
-    assert out.final.schedule.scenario.n_machines == scenario.n_machines - 1
+    kept = dict(engine.schedule.assignments)
+    # The mapping just before the loss splits exactly into kept and rolled
+    # back, as the loss rule says.
+    assert set(kept) == expect_kept
+    assert set(record.rolled_back) == expect_dropped
+    assert len(record.rolled_back) == len(expect_dropped)
+    assert set(kept) | set(record.rolled_back) == set(before)
+    assert not set(kept) & set(record.rolled_back)
+    # Nothing kept sits on the lost machine.
+    assert all(a.machine != machine for a in kept.values())
+    final = engine.close().final.schedule
+    # Every kept task keeps its machine, version, start and finish.
+    for task, a in kept.items():
+        b = final.assignments[task]
+        assert (b.machine, b.version, b.start, b.finish) == (
+            a.machine, a.version, a.start, a.finish
+        )
+    # The lost machine stays empty, and the final schedule is model-valid.
+    assert all(a.machine != machine for a in final.assignments.values())
+    validate_schedule(final)
 
 
 @settings(max_examples=10, deadline=None)

@@ -2,15 +2,13 @@
 
 import pytest
 
+from repro.core.constants import EPSILON
 from repro.core.slrh import SLRH1, SlrhConfig
-from repro.sim.engine import (
-    execute_schedule,
-    rollback_machine,
-    run_with_machine_loss,
-    surviving_tasks,
-)
+from repro.session import SessionEngine, SessionEvent
+from repro.sim.engine import execute_schedule, rollback_machine, surviving_tasks
 from repro.sim.events import EventKind
 from repro.sim.validate import validate_schedule
+from repro.util.units import CYCLE_SECONDS
 
 
 @pytest.fixture(scope="module")
@@ -107,59 +105,79 @@ class TestRollbackMachine:
         assert schedule.external_debits == [0.0] * small_scenario.n_machines
 
 
+def _lose(scenario, config, machine, cycle):
+    """Run a session to *cycle*, lose *machine* there, then close it.
+
+    Returns the mapping just before the loss, the kept mapping just after
+    it, the loss's :class:`~repro.session.ChurnRecord` and the closed
+    session's outcome.
+    """
+    engine = SessionEngine(scenario, SLRH1(config))
+    engine.apply(SessionEvent("advance", cycle))
+    before = dict(engine.schedule.assignments)
+    record = engine.apply(SessionEvent("machine_loss", cycle, machine=machine))
+    kept = dict(engine.schedule.assignments)
+    return before, kept, record, engine.close()
+
+
 class TestMachineLoss:
+    """A mid-run loss through the session engine: roll back at the loss
+    cycle, then replan from there on the machines still online."""
+
     def test_outcome_consistency(self, small_scenario, mid_config):
-        out = run_with_machine_loss(
-            small_scenario, SLRH1(mid_config), lost_machine=1, loss_cycle=2000
-        )
-        assert out.lost_machine == 1
-        assert out.loss_time == pytest.approx(200.0)
-        assert set(out.survivors) | set(out.invalidated) == set(
-            out.initial.schedule.assignments
-        )
+        before, kept, record, out = _lose(small_scenario, mid_config, 1, 2000)
+        assert record.event.machine == 1
+        assert record.event.cycle * CYCLE_SECONDS == pytest.approx(200.0)
+        assert set(kept) | set(record.rolled_back) == set(before)
+        assert not set(kept) & set(record.rolled_back)
+        assert out.records == (record,)
         validate_schedule(out.final.schedule)
 
     def test_final_schedule_on_reduced_grid(self, small_scenario, mid_config):
-        out = run_with_machine_loss(
-            small_scenario, SLRH1(mid_config), lost_machine=1, loss_cycle=2000
-        )
-        assert out.reduced_scenario.n_machines == small_scenario.n_machines - 1
-        for a in out.final.schedule.assignments.values():
-            assert 0 <= a.machine < out.reduced_scenario.n_machines
+        # The grid after the loss is the surviving machines at their
+        # original indices; the lost one stays offline to the end.
+        _, _, _, out = _lose(small_scenario, mid_config, 1, 2000)
+        final = out.final.schedule
+        assert final.offline == {1}
+        for a in final.assignments.values():
+            assert 0 <= a.machine < small_scenario.n_machines
+            assert a.machine != 1
 
     def test_survivors_keep_their_slots(self, small_scenario, mid_config):
-        out = run_with_machine_loss(
-            small_scenario, SLRH1(mid_config), lost_machine=2, loss_cycle=2000
-        )
-        for t in out.survivors:
-            orig = out.initial.schedule.assignments[t]
+        _, kept, _, out = _lose(small_scenario, mid_config, 2, 2000)
+        assert kept
+        for t, orig in kept.items():
             final = out.final.schedule.assignments[t]
-            assert final.start == pytest.approx(orig.start)
-            assert final.finish == pytest.approx(orig.finish)
+            assert final.machine == orig.machine
+            assert final.start == orig.start
+            assert final.finish == orig.finish
             assert final.version is orig.version
 
     def test_sunk_energy_recorded_when_partial_work_wasted(
         self, small_scenario, mid_config
     ):
-        out = run_with_machine_loss(
-            small_scenario, SLRH1(mid_config), lost_machine=0, loss_cycle=500
-        )
-        # Sunk cost may be zero (if no surviving machine had started work on
-        # invalidated tasks), but never negative, and validation still holds.
-        assert all(e >= 0.0 for e in out.final.schedule.external_debits)
+        _, _, record, out = _lose(small_scenario, mid_config, 0, 500)
+        # Work any machine had started on rolled-back tasks before the loss
+        # is debited, and only through the external debits.
+        assert record.sunk_energy > 0.0
+        debits = out.final.schedule.external_debits
+        assert all(e >= 0.0 for e in debits)
+        assert sum(debits) == pytest.approx(record.sunk_energy)
         validate_schedule(out.final.schedule)
 
     def test_loss_of_bad_machine_index_rejected(self, small_scenario, mid_config):
+        engine = SessionEngine(small_scenario, SLRH1(mid_config))
         with pytest.raises(IndexError):
-            run_with_machine_loss(
-                small_scenario, SLRH1(mid_config), lost_machine=9, loss_cycle=100
-            )
+            engine.apply(SessionEvent("machine_loss", 100, machine=9))
 
     def test_remapping_progresses(self, small_scenario, mid_config):
-        out = run_with_machine_loss(
-            small_scenario, SLRH1(mid_config), lost_machine=3, loss_cycle=2000
-        )
-        # The re-mapper must at least re-map something if anything was lost
-        # and resources remain.
-        if out.invalidated:
-            assert out.final.schedule.n_mapped >= len(out.survivors)
+        _, kept, record, out = _lose(small_scenario, mid_config, 3, 2000)
+        assert record.rolled_back
+        final = out.final.schedule
+        # The heuristic replans past the kept set, and only from the loss
+        # instant on.
+        assert final.n_mapped > len(kept)
+        loss_time = 2000 * CYCLE_SECONDS
+        for t, a in final.assignments.items():
+            if t not in kept:
+                assert a.start >= loss_time - EPSILON

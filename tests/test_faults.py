@@ -197,9 +197,12 @@ class TestShardKilledMidJob:
         # attached to the first.
         second = manager.submit(big, "maxmax", alpha=0.4)
         deadline = time.monotonic() + 60
-        while first.state != "running":
-            assert time.monotonic() < deadline, first.state
+        while first.state == "queued":
+            assert time.monotonic() < deadline, "job never left the queue"
             time.sleep(0.001)
+        # A job that fails before it runs ends the wait at once, and its
+        # error is the message.
+        assert first.state == "running", f"{first.state}: {first.error}"
         assert second.state == "queued"
         os.kill(victim.pid, signal.SIGKILL)
         killed_at = time.monotonic()

@@ -23,7 +23,7 @@ def test_key_entry_points_present():
         "SLRH1", "SLRH2", "SLRH3", "MaxMaxScheduler", "LrnnScheduler",
         "Weights", "Scenario", "Schedule", "validate_schedule",
         "upper_bound", "upper_bound_strict", "paper_scaled_suite",
-        "run_with_machine_loss", "run_with_events",
+        "run_with_events",
     ):
         assert name in repro.__all__
 

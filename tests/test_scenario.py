@@ -65,12 +65,6 @@ class TestScenario:
         assert s.tau == 123.0
         assert s.etc is tiny_scenario.etc
 
-    def test_without_machine(self, tiny_scenario):
-        s = tiny_scenario.without_machine(1)
-        assert s.n_machines == tiny_scenario.n_machines - 1
-        np.testing.assert_array_equal(s.etc[:, 0], tiny_scenario.etc[:, 0])
-        np.testing.assert_array_equal(s.etc[:, 1], tiny_scenario.etc[:, 2])
-
     def test_reproducible(self):
         spec = ScenarioSpec(n_tasks=20)
         a = generate_scenario(spec, seed=5)
