@@ -55,6 +55,15 @@ checked-in baseline (``benchmarks/BENCH_regression.json``):
    lint rules enforce the guards statically; this checks them
    dynamically.
 
+5. **The paper-scale gate**: the 18 cells of perfbench's seed-1
+   ``etc0-dag0`` scenarios at |T| = 1024 (all six registry heuristics,
+   Cases A-C, default weights, ``columnar`` kernel).  Each mapping's
+   SHA-256 must equal its entry in ``perfbench/digests.json`` (read only:
+   one source of truth for bytes), and each cell's
+   :data:`EXACT_COUNTERS` must equal the baseline's ``paper_scale``
+   block.  ``--update`` rewrites the counters, never the digests, and
+   refuses to run while a digest differs.
+
 Usage::
 
     python benchmarks/check_regression.py              # gate against baseline
@@ -67,7 +76,9 @@ Exit status 0 = within tolerance, 1 = regression (or missing baseline).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import statistics
 import sys
 import time
@@ -80,9 +91,14 @@ if __package__ in (None, ""):  # script invocation: python benchmarks/check_...
 
 from repro.core.objective import Weights  # noqa: E402
 from repro.core.slrh import SLRH1, SLRH3, SlrhConfig  # noqa: E402
-from repro.heuristics import generate_named_scenario  # noqa: E402
+from repro.heuristics import (  # noqa: E402
+    HEURISTIC_NAMES,
+    generate_named_scenario,
+    run_heuristic,
+)
 from repro.io.serialization import canonical_json_bytes, mapping_to_dict  # noqa: E402
 from repro.obs.spans import Tracer  # noqa: E402
+from repro.workload.scenario import paper_scaled_suite  # noqa: E402
 
 SCHEMA = "repro.bench.regression/1"
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_regression.json"
@@ -128,6 +144,100 @@ OBS_BUDGET = 0.02
 #: default 3): the median pair ratio needs this many to stay clear of
 #: the budget on a shared 2-vCPU host.
 OBS_PAIRS_PER_REPEAT = 7
+
+#: The paper-scale gate's cells: perfbench's seed-1 ``etc0-dag0``
+#: scenario of each case (``paper_scaled_suite(1024, n_etc=1, n_dag=1,
+#: seed=1)`` reproduces the 6-pair suite's ``etc0-dag0`` scenarios), every
+#: registry heuristic at its default weights.
+PAPER_N_TASKS = 1024
+PAPER_SEED = 1
+PAPER_CASES = ("A", "B", "C")
+DIGESTS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+
+
+def paper_scale_check(digests_path: Path = DIGESTS_PATH) -> tuple[dict, list[str]]:
+    """Map the 18 paper-scale cells on the columnar kernel; returns
+    (doc, failures).  *doc* holds each cell's counters and map seconds;
+    *failures* names every cell whose mapping digest differs from
+    ``perfbench/digests.json`` (or a missing table or cell)."""
+    failures: list[str] = []
+    key = f"{PAPER_N_TASKS}:{PAPER_SEED}"
+    try:
+        digests = json.loads(digests_path.read_text()).get(key, {})
+    except (OSError, json.JSONDecodeError) as exc:
+        digests = {}
+        failures.append(f"paper: cannot read {digests_path.name}: {exc}")
+    suite = paper_scaled_suite(PAPER_N_TASKS, n_etc=1, n_dag=1, seed=PAPER_SEED)
+    cells: dict[str, dict] = {}
+    seconds: dict[str, float] = {}
+    # Max-Max and Min-Min read the mode from the environment: pin it, so
+    # the counters are a property of the code, not the runner.
+    previous = os.environ.get("REPRO_KERNEL")
+    os.environ["REPRO_KERNEL"] = "columnar"
+    try:
+        for case in PAPER_CASES:
+            scenario = suite.scenario(0, 0, case)
+            for heuristic in HEURISTIC_NAMES:
+                cell = f"{scenario.name}/{heuristic}"
+                started = time.perf_counter()
+                result = run_heuristic(heuristic, scenario)
+                seconds[heuristic] = seconds.get(heuristic, 0.0) + (
+                    time.perf_counter() - started
+                )
+                perf = result.trace.perf or {}
+                cells[cell] = {k: perf.get(k, 0.0) for k in EXACT_COUNTERS}
+                digest = hashlib.sha256(
+                    canonical_json_bytes(mapping_to_dict(result.schedule))
+                ).hexdigest()
+                expected = digests.get(cell)
+                if expected is None:
+                    failures.append(
+                        f"paper: {cell} has no digest in {digests_path.name} "
+                        f"under {key!r}"
+                    )
+                elif digest != expected:
+                    failures.append(
+                        f"paper: {cell} mapping bytes changed: sha256 "
+                        f"{digest[:16]}… != {expected[:16]}… in {digests_path.name}"
+                    )
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_KERNEL", None)
+        else:
+            os.environ["REPRO_KERNEL"] = previous
+    doc = {
+        "n_tasks": PAPER_N_TASKS,
+        "seed": PAPER_SEED,
+        "kernel": "columnar",
+        "cells": cells,
+        "seconds": {h: round(s, 4) for h, s in seconds.items()},
+    }
+    return doc, failures
+
+
+def compare_paper_scale(snapshot: dict, baseline: dict) -> list[str]:
+    """Counter drift of the paper-scale cells against the baseline block."""
+    base = baseline.get("paper_scale")
+    if base is None:
+        return [
+            "paper: the baseline has no paper_scale block; regenerate with --update"
+        ]
+    failures: list[str] = []
+    fresh_cells = snapshot["paper_scale"]["cells"]
+    for cell, counters in base["cells"].items():
+        fresh = fresh_cells.get(cell)
+        if fresh is None:
+            failures.append(f"paper: {cell} missing from the snapshot")
+            continue
+        for counter, expected in counters.items():
+            got = fresh.get(counter)
+            if got != expected:
+                failures.append(
+                    f"paper: {cell} structural counter {counter} drifted: "
+                    f"baseline {expected:g}, now {got:g} "
+                    "(algorithm changed shape; regenerate with --update if intended)"
+                )
+    return failures
 
 
 def obs_budget_check(repeats: int = 3) -> tuple[dict, list[str]]:
@@ -307,8 +417,6 @@ def shard_speedup_check(
       available, because the measurement would be physically incapable
       of showing parallel speedup.
     """
-    import os
-
     failures: list[str] = []
     doc: dict = {"floor": SHARD_SPEEDUP_FLOOR, "artifact": artifact.name}
     regen_hint = (
@@ -520,6 +628,8 @@ def main(argv: list[str] | None = None) -> int:
     snapshot["churn_gate"] = churn_doc
     shard_doc, shard_failures = shard_speedup_check()
     snapshot["shard_gate"] = shard_doc
+    paper_doc, digest_failures = paper_scale_check()
+    snapshot["paper_scale"] = paper_doc
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -528,6 +638,12 @@ def main(argv: list[str] | None = None) -> int:
 
     baseline_path = Path(args.baseline)
     if args.update:
+        if digest_failures:
+            # Counters are only worth recording for the right bytes.
+            print("refusing to update the baseline:", file=sys.stderr)
+            for f in digest_failures:
+                print(f"  - {f}", file=sys.stderr)
+            return 1
         baseline_path.parent.mkdir(parents=True, exist_ok=True)
         baseline_path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
         print(f"baseline updated: {baseline_path}")
@@ -544,6 +660,8 @@ def main(argv: list[str] | None = None) -> int:
 
     failures = (
         compare(snapshot, baseline, args.tolerance)
+        + digest_failures
+        + compare_paper_scale(snapshot, baseline)
         + obs_failures
         + churn_failures
         + shard_failures
@@ -568,6 +686,13 @@ def main(argv: list[str] | None = None) -> int:
         f"from-scratch {churn_doc['scratch_seconds']*1e3:7.1f}ms  "
         f"speedup {churn_doc['session_speedup']:.2f}x "
         f"(floor {churn_doc['floor']}x @ {churn_doc['n_tasks']} tasks)"
+    )
+    paper_seconds = paper_doc["seconds"]
+    print(
+        f"paper scale: {len(paper_doc['cells'])} cells at |T| = "
+        f"{paper_doc['n_tasks']} mapped in {sum(paper_seconds.values()):.1f}s ("
+        + ", ".join(f"{h} {s:.2f}s" for h, s in paper_seconds.items())
+        + ")"
     )
     live = shard_doc.get("live", {})
     if "speedup" in live:
