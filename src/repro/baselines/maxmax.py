@@ -29,7 +29,7 @@ from repro.core.feasibility import FeasibilityChecker
 from repro.core.kernel import SchedulingKernel, resolve_kernel_mode
 from repro.core.objective import ObjectiveFunction, Weights
 from repro.core.slrh import MappingResult
-from repro.sim.schedule import Schedule
+from repro.sim.schedule import ExecutionPlan, Schedule
 from repro.sim.trace import MappingTrace
 from repro.util.timing import Stopwatch
 from repro.workload.scenario import Scenario
@@ -81,62 +81,74 @@ class MaxMaxScheduler:
         if self.config.machine_stage not in ("completion", "objective"):
             raise ValueError(f"unknown machine_stage {self.config.machine_stage!r}")
         n_machines = scenario.n_machines
-        # The columnar kernel's static plan memo re-prices a (task, machine)
-        # pair only when a commit could have changed it; rebuild re-plans.
+        # The kernel's static slot store re-runs only the searches a commit
+        # invalidated; under rebuild it plans every lookup afresh.
         kernel = SchedulingKernel(schedule, None, objective, mode=resolve_kernel_mode())
-        plans = kernel.static_plans
+        required = checker.required_energy
 
-        def select() -> tuple:
+        def select() -> tuple[ExecutionPlan | None, int]:
             """One Max-Max round: the best (subtask, version, machine)
             triplet over the ready set, plus the feasible-candidate count."""
-            best_plan = None
+            slots = kernel.slots
+            budget = slots.budget
+            # ObjectiveFunction.after_plan's operands, per version.
+            t100, tec, aet = schedule.aggregate_state()
+            t100s = (t100 + 1, t100)
+            best = -1  # slot index of the best candidate so far
+            best_vi = 0
             best_score = -float("inf")
+            best_finish = 0.0
             pool_size = 0
+
+            def offer(idx: int, vi: int) -> None:
+                nonlocal best, best_vi, best_score, best_finish
+                finish = slots.finish[vi][idx]
+                score = objective.value(
+                    t100s[vi], tec + slots.delta[vi][idx], max(aet, finish)
+                )
+                # Objective ties break toward the earliest finish (Min-Min
+                # heritage, [IbK77]), then the primary version / lowest ids
+                # via scan order.
+                if score > best_score + 1e-12 or (
+                    score > best_score - 1e-12
+                    and best >= 0
+                    and finish < best_finish - 1e-12
+                ):
+                    best_score = max(best_score, score)
+                    best, best_vi, best_finish = idx, vi, finish
+
             for task in schedule.ready_sorted():
-                # One plan pair per (task, machine), fetched on first use.
-                pairs: list = [None] * n_machines
+                trace.machine_scans += 2 * n_machines  # each (version, machine)
+                # One slot lookup per (task, machine), on first use.
+                looked = [-1] * n_machines
                 for vi, version in enumerate((PRIMARY, SECONDARY)):
-                    # Machine stage: the candidate's plan on each
-                    # machine; under "completion" only the
-                    # minimum-completion-time machine survives, under
-                    # "objective" every machine competes directly.
-                    stage_plan = None
+                    feasible = slots.feasible[vi]
+                    finish = slots.finish[vi]
+                    # Machine stage: the candidate's plan on each machine;
+                    # under "completion" only the minimum-completion-time
+                    # machine survives, under "objective" every machine
+                    # competes directly.
+                    stage = -1
                     for machine in range(n_machines):
-                        trace.note_machine_scan()
-                        if not checker.is_feasible(schedule, task, machine, version):
+                        # Rule (b) at this version (FeasibilityChecker.
+                        # is_feasible for a ready task) on the round's budget.
+                        if required(task, machine, version) > budget[machine]:
                             continue
-                        pair = pairs[machine]
-                        if pair is None:
-                            pair = pairs[machine] = plans(task, machine)
-                        plan = pair[vi]
-                        if not plan.feasible:
+                        idx = looked[machine]
+                        if idx < 0:
+                            idx = looked[machine] = slots.lookup(task, machine)
+                        if not feasible[idx]:
                             continue
                         pool_size += 1
-                        if completion_stage:
-                            if stage_plan is None or plan.finish < stage_plan.finish - 1e-12:
-                                stage_plan = plan
-                            continue
-                        score = objective.after_plan(schedule, plan)
-                        # Objective ties break toward the earliest
-                        # finish (Min-Min heritage, [IbK77]), then the
-                        # primary version / lowest ids via scan order.
-                        if score > best_score + 1e-12 or (
-                            score > best_score - 1e-12
-                            and best_plan is not None
-                            and plan.finish < best_plan.finish - 1e-12
-                        ):
-                            best_score = max(best_score, score)
-                            best_plan = plan
-                    if completion_stage and stage_plan is not None:
-                        score = objective.after_plan(schedule, stage_plan)
-                        if score > best_score + 1e-12 or (
-                            score > best_score - 1e-12
-                            and best_plan is not None
-                            and stage_plan.finish < best_plan.finish - 1e-12
-                        ):
-                            best_score = max(best_score, score)
-                            best_plan = stage_plan
-            return best_plan, pool_size
+                        if not completion_stage:
+                            offer(idx, vi)
+                        elif stage < 0 or finish[idx] < finish[stage] - 1e-12:
+                            stage = idx
+                    if stage >= 0:
+                        offer(stage, vi)
+            if best < 0:
+                return None, pool_size
+            return slots.plan(best, best_vi), pool_size
 
         stopwatch = Stopwatch()
         with stopwatch:

@@ -30,22 +30,6 @@ class MinMinScheduler:
 
     name = "Min-Min"
 
-    def _best_plan_for_task(
-        self, kernel: SchedulingKernel, task: int
-    ) -> ExecutionPlan | None:
-        """Minimum-completion-time plan for *task* over all machines."""
-        best: ExecutionPlan | None = None
-        for machine in range(kernel.schedule.scenario.n_machines):
-            # (primary, secondary): the primary when affordable, else the
-            # secondary.
-            for plan in kernel.static_plans(task, machine):
-                if not plan.feasible:
-                    continue
-                if best is None or plan.finish < best.finish - 1e-12:
-                    best = plan
-                break  # affordable primary: skip secondary
-        return best
-
     def map(
         self, scenario: Scenario, schedule: Schedule | None = None
     ) -> MappingResult:
@@ -56,25 +40,46 @@ class MinMinScheduler:
         elif schedule.scenario is not scenario:
             raise ValueError("schedule was built for a different scenario")
         trace = MappingTrace()
-        # The columnar kernel's static plan memo re-prices a (task, machine)
-        # pair only when a commit could have changed it; rebuild re-plans.
-        # The kernel scores trace records under the weights the result
-        # reports.
+        # The kernel's static slot store re-runs only the searches a commit
+        # invalidated; under rebuild it plans every lookup afresh.  The
+        # kernel scores trace records under the weights the result reports.
         objective = ObjectiveFunction.for_scenario(scenario, _GREEDY_WEIGHTS)
         kernel = SchedulingKernel(
             schedule, None, objective, mode=resolve_kernel_mode()
         )
+        n_machines = scenario.n_machines
 
-        def select() -> tuple:
+        def select() -> tuple[ExecutionPlan | None, int]:
             """One Min-Min round: the smallest-MCT ready subtask."""
-            best: ExecutionPlan | None = None
+            slots = kernel.slots
+            feasible0, feasible1 = slots.feasible
+            finish0, finish1 = slots.finish
+            best = -1  # slot index of the round's plan
+            best_vi = 0
+            best_finish = 0.0
             for task in schedule.ready_sorted():
-                plan = self._best_plan_for_task(kernel, task)
-                if plan is None:
+                # The task's minimum-completion-time plan over all
+                # machines: the primary when affordable, else the secondary.
+                task_best = -1
+                task_vi = 0
+                task_finish = 0.0
+                for machine in range(n_machines):
+                    idx = slots.lookup(task, machine, first_feasible=True)
+                    if feasible0[idx]:
+                        vi, finish = 0, finish0[idx]
+                    elif feasible1[idx]:
+                        vi, finish = 1, finish1[idx]
+                    else:
+                        continue
+                    if task_best < 0 or finish < task_finish - 1e-12:
+                        task_best, task_vi, task_finish = idx, vi, finish
+                if task_best < 0:
                     continue
-                if best is None or plan.finish < best.finish - 1e-12:
-                    best = plan
-            return best, 0
+                if best < 0 or task_finish < best_finish - 1e-12:
+                    best, best_vi, best_finish = task_best, task_vi, task_finish
+            if best < 0:
+                return None, 0
+            return slots.plan(best, best_vi), 0
 
         stopwatch = Stopwatch()
         with stopwatch:

@@ -68,22 +68,36 @@ ledgered runs always use the rebuild path (``SlrhScheduler.map`` refuses
 anything else) — the ledger never changes the mapping, and the hot path
 never pays for it.
 
-The static plan memo
---------------------
+The static slot store
+---------------------
 Max-Max and Min-Min re-price every ready (task, machine) pair in every
-round, and a round commits exactly one plan.  In ``columnar`` mode (the
-``rebuild`` oracle plans afresh) :meth:`SchedulingKernel.run_static`
-therefore keeps one memo of hole-insertion plan pairs, keyed by (task,
-machine), for the duration of the call, read through
-:meth:`SchedulingKernel.static_plans`.  A static run only ever
-*commits* — nothing is released, unassigned, re-timed or taken offline —
-so calendars only gain reservations, and a memoised pair whose comm and
-exec slots are all still free is exactly what a fresh search returns: a
-gap search returns the earliest fit, and added busy time cannot open an
-earlier one.  Each lookup also re-checks both versions' energy verdicts
-against their stored demands (an infeasible version additionally pins
-the budgets its reason text quotes; any change re-plans), and a
-committed task's entries are dropped.
+round, and a round commits exactly one plan.
+:meth:`SchedulingKernel.run_static` therefore keeps one
+:class:`StaticSlots` store for the duration of the call, read through
+:attr:`SchedulingKernel.slots`: flat per-(task, machine) columns with the
+comm plan and its data-ready time, and per version the energy demand and
+the exec start.  A static run only ever *commits* — nothing is released,
+unassigned, re-timed or taken offline, and a ready task's parents never
+change — so calendars only gain reservations, and a gap search's earliest
+fit that is still free is exactly what a fresh search returns (added busy
+time cannot open an earlier one).  Each part has its own certificate and a
+failed one re-runs only its own search:
+
+* comm slots — a planned transfer's slot no longer free on the sender's
+  out-channel or the target's in-channel plans the transfers again
+  (``Schedule._plan_comms_floor``, the only event ``plan.pairs`` counts);
+* exec slot — a feasible version's slot no longer free runs one gap
+  search from the stored data-ready time;
+* energy verdict — recomputed at every lookup from the stored demand
+  (fixed while the task is ready) against per-machine budgets hoisted
+  once per round.
+
+Timeline ``version`` counters skip the freeness tests on calendars
+nothing touched.  Only the plan a round commits becomes an
+:class:`~repro.sim.schedule.ExecutionPlan`, and a committed task's slots
+are dropped.  Under ``rebuild`` every lookup plans the pair afresh
+(``Schedule._plan_pair``), so the kernel-mode differential covers both
+baselines.
 
 Every static mapper ends the same way: :meth:`SchedulingKernel.run_static`
 notes one tick per round and one trace record per commit, and
@@ -108,13 +122,15 @@ from repro.core.pool import Candidate, build_candidate_pool
 from repro.obs.ledger import ENERGY_INFEASIBLE, LOST_ON_SCORE, OUTSIDE_HORIZON
 from repro.obs.spans import NULL_SPAN
 from repro.sim.clock import SimulationClock
-from repro.sim.schedule import ExecutionPlan, Schedule
+from repro.sim.schedule import ExecutionPlan, PlannedComm, Schedule
 from repro.sim.trace import MappingTrace
+from repro.workload.versions import Version
 
 __all__ = [
     "ColumnarPool",
     "KERNEL_MODES",
     "SchedulingKernel",
+    "StaticSlots",
     "TickPolicy",
     "resolve_kernel_mode",
 ]
@@ -163,41 +179,220 @@ class TickPolicy:
             raise ValueError("max_commits must be >= 1 (or None)")
 
 
-class _MemoEntry:
-    """One static-memo slot: a plan pair plus the facts that prove it is
-    still what a fresh search would return (see the module docstring)."""
+class StaticSlots:
+    """The static round loop's slot store (see the module docstring).
 
-    __slots__ = (
-        "pair", "demands", "pins", "exec_version", "in_version", "out_versions",
-    )
+    One slot per (task, machine), index ``task * n_machines + machine``,
+    in flat columns: the comm plan, its data-ready time and comm energy,
+    and per version the energy demand, the TEC delta, the exec start and
+    finish and the current energy verdict.  :meth:`lookup` brings a slot
+    up to date through three certificates, each re-running only its own
+    search; callers then read :attr:`feasible`, :attr:`finish` and
+    :attr:`delta` at the returned index, and :meth:`plan` builds the
+    :class:`~repro.sim.schedule.ExecutionPlan` of the slot a round
+    commits.  With *fresh* (the ``rebuild`` kernel) every lookup plans
+    the pair afresh through ``Schedule._plan_pair`` instead.
+    """
 
-    def __init__(
-        self,
-        schedule: Schedule,
-        machine: int,
-        pair: tuple[ExecutionPlan, ExecutionPlan],
-        demands: tuple[dict[int, float] | None, dict[int, float] | None],
-    ) -> None:
-        self.pair = pair
-        d0, d1 = demands
-        # Offline plans are dead whatever the budgets: no demands to check.
-        self.demands = None if d0 is None or d1 is None else (d0, d1)
-        # Per version: None for a feasible plan, else the (machine,
-        # available, reserved) budgets an infeasible plan's reason quotes.
-        self.pins: list[tuple[tuple[int, float, float], ...] | None] = [
-            None
-            if plan.feasible or demand is None
-            else tuple(
-                (j, schedule.available_energy(j), schedule.reserved_energy(j))
-                for j in demand
-            )
-            for plan, demand in zip(pair, demands)
+    def __init__(self, schedule: Schedule, *, fresh: bool) -> None:
+        self._schedule = schedule
+        self._fresh = fresh
+        n_machines = schedule.scenario.n_machines
+        self._n_machines = n_machines
+        size = schedule.scenario.n_tasks * n_machines
+        none: list = [None] * size
+        zeros = [0.0] * size
+        stamps = [-1] * size
+        # Comm plan (None: not planned since the task became ready), its
+        # data-ready time and the channel versions its slots were last
+        # proved free at (target in-channel; summed sender out-channels —
+        # versions only grow, so an equal sum means none moved).
+        self._comms: list[tuple[PlannedComm, ...] | None] = list(none)
+        self._ready = list(zeros)
+        self._in_stamp = list(stamps)
+        self._out_stamp = list(stamps)
+        # Per version: net per-machine energy demand (None: a machine
+        # involved is offline), exec start (None: not searched since the
+        # data-ready time last moved) and the exec-calendar version it was
+        # last proved free at.
+        self._demand: tuple[list[dict[int, float] | None], ...] = (list(none), list(none))
+        self._start: tuple[list[float | None], ...] = (list(none), list(none))
+        self._exec_stamp = (list(stamps), list(stamps))
+        #: Per version, read at a looked-up index: the energy verdict
+        #: against this round's budgets, the finish time (meaningful only
+        #: where feasible) and the TEC delta (``ExecutionPlan.energy_delta``).
+        self.feasible: tuple[list[bool], ...] = ([False] * size, [False] * size)
+        self.finish: tuple[list[float], ...] = (list(zeros), list(zeros))
+        self.delta: tuple[list[float], ...] = (list(zeros), list(zeros))
+        #: Per-machine energy threshold of this round: a demand fits when it
+        #: is at most ``available_energy(j) * (1 + BUDGET_TOLERANCE) +
+        #: BUDGET_TOLERANCE`` (``Schedule._demand_shortfall``'s arithmetic;
+        #: Max-Max's rule (b) compares against it too).
+        self.budget: list[float] = [0.0] * n_machines
+        self._exec_ver = [0] * n_machines
+        self._in_ver = [0] * n_machines
+        self._out_ver = [0] * n_machines
+
+    def begin_round(self) -> None:
+        """Hoist this round's budgets and calendar versions: nothing
+        mutates the schedule between a round's first lookup and its
+        commit."""
+        schedule = self._schedule
+        available = schedule.available_energy
+        self.budget = [
+            available(j) * (1 + BUDGET_TOLERANCE) + BUDGET_TOLERANCE
+            for j in range(self._n_machines)
         ]
-        self.exec_version = schedule.exec_timeline[machine].version
-        self.in_version = schedule.in_channel[machine].version
-        self.out_versions = tuple(
-            schedule.out_channel[c.src].version for c in pair[0].comms
+        self._exec_ver = [tl.version for tl in schedule.exec_timeline]
+        self._in_ver = [tl.version for tl in schedule.in_channel]
+        self._out_ver = [tl.version for tl in schedule.out_channel]
+
+    def lookup(self, task: int, machine: int, *, first_feasible: bool = False) -> int:
+        """Bring (*task*, *machine*)'s slot up to date and return its
+        index.  Every feasible version gets its exec start, or with
+        *first_feasible* only the first one (the primary when affordable,
+        else the secondary — the one Min-Min reads)."""
+        idx = task * self._n_machines + machine
+        if self._fresh:
+            self._plan_fresh(idx, task, machine)
+            return idx
+        schedule = self._schedule
+        comms = self._comms[idx]
+        if comms is None:
+            self._plan_comms(idx, task, machine)
+        elif comms:
+            # Comm slots: every planned transfer still free on both ends.
+            in_ver = self._in_ver[machine]
+            out_ver = self._out_ver
+            out_sum = 0
+            for c in comms:
+                out_sum += out_ver[c.src]
+            if in_ver != self._in_stamp[idx] or out_sum != self._out_stamp[idx]:
+                in_tl = schedule.in_channel[machine]
+                out_channel = schedule.out_channel
+                for c in comms:
+                    if not (
+                        in_tl.is_free(c.start, c.finish)
+                        and out_channel[c.src].is_free(c.start, c.finish)
+                    ):
+                        self._plan_comms(idx, task, machine)
+                        break
+                else:
+                    self._in_stamp[idx] = in_ver
+                    self._out_stamp[idx] = out_sum
+        budget = self.budget
+        feasible = self.feasible
+        for vi in (0, 1):
+            # Energy verdict: the stored demand against this round's budgets.
+            demand = self._demand[vi][idx]
+            ok = demand is not None
+            if ok:
+                for j, amount in demand.items():
+                    if amount > budget[j]:
+                        ok = False
+                        break
+            feasible[vi][idx] = ok
+        exec_ver = self._exec_ver[machine]
+        for vi in (0, 1):
+            if not feasible[vi][idx]:
+                continue
+            # Exec slot: a stored start still free is still the earliest fit.
+            starts = self._start[vi]
+            stamps = self._exec_stamp[vi]
+            start = starts[idx]
+            if start is None or (
+                stamps[idx] != exec_ver
+                and not schedule.exec_timeline[machine].is_free(
+                    start, self.finish[vi][idx]
+                )
+            ):
+                duration = schedule.exec_facts(task, machine)[vi][0]
+                start = starts[idx] = schedule.exec_timeline[machine].earliest_gap(
+                    duration, self._ready[idx]
+                )
+                self.finish[vi][idx] = start + duration
+            stamps[idx] = exec_ver
+            if first_feasible:
+                break
+        return idx
+
+    def _plan_comms(self, idx: int, task: int, machine: int) -> None:
+        """Comm-slot miss (or a first lookup): plan the transfers again.
+        Exec starts survive when the data-ready time did not move.  The
+        demands and TEC deltas need no re-pricing: a re-planned transfer
+        keeps its sender, size and so its energy (only its slot moved)."""
+        schedule = self._schedule
+        schedule.perf.inc("plan.pairs")
+        comms, dr_floor = schedule._plan_comms_floor(task, machine, 0.0)
+        ready = max(0.0, dr_floor)
+        first = self._comms[idx] is None
+        if first or ready != self._ready[idx]:
+            self._start[0][idx] = self._start[1][idx] = None
+        self._comms[idx] = comms
+        self._ready[idx] = ready
+        self._in_stamp[idx] = self._in_ver[machine]
+        out_ver = self._out_ver
+        out_sum = 0
+        for c in comms:
+            out_sum += out_ver[c.src]
+        self._out_stamp[idx] = out_sum
+        if not first:
+            return
+        offline = schedule.offline
+        dead = machine in offline or any(c.src in offline for c in comms)
+        comm_energy = sum(c.energy for c in comms)
+        facts = schedule.exec_facts(task, machine)
+        for vi, version in enumerate((Version.PRIMARY, Version.SECONDARY)):
+            exec_energy = facts[vi][1]
+            self._demand[vi][idx] = (
+                None
+                if dead
+                else schedule._net_energy_demand(
+                    task, machine, version, exec_energy, comms
+                )
+            )
+            self.delta[vi][idx] = exec_energy + comm_energy
+
+    def _plan_fresh(self, idx: int, task: int, machine: int) -> None:
+        """The ``rebuild`` oracle: fill the slot from a fresh plan pair."""
+        pair, _ = self._schedule._plan_pair(task, machine, 0.0, True)
+        self._comms[idx] = pair[0].comms
+        self._ready[idx] = pair[0].data_ready
+        for vi, plan in enumerate(pair):
+            self.feasible[vi][idx] = plan.feasible
+            self._start[vi][idx] = plan.start
+            self.finish[vi][idx] = plan.finish
+            self.delta[vi][idx] = plan.energy_delta
+
+    def plan(self, idx: int, vi: int) -> ExecutionPlan:
+        """The :class:`ExecutionPlan` of version *vi* (0 primary, 1
+        secondary) at a looked-up, feasible slot — equal to the one
+        ``Schedule._plan_pair`` would return."""
+        task, machine = divmod(idx, self._n_machines)
+        start = self._start[vi][idx]
+        comms = self._comms[idx]
+        if start is None or comms is None or not self.feasible[vi][idx]:
+            raise ValueError(f"version {vi} of slot {idx} is not a placed, feasible plan")
+        exec_energy = self._schedule.exec_facts(task, machine)[vi][1]
+        return ExecutionPlan(
+            task=task,
+            version=Version.PRIMARY if vi == 0 else Version.SECONDARY,
+            machine=machine,
+            start=start,
+            finish=self.finish[vi][idx],
+            exec_energy=exec_energy,
+            comms=comms,
+            energy_delta=self.delta[vi][idx],
+            data_ready=self._ready[idx],
         )
+
+    def retire(self, task: int) -> None:
+        """Drop a committed task's slot payloads."""
+        n_machines = self._n_machines
+        comms = self._comms
+        demand0, demand1 = self._demand
+        for idx in range(task * n_machines, (task + 1) * n_machines):
+            comms[idx] = demand0[idx] = demand1[idx] = None
 
 
 class SchedulingKernel:
@@ -238,9 +433,9 @@ class SchedulingKernel:
             if checker is not None and objective is not None and mode == "columnar"
             else None
         )
-        # The static plan memo (see module docstring): task -> machine ->
-        # _MemoEntry, alive only inside run_static.
-        self._memo: dict[int, dict[int, _MemoEntry]] | None = None
+        # The static slot store (see module docstring), alive only inside
+        # run_static.
+        self._slots: StaticSlots | None = None
         # Per-machine sleep state, stored as the *raw* event times the last
         # serve observed (earliest unreleased-task release, earliest pool
         # data-ready) rather than a precomputed wake tick: the asleep test
@@ -654,79 +849,13 @@ class SchedulingKernel:
 
     # -- clockless mode (the static baselines) ------------------------------
 
-    def static_plans(
-        self, task: int, machine: int
-    ) -> tuple[ExecutionPlan, ExecutionPlan]:
-        """The (primary, secondary) hole-insertion plan pair for *task* on
-        *machine* at clock 0 — :meth:`Schedule.plan_versions` semantics,
-        served from the static plan memo while a ``columnar``
-        :meth:`run_static` runs (see the module docstring) and computed
-        afresh otherwise."""
-        schedule = self.schedule
-        memo = self._memo
-        if memo is None:
-            return schedule.plan_versions(task, machine, 0.0, True)
-        per_task = memo.get(task)
-        if per_task is None:
-            per_task = memo[task] = {}
-        entry = per_task.get(machine)
-        if entry is not None and self._memo_valid(entry, machine):
-            return entry.pair
-        pair, demands = schedule._plan_pair(task, machine, 0.0, True)
-        per_task[machine] = _MemoEntry(schedule, machine, pair, demands)
-        return pair
-
-    def _memo_valid(self, entry: _MemoEntry, machine: int) -> bool:
-        """Whether *entry* is still exactly what a fresh search returns.
-        Calendars only gain reservations during a static run, so a slot
-        still free is still the earliest fit; timeline versions skip the
-        freeness test on calendars nothing touched."""
-        schedule = self.schedule
-        pair = entry.pair
-        exec_tl = schedule.exec_timeline[machine]
-        if exec_tl.version != entry.exec_version:
-            # Dead plans carry no placement.
-            for plan in pair:
-                if plan.feasible and not exec_tl.is_free(plan.start, plan.finish):
-                    return False
-            entry.exec_version = exec_tl.version
-        comms = pair[0].comms
-        if comms:
-            in_tl = schedule.in_channel[machine]
-            if in_tl.version != entry.in_version:
-                for c in comms:
-                    if not in_tl.is_free(c.start, c.finish):
-                        return False
-                entry.in_version = in_tl.version
-            out_channel = schedule.out_channel
-            stale = False
-            for c, version in zip(comms, entry.out_versions):
-                out_tl = out_channel[c.src]
-                if out_tl.version != version:
-                    if not out_tl.is_free(c.start, c.finish):
-                        return False
-                    stale = True
-            if stale:
-                entry.out_versions = tuple(
-                    out_channel[c.src].version for c in comms
-                )
-        demands = entry.demands
-        if demands is not None:
-            available = schedule.available_energy
-            for demand, pins in zip(demands, entry.pins):
-                if pins is None:
-                    for j, amount in demand.items():
-                        budget = available(j)
-                        if amount > budget * (1 + BUDGET_TOLERANCE) + BUDGET_TOLERANCE:
-                            return False
-                else:
-                    for j, avail, reserved in pins:
-                        if (
-                            available(j) != avail
-                            or schedule.reserved_energy(j) != reserved
-                        ):
-                            return False
-        return True
+    @property
+    def slots(self) -> StaticSlots:
+        """The static slot store of the running :meth:`run_static` call —
+        what a static selection rule reads its plans from."""
+        if self._slots is None:
+            raise RuntimeError("the static slot store lives only inside run_static")
+        return self._slots
 
     def run_static(
         self,
@@ -740,27 +869,25 @@ class SchedulingKernel:
         candidate count to stamp on the trace record.  The kernel owns the
         loop, the commit, the trace bookkeeping — every round is a tick,
         an empty round an empty pool, and every commit one trace record
-        scored under the kernel's objective — and, in ``columnar`` mode,
-        the static plan memo *select* may read through
-        :meth:`static_plans`; the heuristic owns only its selection rule.
+        scored under the kernel's objective — and the static slot store
+        *select* may read through :attr:`slots` (every lookup plans afresh
+        under ``rebuild``); the heuristic owns only its selection rule.
         """
         schedule = self.schedule
         objective = self.objective
         if objective is None:
             raise ValueError("run_static scores its trace records: pass an objective")
-        # Columnar only: the rebuild oracle plans every lookup afresh.
-        self._memo = {} if self.mode == "columnar" else None
-        memo = self._memo
+        slots = self._slots = StaticSlots(schedule, fresh=self.mode == "rebuild")
         try:
             while not schedule.is_complete:
                 trace.note_tick()
+                slots.begin_round()
                 plan, pool_size = select()
                 if plan is None:
                     trace.note_empty_pool()
                     break
                 schedule.commit(plan)
-                if memo is not None:
-                    memo.pop(plan.task, None)
+                slots.retire(plan.task)
                 trace.record_commit(
                     clock=0.0,
                     plan=plan,
@@ -771,4 +898,4 @@ class SchedulingKernel:
                     aet=schedule.makespan,
                 )
         finally:
-            self._memo = None
+            self._slots = None

@@ -27,8 +27,8 @@ from repro.core.feasibility import FeasibilityChecker
 from repro.core.kernel import (
     KERNEL_MODES,
     SchedulingKernel,
+    StaticSlots,
     TickPolicy,
-    _MemoEntry,
     resolve_kernel_mode,
 )
 from repro.core.objective import ObjectiveFunction, Weights
@@ -389,15 +389,6 @@ class TestChurnDifferential:
         validate_schedule(got.final.schedule)
 
 
-def _always_miss(monkeypatch) -> None:
-    """Turn the static plan memo off: every lookup re-plans."""
-    monkeypatch.setattr(
-        SchedulingKernel,
-        "_memo_valid",
-        lambda self, entry, machine: False,
-    )
-
-
 _STATIC_MAPPERS = [
     pytest.param(lambda: MaxMaxScheduler(MaxMaxConfig(weights=_WEIGHTS)), id="maxmax"),
     pytest.param(
@@ -433,9 +424,12 @@ class TestStaticKernelMode:
 
 
 class TestStaticPlanMemo:
-    """The static round loop's plan memo returns exactly what fresh
-    planning would: the same mapping bytes with the memo as shipped and
-    with its validity check forced to miss on every lookup."""
+    """The static round loop's plan memo — the :class:`StaticSlots` store,
+    one certificate per plan part — serves exactly what fresh planning
+    would: the mapping bytes of the ``rebuild`` kernel (whose store
+    re-plans every lookup), and at every lookup the verdicts and feasible
+    plans of a fresh ``Schedule._plan_pair``.  Reason strings are not
+    part of the contract: the store keeps none."""
 
     @pytest.mark.parametrize("build", _STATIC_MAPPERS)
     @pytest.mark.parametrize("case", ["A", "C"])
@@ -443,14 +437,14 @@ class TestStaticPlanMemo:
         scenario = paper_scaled_suite(40, n_etc=1, n_dag=1, seed=11).scenario(
             0, 0, case
         )
+        monkeypatch.setenv("REPRO_KERNEL", "columnar")
         shipped = build().map(scenario)
-        with monkeypatch.context() as m:
-            _always_miss(m)
-            fresh = build().map(scenario)
+        monkeypatch.setenv("REPRO_KERNEL", "rebuild")
+        fresh = build().map(scenario)
         assert canonical_mapping_bytes(shipped.schedule) == (
             canonical_mapping_bytes(fresh.schedule)
         )
-        # The memo is live: it saved re-planning.
+        # The store is live: it saved re-planning.
         assert shipped.schedule.perf.get("plan.pairs") < (
             fresh.schedule.perf.get("plan.pairs")
         )
@@ -458,27 +452,71 @@ class TestStaticPlanMemo:
     @pytest.mark.parametrize("build", _STATIC_MAPPERS)
     @pytest.mark.parametrize("case", ["A", "B", "C"])
     def test_every_lookup_equals_a_fresh_plan(self, build, case, monkeypatch):
-        """The memo's contract, checked lookup by lookup: every pair it
-        serves — reason strings included — equals a fresh search on the
-        current schedule.  Stronger than the mapping-bytes differential,
-        which a stale pair that never wins a round cannot fail."""
+        """The store's contract, checked lookup by lookup: both energy
+        verdicts equal a fresh search's on the current schedule, and so
+        does every version the lookup placed (start, finish, comms,
+        data-ready time, energy).  Each round's winner scores exactly
+        ``after_plan`` of the plan it commits.  Stronger than the
+        mapping-bytes differential, which a stale slot that never wins a
+        round cannot fail."""
+        monkeypatch.setenv("REPRO_KERNEL", "columnar")
         scenario = paper_scaled_suite(64, n_etc=1, n_dag=1, seed=1).scenario(
             0, 0, case
         )
-        served = SchedulingKernel.static_plans
-        lookups = 0
+        served = StaticSlots.lookup
+        build_plan = StaticSlots.plan
+        lookups = placed_versions = 0
 
-        def checked(kernel, task, machine):
-            nonlocal lookups
+        def checked(slots, task, machine, *, first_feasible=False):
+            nonlocal lookups, placed_versions
             lookups += 1
-            pair = served(kernel, task, machine)
-            fresh, _ = kernel.schedule._plan_pair(task, machine, 0.0, True)
-            assert pair == fresh, (task, machine)
-            return pair
+            idx = served(slots, task, machine, first_feasible=first_feasible)
+            fresh, _ = slots._schedule._plan_pair(task, machine, 0.0, True)
+            placed = False
+            for vi, plan in enumerate(fresh):
+                assert slots.feasible[vi][idx] == plan.feasible, (task, machine, vi)
+                if plan.feasible and not (first_feasible and placed):
+                    assert build_plan(slots, idx, vi) == plan, (task, machine, vi)
+                    placed = True
+                    placed_versions += 1
+            return idx
 
-        monkeypatch.setattr(SchedulingKernel, "static_plans", checked)
-        build().map(scenario)
-        assert lookups > 0
+        # Every score a round computes, with its objective; a round that
+        # scored (Max-Max) must commit a plan whose after_plan is one of
+        # them and within the tie window of the best.
+        scores: list[tuple[ObjectiveFunction, float]] = []
+        value = ObjectiveFunction.value
+        begin_round = StaticSlots.begin_round
+        winners = 0
+
+        def scored(objective, t100, tec, aet):
+            score = value(objective, t100, tec, aet)
+            scores.append((objective, score))
+            return score
+
+        def new_round(slots):
+            scores.clear()
+            begin_round(slots)
+
+        def winner(slots, idx, vi):
+            nonlocal winners
+            plan = build_plan(slots, idx, vi)
+            if scores:
+                winners += 1
+                offered = [score for _, score in scores]
+                score = scores[0][0].after_plan(slots._schedule, plan)
+                assert score in offered
+                assert max(offered) <= score + 1e-12
+            return plan
+
+        monkeypatch.setattr(StaticSlots, "lookup", checked)
+        monkeypatch.setattr(StaticSlots, "begin_round", new_round)
+        monkeypatch.setattr(StaticSlots, "plan", winner)
+        monkeypatch.setattr(ObjectiveFunction, "value", scored)
+        result = build().map(scenario)
+        assert winners > 0 or isinstance(build(), MinMinScheduler)
+        assert lookups > 0 and placed_versions > 0
+        assert result.schedule.n_mapped > 0
 
     @pytest.mark.parametrize("build", _STATIC_MAPPERS)
     def test_session_final_state_map_on_partial_schedule(self, build, monkeypatch):
@@ -500,60 +538,100 @@ class TestStaticPlanMemo:
             assert schedule.n_mapped > partial
             return canonical_mapping_bytes(schedule)
 
+        monkeypatch.setenv("REPRO_KERNEL", "columnar")
         shipped = close_session()
-        with monkeypatch.context() as m:
-            _always_miss(m)
-            fresh = close_session()
+        monkeypatch.setenv("REPRO_KERNEL", "rebuild")
+        fresh = close_session()
         assert shipped == fresh
 
     @pytest.mark.parametrize(
-        "change", ["in_channel", "out_channel", "exec_slot", "energy"]
+        "change",
+        ["in_channel", "out_channel", "exec_slot", "energy", "energy_release"],
     )
     def test_each_check_rejects_the_change_it_guards(self, change, tiny_scenario):
-        """White-box, one check at a time: a memoised pair for a task with
-        one remote parent goes stale when its transfer slot is taken on
-        either channel, its execution slot is taken, or its energy verdict
-        no longer holds.  Commits rarely move one of these alone, so the
-        end-to-end tests above cannot single each check out."""
+        """White-box, one certificate at a time, on a task with one remote
+        parent: a transfer slot taken on either channel re-plans the
+        transfers (one ``plan.pairs``); a taken exec slot re-runs only the
+        exec gap search; a drained budget turns the verdict infeasible and
+        a released reserve turns it feasible again, neither re-planning.
+        Commits rarely move one of these alone, so the end-to-end tests
+        above cannot single each certificate out."""
         schedule = Schedule(tiny_scenario)
-        kernel = SchedulingKernel(schedule, None, None)
         root = tiny_scenario.dag.roots[0]
         schedule.commit(schedule.plan(root, PRIMARY, 0, insertion=True))
         task, machine = 8, 1  # root's only child on machine 0 -> 1
-        pair, demands = schedule._plan_pair(task, machine, 0.0, True)
-        entry = _MemoEntry(schedule, machine, pair, demands)
-        (comm,) = pair[0].comms
-        assert pair[0].feasible and kernel._memo_valid(entry, machine)
+        slots = StaticSlots(schedule, fresh=False)
+        pairs = schedule.perf.get
+
+        def look() -> int:
+            slots.begin_round()
+            return slots.lookup(task, machine)
+
+        idx = look()
+        before = slots.plan(idx, 0)
+        (comm,) = before.comms
+        assert slots.feasible[0][idx]
+        planned = pairs("plan.pairs")
+        held = 0.0
         if change == "in_channel":
             schedule.in_channel[machine].reserve(comm.start, comm.finish)
         elif change == "out_channel":
             schedule.out_channel[comm.src].reserve(comm.start, comm.finish)
         elif change == "exec_slot":
-            schedule.exec_timeline[machine].reserve(pair[0].start, pair[0].finish)
-        else:
+            schedule.exec_timeline[machine].reserve(before.start, before.finish)
+        elif change == "energy":
             schedule.debit_external(machine, schedule.available_energy(machine))
-        assert not kernel._memo_valid(entry, machine)
+        else:
+            # Hold a reserve that leaves the primary unaffordable ...
+            held = schedule.available_energy(machine)
+            schedule._reserved[machine] += held
+            assert not slots.feasible[0][look()]
+            # ... then release it: the verdict flips back.
+            schedule._reserved[machine] -= held
+        idx = look()
+        replans = pairs("plan.pairs") - planned
+        fresh, _ = schedule._plan_pair(task, machine, 0.0, True)
+        for vi, plan in enumerate(fresh):
+            assert slots.feasible[vi][idx] == plan.feasible
+            if plan.feasible:
+                assert slots.plan(idx, vi) == plan
+        if change in ("in_channel", "out_channel"):
+            assert replans == 1
+            assert slots.plan(idx, 0).comms != before.comms
+        else:
+            assert replans == 0
+        if change == "exec_slot":
+            assert slots.plan(idx, 0).start > before.start
+            assert slots.plan(idx, 0).comms == before.comms
+        if change == "energy":
+            assert not slots.feasible[0][idx] and not fresh[0].feasible
+        if change == "energy_release":
+            assert slots.feasible[0][idx] and slots.plan(idx, 0) == before
 
     def test_memo_lives_only_inside_run_static(self, small_scenario):
         schedule = Schedule(small_scenario)
         objective = ObjectiveFunction.for_scenario(small_scenario, _WEIGHTS)
         kernel = SchedulingKernel(schedule, None, objective)
         root = small_scenario.dag.roots[0]
-        # Outside a run every lookup is a fresh plan_versions call.
-        assert kernel.static_plans(root, 0) == schedule.plan_versions(
-            root, 0, insertion=True
-        )
-        assert kernel._memo is None
+        with pytest.raises(RuntimeError, match="only inside run_static"):
+            kernel.slots
         seen = []
 
         def select():
-            seen.append(kernel.static_plans(root, 0))
-            seen.append(kernel.static_plans(root, 0))
+            slots = kernel.slots
+            assert isinstance(slots, StaticSlots)
+            idx = slots.lookup(root, 0)
+            first = schedule.perf.get("plan.pairs")
+            assert slots.lookup(root, 0) == idx
+            seen.append((slots.plan(idx, 0), first, schedule.perf.get("plan.pairs")))
             return None, 0
 
         kernel.run_static(select, MappingTrace())
-        assert seen[1] is seen[0]  # the second lookup is a memo hit
-        assert kernel._memo is None
+        plan, first, second = seen[0]
+        assert first == second == 1  # the second lookup is a hit
+        assert plan == schedule.plan_versions(root, 0, insertion=True)[0]
+        with pytest.raises(RuntimeError, match="only inside run_static"):
+            kernel.slots
 
 
 class TestSleepGate:
