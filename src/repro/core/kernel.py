@@ -183,9 +183,9 @@ class StaticSlots:
     """The static round loop's slot store (see the module docstring).
 
     One slot per (task, machine), index ``task * n_machines + machine``,
-    in flat columns: the comm plan, its data-ready time and comm energy,
-    and per version the energy demand, the TEC delta, the exec start and
-    finish and the current energy verdict.  :meth:`lookup` brings a slot
+    in flat columns: the comm plan and its data-ready time, and per
+    version the energy demand, the TEC delta, the exec start and finish
+    and the current energy verdict.  :meth:`lookup` brings a slot
     up to date through three certificates, each re-running only its own
     search; callers then read :attr:`feasible`, :attr:`finish` and
     :attr:`delta` at the returned index, and :meth:`plan` builds the
@@ -285,8 +285,9 @@ class StaticSlots:
         for vi in (0, 1):
             # Energy verdict: the stored demand against this round's budgets.
             demand = self._demand[vi][idx]
-            ok = demand is not None
-            if ok:
+            ok = False
+            if demand is not None:
+                ok = True
                 for j, amount in demand.items():
                     if amount > budget[j]:
                         ok = False
