@@ -19,7 +19,7 @@ EPSILON: float = 1e-9
 #: when it is at most ``b * (1 + BUDGET_TOLERANCE) + BUDGET_TOLERANCE``
 #: (relative round-off on a large budget, absolute on an empty one).  The
 #: planning verdict (``Schedule._demand_shortfall``), rule (b)
-#: (``FeasibilityChecker.is_feasible``), the columnar pool's hoisted
-#: thresholds and the static plan memo's re-checks all read it, so a plan
-#: the pool admits is one the schedule will commit.
+#: (``FeasibilityChecker.is_feasible``) and the hoisted thresholds of the
+#: columnar pool and the static slot store all read it, so a plan the
+#: pool admits is one the schedule will commit.
 BUDGET_TOLERANCE: float = 1e-12

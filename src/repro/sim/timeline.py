@@ -28,9 +28,9 @@ class IntervalTimeline:
     """Sorted set of non-overlapping half-open busy intervals.
 
     Every successful mutation bumps :attr:`version`, a monotonically
-    increasing counter.  The static round loop's plan memo
-    (:meth:`repro.core.kernel.SchedulingKernel.static_plans`) compares it
-    to skip re-checking slots on calendars nothing has touched.
+    increasing counter.  The static round loop's slot store
+    (:class:`repro.core.kernel.StaticSlots`) compares it to skip
+    re-checking slots on calendars nothing has touched.
     """
 
     __slots__ = ("_busy", "version")

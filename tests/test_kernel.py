@@ -1,16 +1,17 @@
 """The scheduling kernel: mode resolution, pool-delta equivalence, the
 byte-identity differential between the columnar and rebuild modes, and the
-static plan memo.
+static slot store.
 
-The columnar pool and the static plan memo are optimisations with a proof
-obligation: for every heuristic, under any event sequence, the mapping
-they produce must be byte-identical to the paper's from-scratch loop (the
-differential oracle, ``REPRO_KERNEL=rebuild``, which plans every pair
-afresh).  These tests pin that four ways — a Hypothesis property test
+The columnar pool and the static slot store are optimisations with a
+proof obligation: for every heuristic, under any event sequence, the
+mapping they produce must be byte-identical to the paper's from-scratch
+loop (the differential oracle, ``REPRO_KERNEL=rebuild``, which plans every
+pair afresh).  These tests pin that four ways — a Hypothesis property test
 equating :meth:`ColumnarPool.pool_for` with :func:`build_candidate_pool`
 under random commit/advance/churn interleavings, whole-mapping byte
 identity for all six registry heuristics, churn replays driven through one
-persistent kernel, and a memo-off differential for the static baselines.
+persistent kernel, and a lookup-by-lookup differential of the static
+baselines' slot store against fresh planning.
 """
 
 import math
