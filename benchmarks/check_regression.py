@@ -229,15 +229,20 @@ def compare_paper_scale(snapshot: dict, baseline: dict) -> list[str]:
         if fresh is None:
             failures.append(f"paper: {cell} missing from the snapshot")
             continue
-        for counter, expected in counters.items():
-            got = fresh.get(counter)
-            if got != expected:
-                failures.append(
-                    f"paper: {cell} structural counter {counter} drifted: "
-                    f"baseline {expected:g}, now {got:g} "
-                    "(algorithm changed shape; regenerate with --update if intended)"
-                )
+        failures += counter_drift(f"paper: {cell}", counters, fresh)
     return failures
+
+
+def counter_drift(label: str, expected: dict, got: dict) -> list[str]:
+    """One failure per structural counter of *got* that differs from
+    *expected*."""
+    return [
+        f"{label} structural counter {counter} drifted: "
+        f"baseline {value:g}, now {got.get(counter, float('nan')):g} "
+        "(algorithm changed shape; regenerate with --update if intended)"
+        for counter, value in expected.items()
+        if got.get(counter) != value
+    ]
 
 
 def obs_budget_check(repeats: int = 3) -> tuple[dict, list[str]]:
@@ -575,14 +580,7 @@ def compare(snapshot: dict, baseline: dict, tolerance: float) -> list[str]:
         if fresh is None:
             failures.append(f"{name}: variant missing from snapshot")
             continue
-        for counter, expected in base["counters"].items():
-            got = fresh["counters"].get(counter)
-            if got != expected:
-                failures.append(
-                    f"{name}: structural counter {counter} drifted: "
-                    f"baseline {expected:g}, now {got:g} "
-                    "(algorithm changed shape; regenerate with --update if intended)"
-                )
+        failures += counter_drift(f"{name}:", base["counters"], fresh["counters"])
         floor = base["kernel_speedup"] * (1.0 - tolerance)
         if fresh["kernel_speedup"] < floor:
             failures.append(
