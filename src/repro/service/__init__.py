@@ -9,8 +9,9 @@ from the stdlib on top of the existing engine:
 * :mod:`repro.service.registry` — content-addressed scenario store
   (``sha256:`` of the canonical scenario bytes), documents only;
 * :mod:`repro.service.jobs` — admission control (bounded per-shard queues
-  → HTTP 429), scenario-affine routing over the shard layer
-  (:class:`~repro.service.jobs.ShardRouter`), graceful drain, and the live
+  → HTTP 429), placement over the shard layer (a miss runs on its
+  scenario-affine shard, or on an idle shard while that one has work;
+  :class:`~repro.service.jobs.ShardRouter`), graceful drain, and the live
   :mod:`repro.perf` registry (counters + gauges + latency histograms);
 * :mod:`repro.service.shard` / :mod:`repro.service.worker` — one
   :class:`~repro.service.shard.ProcessShard` per shard (its bounded

@@ -14,8 +14,8 @@ Routes (all bodies JSON; streaming endpoints NDJSON):
     ``"wait": false`` returns 202 and a job id to poll.  A repeat of a
     request the router still holds is answered from that job, and a
     duplicate of one in flight waits on it; each gets its own job id.
-    Backpressure: 429 + ``Retry-After`` when the bounded queue is full,
-    503 while draining.
+    Backpressure: 429 + ``Retry-After`` when the target shard's bounded
+    queue is full, 503 while draining.
 ``GET /v1/jobs/<id>``
     Job status document.
 ``GET /v1/jobs/<id>/result``
@@ -71,9 +71,10 @@ record with method, path, status, latency and queue depth.
 
 Threading model: :class:`ThreadingHTTPServer` gives one handler thread per
 connection; synchronous ``/v1/map`` handlers block on the job's completion
-event while the scenario-affine shard dispatchers (one thread + one
-resident child process per shard, at any shard count) drain their
-bounded queues.
+event while the shard dispatchers (one thread + one resident child
+process per shard, at any shard count) drain their bounded queues.  A
+miss queues on its scenario-affine shard unless that shard has work
+while another live shard is idle; then it runs on the idle one.
 """
 
 from __future__ import annotations

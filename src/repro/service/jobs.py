@@ -1,21 +1,25 @@
-"""Job admission, affine routing and lifecycle for the scheduling service.
+"""Job admission, placement and lifecycle for the scheduling service.
 
 The service dispatch layer is *sharded*: N independent
 :class:`~repro.service.shard.ProcessShard` objects (one bounded queue +
 one dispatcher thread + one forked child process each) behind one thin
-:class:`ShardRouter`.  Requests become :class:`Job` records routed by
-**scenario-hash affinity** — ``int(sha256_digest, 16) % n_shards`` — so
-every request for a given scenario lands on the same shard and that
-shard's process-resident deserialised-scenario LRU stays hot.  Every
-shard, at ``shards=1`` too, runs its jobs in a long-lived child process.
+:class:`ShardRouter`.  Requests become :class:`Job` records.  A miss is
+placed on its **affine shard** — ``int(sha256_digest, 16) % n_shards``,
+whose process-resident deserialised-scenario LRU the scenario keeps
+hot — unless that shard has work while another live shard is idle:
+then it **spills** to the lowest-index idle live shard
+(``service.spilled``) instead of queueing behind a busy one.  With no
+shard idle, every miss queues on its affine shard.  Every shard, at
+``shards=1`` too, runs its jobs in a long-lived child process.
 
 Admission control is global but per-shard-bounded: the router serialises
 admission under its own lock, and when the *target shard's* queue is at
 ``max_queue`` the submit raises :class:`QueueFullError` (HTTP 429
 upstream) carrying a ``Retry-After`` derived from that shard's backlog ×
 the observed mean map time — never an unbounded backlog, and a hot
-scenario cannot starve requests routed to other shards.  Draining is
-global: once :meth:`ShardRouter.drain` starts, every shard rejects with
+scenario cannot starve requests routed to other shards.  A spilled miss
+lands on an idle shard, so it is never refused.  Draining is global:
+once :meth:`ShardRouter.drain` starts, every shard rejects with
 :class:`DrainingError` (503) while queued and in-flight jobs run out.
 
 The router owns the global :mod:`repro.perf` registry (service and
@@ -40,7 +44,8 @@ succeeded job is answered at once; a duplicate of a queued or running
 job attaches to it (single flight), up to ``max_queue`` duplicates per
 job; only a miss is admitted to a shard.  Every request still gets its
 own :class:`Job` record; a repeat or a duplicate names the job that ran
-the map as its ``source`` and reads that job's :class:`MapRun`.  The
+the map as its ``source``, reads that job's :class:`MapRun` and reports
+that job's shard.  The
 index holds no key beyond the job table (:data:`MAX_JOBS_KEPT`), and a
 failed job leaves it.
 """
@@ -236,13 +241,14 @@ class Job:
 
 
 class ShardRouter:
-    """Thin global front: validation, affine routing, admission, job table.
+    """Thin global front: validation, placement, admission, job table.
 
-    The router never executes anything itself — it picks the target
-    shard from the scenario digest, answers repeats from its request
-    index, makes the global admission decision (draining → 503, target
-    shard full → 429 + Retry-After), and keeps the bounded global job
-    table that ``GET /v1/jobs/<id>`` reads.  All
+    The router never executes anything itself — it answers repeats from
+    its request index, places each miss (its affine shard, or an idle
+    one when that shard has work: :meth:`_place_locked`), makes the
+    global admission decision (draining → 503, target shard full → 429
+    + Retry-After), and keeps the bounded global job table that
+    ``GET /v1/jobs/<id>`` reads.  All
     global perf accounting (``service.*`` counters and latency
     histograms) lives on :attr:`perf` and is mutated only under
     ``_lock`` — submitters take it on admission, dispatcher threads take
@@ -280,8 +286,8 @@ class ShardRouter:
     def shard_of(self, scenario_id: str) -> int:
         """Affine shard index for a content-addressed scenario id: the
         SHA-256 digest modulo the shard count.  Deterministic across
-        processes and restarts (unlike ``hash()``), so a scenario is
-        pinned to one shard for the daemon's lifetime."""
+        processes and restarts (unlike ``hash()``): a scenario's misses
+        run there unless it has work while another shard idles."""
         digest = scenario_id.split(":", 1)[-1]
         return int(digest, 16) % self.n_shards
 
@@ -390,12 +396,13 @@ class ShardRouter:
         raises :class:`DrainingError`; a key the index holds is answered
         without a shard (a repeat of a succeeded job is done at once, a
         duplicate of a queued or running job attaches to it); a miss is
-        admitted to its shard.  A miss waits in its shard's queue and a
-        duplicate on its source; either raises :class:`QueueFullError`
-        when ``max_queue`` requests already wait there.
+        admitted to the shard :meth:`_place_locked` picks.  A miss waits
+        in its shard's queue and a duplicate on its source; either raises
+        :class:`QueueFullError` when ``max_queue`` requests already wait
+        there.
         """
         key = self.request_key(scenario_id, heuristic, alpha, beta)
-        shard = self.shard_for(key.scenario_id)
+        affine = self.shard_for(key.scenario_id)
         with self._lock:
             if self._stopped or self._draining:
                 self.perf.inc("service.rejected_draining")
@@ -404,11 +411,16 @@ class ShardRouter:
             held = self._index.get(key)
             source = None if held is None else held.source or held
             if source is not None and source.state == "succeeded":
-                job = self._new_job_locked(key, shard, source)
+                job = self._new_job_locked(key, source.shard, source)
                 self.perf.inc("service.repeats")
                 self.perf.observe("service.request_seconds", 0.0)
                 _LOG.event("job.repeat", job=job.id, source=source.id)
             else:
+                shard = (
+                    self._place_locked(affine)
+                    if source is None
+                    else self.shards[source.shard]
+                )
                 # Admission is serialised on this lock, so a depth read
                 # here cannot be raced upward by another submitter; the
                 # dispatcher and finishing jobs only ever shrink it.
@@ -427,10 +439,12 @@ class ShardRouter:
                         queue_depth=depth,
                     )
                     raise QueueFullError(depth, retry_after)
-                job = self._new_job_locked(key, shard, source)
+                job = self._new_job_locked(key, shard.index, source)
                 if source is None:
                     depth = shard.enqueue(job)
                     self.perf.inc("service.submitted")
+                    if shard is not affine:
+                        self.perf.inc("service.spilled")
                     _LOG.event(
                         "job.submitted",
                         job=job.id,
@@ -447,14 +461,30 @@ class ShardRouter:
             self._remember_locked(job)
         return job
 
+    def _place_locked(self, affine: ProcessShard) -> ProcessShard:
+        """The shard a miss runs on (spill-to-idle).
+
+        Its affine shard, unless that shard has work while a live shard
+        is idle; then the lowest-index such shard.  With every live
+        shard busy the miss queues on its affine shard, and a dead
+        affine shard keeps its miss, which fails fast there.  Each
+        shard lock is taken in turn, never two at once.
+        """
+        if affine.idle() or not affine.alive():
+            return affine
+        for shard in self.shards:
+            if shard is not affine and shard.idle() and shard.alive():
+                return shard
+        return affine
+
     def _new_job_locked(
-        self, key: RequestKey, shard: ProcessShard, source: Job | None
+        self, key: RequestKey, shard: int, source: Job | None
     ) -> Job:
         """A request's record: its own map's, or a view of *source*'s."""
         return Job(
             id=f"job-{next(self._ids):08d}",
             key=key,
-            shard=shard.index,
+            shard=shard,
             submitted_at=time.monotonic(),
             source=source,
             run=MapRun() if source is None else source.run,

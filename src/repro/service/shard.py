@@ -10,7 +10,9 @@ A *shard* is the unit the service scales over, and
   (:class:`~repro.service.jobs.ShardRouter`), which serialises
   submitters and reads :meth:`ProcessShard.admission_state` under its
   own lock before :meth:`ProcessShard.enqueue`, so ``enqueue`` itself
-  never rejects;
+  never rejects.  Placement reads :meth:`ProcessShard.idle`, and both
+  read one backlog: the queued jobs plus a running one whose ``done``
+  is not yet set;
 * one long-lived child process running
   :func:`~repro.service.worker.shard_main`, reached over one duplex
   ``Pipe`` — at every shard count, ``--shards 1`` included, so the
@@ -20,10 +22,12 @@ Calls are synchronous RPCs: one send and one receive under the pipe
 lock, so callers interleave at whole-call granularity and a reply can
 never be misattributed.  Scenario docs are shipped at most once per
 shard (``_shipped``, under the same lock); the child keeps the raw doc
-and its deserialised-LRU entry resident, which is what affine routing
-buys.  Child-side exceptions come back as ``("error", type_name,
-message)`` and are re-raised here as the matching builtin, so upstream
-HTTP status mapping sees the same exceptions a direct call would raise.
+and its deserialised-LRU entry resident, which is what affine placement
+buys.  A miss spilled from a busy shard ships its doc to a second
+child and decodes it there.  Child-side exceptions come back as
+``("error", type_name, message)`` and are re-raised here as the
+matching builtin, so upstream HTTP status mapping sees the same
+exceptions a direct call would raise.
 
 Failure is surfaced, never a hang.  The child holds the only other end
 of its pipe, so its death — between calls or mid-reply — reads as EOF
@@ -33,9 +37,9 @@ auto-restart; ``/healthz`` goes 503 so the operator sees it).  The
 converse holds too: the child also waits on its parent's sentinel, so
 a killed daemon takes its shard children with it.
 
-Locks: ``_lock`` guards the queue side (the queue, the busy, draining
-and stopped flags, the per-shard perf registry; ``_wake`` and ``_idle``
-are conditions on it) and ``_pipe_lock`` the pipe side (every
+Locks: ``_lock`` guards the queue side (the queue, the running job,
+the draining and stopped flags, the per-shard perf registry; ``_wake``
+and ``_idle`` are conditions on it) and ``_pipe_lock`` the pipe side (every
 exchange, and ``_shipped``).  The two are never nested.  The router
 acquires ``_lock`` while holding its own; a shard never acquires the
 router lock while holding either of its locks (:meth:`_run_job` records
@@ -108,7 +112,7 @@ class ProcessShard:
         self._wake = threading.Condition(self._lock)
         self._idle = threading.Condition(self._lock)
         self._queue: deque[Job] = deque()  # guarded-by: _lock
-        self._busy = False  # guarded-by: _lock
+        self._running: Job | None = None  # guarded-by: _lock
         self._draining = False  # guarded-by: _lock
         self._stopped = False  # guarded-by: _lock
         self._thread: threading.Thread | None = None  # guarded-by: _lock
@@ -168,7 +172,7 @@ class ProcessShard:
         with self._lock:
             self._draining = True
             self._wake.notify_all()
-            while self._queue or self._busy:
+            while self._queue or self._running is not None:
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
@@ -314,16 +318,31 @@ class ProcessShard:
 
     # -- admission (router-lock-serialised callers) ------------------------
 
+    # requires-lock: _lock
+    def _backlog_locked(self) -> int:
+        """Jobs this shard still owes: the queued ones, plus the running
+        one until its ``done`` is set.  The dispatcher clears
+        ``_running`` only after ``_record_finish`` has woken the client,
+        so counting it until then would show a client's own shard as
+        busy to that client's very next request."""
+        running = self._running
+        unfinished = running is not None and not running.done.is_set()
+        return len(self._queue) + (1 if unfinished else 0)
+
+    def idle(self) -> bool:
+        """Whether this shard owes no job (placement reads it)."""
+        with self._lock:
+            return self._backlog_locked() == 0
+
     def admission_state(self, per_job_seconds: float) -> tuple[int, int]:
         """(queue depth, Retry-After hint) for an admission decision.
 
-        Retry-After is this shard's backlog (queued + busy) × the
-        observed mean map seconds, clamped to [1, 300] — the same ETA
-        formula the pre-shard service used, scoped to one shard.
+        Retry-After is this shard's backlog (:meth:`_backlog_locked`) ×
+        the observed mean map seconds, clamped to [1, 300] — the same
+        ETA formula the pre-shard service used, scoped to one shard.
         """
         with self._lock:
-            backlog = len(self._queue) + (1 if self._busy else 0)
-            eta = backlog * per_job_seconds
+            eta = self._backlog_locked() * per_job_seconds
             return len(self._queue), max(1, min(300, int(eta + 0.999)))
 
     def enqueue(self, job: Job) -> int:
@@ -342,8 +361,9 @@ class ProcessShard:
 
     @property
     def busy(self) -> bool:
+        """Whether the dispatcher is inside a job (``/healthz``, drain)."""
         with self._lock:
-            return self._busy
+            return self._running is not None
 
     # -- dispatch ----------------------------------------------------------
 
@@ -360,10 +380,10 @@ class ProcessShard:
                 job = self._queue.popleft()
                 job.run.state = "running"
                 job.run.started_at = time.monotonic()
-                self._busy = True
+                self._running = job
             self._run_job(job)
             with self._lock:
-                self._busy = False
+                self._running = None
                 self._idle.notify_all()
 
     def _run_job(self, job: Job) -> None:
@@ -411,7 +431,9 @@ class ProcessShard:
         with self._lock:
             copied = PerfCounters().merge(self.perf)
             copied.set_gauge(f"{prefix}.queue_depth", float(len(self._queue)))
-            copied.set_gauge(f"{prefix}.busy", 1.0 if self._busy else 0.0)
+            copied.set_gauge(
+                f"{prefix}.busy", 1.0 if self._running is not None else 0.0
+            )
             copied.set_gauge(
                 f"{prefix}.cache_hits", self.perf.get(f"{prefix}.cache_hits")
             )

@@ -352,7 +352,8 @@ def shard_main(conn: Connection, index: int) -> None:
     * ``("ping",)`` → ``("ok", {"pid": ...})`` — liveness heartbeat.
     * ``("job", scenario_id, doc|None, heuristic, alpha, beta)`` — run a
       mapping.  The raw scenario doc is shipped only the *first* time a
-      scenario reaches this shard (affine routing makes that sticky);
+      scenario reaches this shard (affine placement makes that sticky;
+      a miss spilled here from a busy shard ships it here too);
       afterwards the parent sends ``None`` and the shard replays from
       its resident copy.  Jobs and sessions share one scenario LRU of
       :data:`SCENARIO_CACHE_SIZE` entries.

@@ -193,9 +193,16 @@ class TestShardKilledMidJob:
         assert manager.shard_of(small) != victim.index
 
         first = manager.submit(big, "maxmax")
-        # Queued behind it on the same shard; another α, so it is not
-        # attached to the first.
+        # Another α, so neither later job attaches to the first.  The
+        # victim has work and the other shard idles: the second spills.
         second = manager.submit(big, "maxmax", alpha=0.4)
+        # Both shards have work now: the third queues behind the first.
+        third = manager.submit(big, "maxmax", alpha=0.3)
+        assert [job.shard for job in (first, second, third)] == [
+            victim.index,
+            1 - victim.index,
+            victim.index,
+        ]
         deadline = time.monotonic() + 60
         while first.state == "queued":
             assert time.monotonic() < deadline, "job never left the queue"
@@ -203,15 +210,17 @@ class TestShardKilledMidJob:
         # A job that fails before it runs ends the wait at once, and its
         # error is the message.
         assert first.state == "running", f"{first.state}: {first.error}"
-        assert second.state == "queued"
+        assert third.state == "queued"
         os.kill(victim.pid, signal.SIGKILL)
         killed_at = time.monotonic()
-        for job in (first, second):
+        for job in (first, third):
             assert job.done.wait(timeout=FAULT_DEADLINE), job.state
         assert time.monotonic() - killed_at < FAULT_DEADLINE
-        for job in (first, second):
+        for job in (first, third):
             assert job.state == "failed"
             assert "ShardCrashedError" in (job.error or "")
+        assert second.done.wait(timeout=60)
+        assert second.state == "succeeded", second.error
 
         other = manager.submit(small, "greedy")
         assert other.done.wait(timeout=60)
@@ -221,6 +230,7 @@ class TestShardKilledMidJob:
         alive = {entry["shard"]: entry["alive"] for entry in doc["shards"]}
         assert alive == {victim.index: False, 1 - victim.index: True}
         assert manager.perf.get("service.failed") == 2
+        assert manager.perf.get("service.spilled") == 1
 
 
 # ---------------------------------------------------------------------------
