@@ -745,9 +745,12 @@ class Schedule:
                 self._reserved[pa.machine] += wc
         if a.version.counts_toward_t100:
             self._t100 -= 1
-        self._makespan = max(
-            (x.finish for x in self.assignments.values()), default=0.0
-        )
+        if a.finish >= self._makespan:
+            # Only the latest finish moves the makespan: a machine-loss
+            # rollback unassigns hundreds of tasks, most of them earlier.
+            self._makespan = max(
+                (x.finish for x in self.assignments.values()), default=0.0
+            )
         for child in self.scenario.dag.children[task]:
             self._parent_epoch[child] += 1
             self._unmapped_parents[child] += 1

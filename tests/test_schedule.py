@@ -276,6 +276,23 @@ class TestUnassign:
         assert schedule.total_energy_consumed == pytest.approx(base)
 
 
+    def test_unassign_moves_aet_only_with_the_latest_finish(self, schedule):
+        _map_all_greedy(schedule)
+        dag = schedule.scenario.dag
+        finish = {t: a.finish for t, a in schedule.assignments.items()}
+        sinks = sorted(
+            (t for t in finish if not dag.children[t]), key=finish.__getitem__
+        )
+        aet = schedule.makespan
+        assert finish[sinks[-1]] == aet  # a parent always finishes first
+        schedule.unassign(sinks[0])
+        assert schedule.makespan == aet
+        schedule.unassign(sinks[-1])
+        next_finish = max(a.finish for a in schedule.assignments.values())
+        assert next_finish < aet
+        assert schedule.makespan == next_finish
+
+
 class TestExternalDebits:
     def test_debit_external_counts(self, schedule):
         schedule.debit_external(0, 5.0)
