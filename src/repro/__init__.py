@@ -85,7 +85,6 @@ from repro.sim import (
     Schedule,
     SimulationClock,
     ValidationError,
-    execute_schedule,
     validate_schedule,
 )
 from repro.workload import (
@@ -146,7 +145,7 @@ __all__ = [
     "OlbScheduler", "MetScheduler", "LrnnScheduler", "LrnnConfig",
     "calibrate_tau", "upper_bound", "upper_bound_strict", "UpperBoundResult",
     # dynamics & analysis
-    "execute_schedule", "SessionEvent", "run_with_events",
+    "SessionEvent", "run_with_events",
     "compute_stats", "energy_profile", "render_gantt",
     "critical_path_bound", "efficiency", "schedule_slack", "critical_chain",
     # heuristic registry (shared by CLI + service dispatch)

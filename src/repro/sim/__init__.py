@@ -1,4 +1,4 @@
-"""Simulation substrate: timelines, schedules, validation, clock, DES engine.
+"""Simulation substrate: timelines, schedules, validation, clock, machine loss.
 
 The paper's heuristics *build* a schedule against simulated time (§IV); this
 package provides the machinery they share:
@@ -12,14 +12,17 @@ package provides the machinery they share:
   assumption against a finished schedule;
 * :class:`~repro.sim.clock.SimulationClock` — the 0.1 s-cycle clock driving
   the SLRH loop;
-* :mod:`~repro.sim.engine` — an event-driven executor that *runs* a schedule,
-  and :func:`~repro.sim.engine.rollback_machine`, the one machine-loss rule
+* :func:`~repro.sim.engine.rollback_machine` — the one machine-loss rule
   (the ad hoc scenario of §I); loss and rejoin timelines replay through
   :func:`repro.session.run_with_events`.
+
+The committed calendars are the simulation: :func:`validate_schedule`
+checks that no task starts before its parents finish and its inputs
+arrive, and :func:`repro.analysis.compute_stats` gives per-machine load
+and utilisation.
 """
 
 from repro.sim.clock import SimulationClock
-from repro.sim.engine import ExecutionLog, execute_schedule
 from repro.sim.schedule import Assignment, ExecutionPlan, PlannedComm, Schedule
 from repro.sim.timeline import IntervalTimeline
 from repro.sim.trace import MappingTrace, TraceRecord
@@ -36,6 +39,4 @@ __all__ = [
     "TraceRecord",
     "validate_schedule",
     "ValidationError",
-    "ExecutionLog",
-    "execute_schedule",
 ]

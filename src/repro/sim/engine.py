@@ -1,22 +1,14 @@
-"""Event-driven execution of schedules, and the machine-loss rule.
+"""The one machine-loss rule, for the ad hoc scenario of §I.
 
-Two capabilities live here:
-
-1. :func:`execute_schedule` replays a committed schedule as a discrete
-   event stream (task/comm start/finish), re-checking at event granularity
-   that nothing starts before its inputs exist, and producing utilisation
-   and energy-over-time statistics.  This is how examples and tests
-   demonstrate a mapping actually *runs* under the §III machine model.
-
-2. :func:`rollback_machine` is the one machine-loss rule, for the ad hoc
-   scenario that motivates the paper (§I) but was deferred to future
-   work: a machine vanishes mid-execution and every assignment whose
-   results are unrecoverable is rolled back from the live schedule, in
-   place.  Machine indices stay as they are, so the machine can rejoin.
-   The session engine applies it at a ``machine_loss`` event and the
-   heuristic then replans from the loss cycle on the machines still
-   online; :func:`repro.session.run_with_events` replays loss and rejoin
-   timelines through that engine.
+The paper motivates its heuristics with a grid whose machines vanish
+mid-execution but defers that case to future work.
+:func:`rollback_machine` is its rule here: every assignment whose results
+are unrecoverable is rolled back from the live schedule, in place.
+Machine indices stay as they are, so the machine can rejoin.  The session
+engine applies it at a ``machine_loss`` event and the heuristic then
+replans from the loss cycle on the machines still online;
+:func:`repro.session.run_with_events` replays loss and rejoin timelines
+through that engine.
 
 Loss semantics (checkpoint-free and artifact-free, per the paper's remark
 that recovering partial results "may prove too costly"):
@@ -35,98 +27,8 @@ that recovering partial results "may prove too costly"):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.core.constants import EPSILON
-from repro.obs.log import enabled as _obs_enabled
-from repro.obs.log import get_logger
-from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.schedule import Schedule
-
-#: Structured event log (no-op unless :mod:`repro.obs.log` is configured).
-_LOG = get_logger("engine")
-
-
-@dataclass
-class ExecutionLog:
-    """Event stream plus summary statistics from one schedule execution."""
-
-    events: list[Event] = field(default_factory=list)
-    busy_seconds: dict[int, float] = field(default_factory=dict)
-    comm_seconds: dict[int, float] = field(default_factory=dict)
-    makespan: float = 0.0
-
-    def utilisation(self, machine: int, horizon: float | None = None) -> float:
-        """Fraction of [0, horizon] machine *machine* spent computing
-        (horizon defaults to the makespan)."""
-        horizon = horizon if horizon is not None else self.makespan
-        if horizon <= 0:
-            return 0.0
-        return self.busy_seconds.get(machine, 0.0) / horizon
-
-    def events_of(self, kind: EventKind) -> list[Event]:
-        return [e for e in self.events if e.kind is kind]
-
-
-def execute_schedule(schedule: Schedule) -> ExecutionLog:
-    """Replay *schedule* as an event stream (see module docstring).
-
-    Raises
-    ------
-    RuntimeError
-        If replay uncovers an ordering violation (a task starting before a
-        parent finished or before an input transfer completed) — this
-        would indicate a scheduler bug that interval validation missed.
-    """
-    queue = EventQueue()
-    for a in schedule.assignments.values():
-        queue.push(a.start, EventKind.TASK_START, a)
-        queue.push(a.finish, EventKind.TASK_FINISH, a)
-        for c in a.comms:
-            queue.push(c.start, EventKind.COMM_START, c)
-            queue.push(c.finish, EventKind.COMM_FINISH, c)
-
-    log = ExecutionLog()
-    finished: set[int] = set()
-    arrived: set[tuple[int, int]] = set()  # (parent, child) data deliveries
-    dag = schedule.scenario.dag
-    for event in queue.drain():
-        log.events.append(event)
-        if event.kind is EventKind.COMM_FINISH:
-            c = event.payload
-            arrived.add((c.parent, c.child))
-            log.comm_seconds[c.src] = log.comm_seconds.get(c.src, 0.0) + c.duration
-        elif event.kind is EventKind.TASK_START:
-            a = event.payload
-            needed = {c.parent for c in a.comms}
-            for p in dag.parents[a.task]:
-                if p not in finished:
-                    raise RuntimeError(
-                        f"replay: task {a.task} started at {a.start} before "
-                        f"parent {p} finished"
-                    )
-                if p in needed and (p, a.task) not in arrived:
-                    raise RuntimeError(
-                        f"replay: task {a.task} started before its input "
-                        f"from {p} arrived"
-                    )
-        elif event.kind is EventKind.TASK_FINISH:
-            a = event.payload
-            finished.add(a.task)
-            log.busy_seconds[a.machine] = log.busy_seconds.get(a.machine, 0.0) + a.duration
-            log.makespan = max(log.makespan, a.finish)
-    if _obs_enabled():
-        _LOG.event(
-            "engine.replayed",
-            scenario=schedule.scenario.name,
-            events=len(log.events),
-            tasks=len(finished),
-            makespan=log.makespan,
-        )
-    return log
-
-
-# -- dynamic machine loss -----------------------------------------------------
 
 
 def surviving_tasks(

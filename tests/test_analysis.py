@@ -25,6 +25,13 @@ class TestStats:
         for j, load in enumerate(stats.load):
             assert load == pytest.approx(result.schedule.machine_load(j))
 
+    def test_load_is_committed_execution_time(self, result):
+        sched = result.schedule
+        busy = [0.0] * sched.scenario.n_machines
+        for a in sched.assignments.values():
+            busy[a.machine] += a.duration
+        assert compute_stats(sched).load == pytest.approx(tuple(busy))
+
     def test_utilisation_bounded(self, result):
         stats = compute_stats(result.schedule)
         assert all(0.0 <= u <= 1.0 + 1e-9 for u in stats.utilisation)

@@ -1,12 +1,11 @@
-"""Execution replay and dynamic machine loss."""
+"""Dynamic machine loss: the rollback rule and the session that applies it."""
 
 import pytest
 
 from repro.core.constants import EPSILON
 from repro.core.slrh import SLRH1, SlrhConfig
 from repro.session import SessionEngine, SessionEvent
-from repro.sim.engine import execute_schedule, rollback_machine, surviving_tasks
-from repro.sim.events import EventKind
+from repro.sim.engine import rollback_machine, surviving_tasks
 from repro.sim.validate import validate_schedule
 from repro.util.units import CYCLE_SECONDS
 
@@ -14,39 +13,6 @@ from repro.util.units import CYCLE_SECONDS
 @pytest.fixture(scope="module")
 def mapped_result(small_scenario, mid_config):
     return SLRH1(mid_config).map(small_scenario)
-
-
-class TestReplay:
-    def test_replay_runs_clean(self, mapped_result):
-        log = execute_schedule(mapped_result.schedule)
-        assert log.makespan == pytest.approx(mapped_result.schedule.makespan)
-
-    def test_event_counts(self, mapped_result):
-        log = execute_schedule(mapped_result.schedule)
-        n = mapped_result.schedule.n_mapped
-        assert len(log.events_of(EventKind.TASK_START)) == n
-        assert len(log.events_of(EventKind.TASK_FINISH)) == n
-        n_comms = sum(len(a.comms) for a in mapped_result.schedule.assignments.values())
-        assert len(log.events_of(EventKind.COMM_START)) == n_comms
-        assert len(log.events_of(EventKind.COMM_FINISH)) == n_comms
-
-    def test_busy_time_matches_timelines(self, mapped_result):
-        log = execute_schedule(mapped_result.schedule)
-        sched = mapped_result.schedule
-        for j in range(sched.scenario.n_machines):
-            assert log.busy_seconds.get(j, 0.0) == pytest.approx(sched.machine_load(j))
-
-    def test_utilisation_bounded(self, mapped_result):
-        log = execute_schedule(mapped_result.schedule)
-        for j in range(mapped_result.schedule.scenario.n_machines):
-            assert 0.0 <= log.utilisation(j) <= 1.0
-
-    def test_empty_schedule(self, small_scenario):
-        from repro.sim.schedule import Schedule
-
-        log = execute_schedule(Schedule(small_scenario))
-        assert log.events == []
-        assert log.makespan == 0.0
 
 
 class TestSurvivingTasks:

@@ -12,9 +12,10 @@ from repro import (
     upper_bound,
     validate_schedule,
 )
+from repro.analysis import compute_stats
 from repro.baselines.greedy import calibrate_tau
 from repro.core.pool import build_candidate_pool
-from repro.sim.engine import execute_schedule
+from repro.io.serialization import mapping_from_dict, mapping_to_dict
 from repro.tuning.weight_search import search_weights
 
 
@@ -49,10 +50,14 @@ class TestSuitePipeline:
                     assert result.t100 <= bound
 
     def test_replay_of_every_mapping(self, suite, mid_weights):
+        # Loading a mapping replays it through commit and full validation;
+        # the replay lands on the same calendars.
         scenario = suite.scenario(1, 1, "A")
         result = SLRH1(SlrhConfig(weights=mid_weights)).map(scenario)
-        log = execute_schedule(result.schedule)
-        assert log.makespan == pytest.approx(result.schedule.makespan)
+        restored = mapping_from_dict(mapping_to_dict(result.schedule), scenario)
+        before, after = compute_stats(result.schedule), compute_stats(restored)
+        assert after.makespan == before.makespan
+        assert after.load == pytest.approx(before.load)
 
 
 class TestTauCalibrationPipeline:

@@ -112,6 +112,26 @@ def test_detects_missing_comm(tiny_scenario):
         validate_schedule(schedule)
 
 
+def test_detects_input_arriving_after_start(tiny_scenario):
+    schedule = Schedule(tiny_scenario)
+    dag = tiny_scenario.dag
+    root = dag.roots[0]
+    child = next((c for c in dag.children[root] if len(dag.parents[c]) == 1), None)
+    if child is None:
+        pytest.skip("no single-parent child")
+    schedule.commit(schedule.plan(root, PRIMARY, 0))
+    schedule.commit(schedule.plan(child, PRIMARY, 1))
+    a = schedule.assignments[child]
+    (comm,) = a.comms
+    # After the parent finishes, but before its output lands on machine 1.
+    start = (comm.start + comm.finish) / 2
+    schedule.assignments[child] = dataclasses.replace(
+        a, start=start, finish=start + a.duration
+    )
+    with pytest.raises(ValidationError, match="before its input"):
+        validate_schedule(schedule)
+
+
 def test_detects_ledger_drift(mapped):
     schedule, _ = mapped
     schedule.energy.debit(1, 3.0)  # consumption with no assignment behind it
