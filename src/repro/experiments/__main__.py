@@ -75,7 +75,6 @@ def map_main(argv: list[str] | None = None) -> int:
     from repro.heuristics import HEURISTIC_NAMES, run_heuristic
     from repro.io.serialization import (
         canonical_mapping_bytes,
-        iter_mapping_ndjson,
         scenario_from_dict,
         scenario_to_dict,
     )
@@ -114,7 +113,9 @@ def map_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--ndjson", action="store_true",
-        help="emit the streamed NDJSON mapping encoding instead of one document",
+        help="emit the session delta stream instead of one document: one "
+        "block at cycle 0 with event 'close', then the footer (the bytes a "
+        "service session closed at cycle 0 streams)",
     )
     parser.add_argument(
         "--trace-out", default=None, metavar="TRACE.json",
@@ -181,7 +182,12 @@ def map_main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
     if args.ndjson:
-        payload = b"".join(iter_mapping_ndjson(result.schedule))
+        from repro.session import DeltaEncoder
+
+        encoder = DeltaEncoder(result.schedule)
+        payload = b"".join(
+            [*encoder.delta_lines(cycle=0, event="close"), *encoder.footer_lines()]
+        )
     else:
         payload = canonical_mapping_bytes(result.schedule)
     if args.out == "-":

@@ -11,21 +11,15 @@ Two artefact kinds:
   passed the same invariants as a freshly computed one — a tampered file
   that violates the model is rejected, not silently accepted.
 
-The serving layer adds two requirements on top of the dict forms:
-
-* **canonical bytes** — :func:`canonical_json_bytes` pins one byte
-  encoding (sorted keys, minimal separators, trailing newline) so the
-  same document has the same bytes on every surface.  Scenario identity in
-  the service registry is :func:`scenario_digest` (SHA-256 of the
-  canonical scenario bytes), and the differential determinism test
-  compares :func:`canonical_mapping_bytes` across the service and the
-  batch CLI.
-* **streamed/partial encoding** — :func:`iter_mapping_ndjson` emits a
-  mapping as NDJSON (one header line, one line per assignment in task
-  order, one footer), so a mapping can be written or served
-  incrementally without materialising the whole document;
-  :func:`mapping_from_ndjson` reassembles and replays it, accepting the
-  truncation point of a partial stream only when the footer is absent.
+The serving layer adds one requirement on top of the dict forms:
+**canonical bytes** — :func:`canonical_json_bytes` pins one byte
+encoding (sorted keys, minimal separators, trailing newline) so the same
+document has the same bytes on every surface.  Scenario identity in the
+service registry is :func:`scenario_digest` (SHA-256 of the canonical
+scenario bytes), and the differential determinism test compares
+:func:`canonical_mapping_bytes` across the service and the batch CLI.
+The one streamed (NDJSON) mapping encoding is the session delta stream of
+:mod:`repro.session.codec`, built from :func:`assignment_to_dict`.
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Union
+from typing import Any, Union
 
 from repro.grid.config import GridConfig
 from repro.grid.machine import MachineClass, MachineSpec
@@ -157,22 +151,10 @@ def _typed(value: object, kind: type, what: str) -> Any:
     return value
 
 
-def _ndjson_record(raw: bytes | str, what: str) -> dict | None:
-    """One NDJSON line as a JSON object, ``None`` for a blank line."""
-    text = (raw.decode("ascii") if isinstance(raw, bytes) else raw).strip()
-    if not text:
-        return None
-    try:
-        return _typed(json.loads(text), dict, what)
-    except RecursionError as exc:
-        raise ValueError(f"{what} nests too deeply") from exc
-
-
 def assignment_to_dict(a: ExecutionPlan) -> dict:
     """Plain-dict form of one committed assignment — the per-task record
     of :func:`mapping_to_dict`, and the exact ``assignment``-line document
-    of the NDJSON encodings (full streams *and* session deltas share it,
-    so a delta consumer reassembles byte-identical lines)."""
+    of the session delta stream (:mod:`repro.session.codec`)."""
     return {
         "task": a.task,
         "version": a.version.value,
@@ -329,92 +311,3 @@ def canonical_mapping_bytes(schedule: Schedule) -> bytes:
     payload the service returns and the batch CLI writes, compared
     byte-for-byte by the differential determinism test."""
     return canonical_json_bytes(mapping_to_dict(schedule))
-
-
-# -- streamed / partial mapping encoding ------------------------------------------
-
-
-def iter_mapping_ndjson(schedule: Schedule) -> Iterator[bytes]:
-    """Encode the schedule's mapping as NDJSON lines (bytes).
-
-    Layout: a ``header`` line carrying format/scenario/assignment count,
-    one ``assignment`` line per committed task (ascending task id), and a
-    ``footer`` line with the external debits.  Each line is independently
-    canonical (:func:`canonical_json_bytes`), so a consumer can process —
-    or a producer can stop emitting — after any whole line.
-    """
-    doc = mapping_to_dict(schedule)
-    yield canonical_json_bytes(
-        {
-            "record": "header",
-            "format": _FORMAT_VERSION,
-            "kind": "mapping",
-            "scenario": doc["scenario"],
-            "n_assignments": len(doc["assignments"]),
-        }
-    )
-    for rec in doc["assignments"]:
-        yield canonical_json_bytes({"record": "assignment", **rec})
-    yield canonical_json_bytes(
-        {"record": "footer", "external_debits": doc["external_debits"]}
-    )
-
-
-def mapping_from_ndjson(
-    lines: Iterable[bytes | str], scenario: Scenario
-) -> Schedule:
-    """Reassemble an :func:`iter_mapping_ndjson` stream and replay it.
-
-    A complete stream (footer present) must carry exactly the advertised
-    assignment count.  A *partial* stream — header plus a prefix of the
-    assignment lines, no footer — replays the prefix, supporting
-    resumable transfer of large mappings; a stream cut mid-document is
-    rejected (``ValueError``) exactly like a tampered file.
-    """
-    header: dict | None = None
-    assignments: list[dict] = []
-    debits: list = []
-    saw_footer = False
-    for raw in lines:
-        rec = _ndjson_record(raw, "NDJSON mapping line")
-        if rec is None:
-            continue
-        if saw_footer:
-            raise ValueError("NDJSON mapping stream continues past its footer")
-        kind = rec.get("record")
-        if kind == "header":
-            if header is not None:
-                raise ValueError("duplicate NDJSON mapping header")
-            if rec.get("kind") != "mapping" or rec.get("format") != _FORMAT_VERSION:
-                raise ValueError("not a supported NDJSON mapping header")
-            _integer(rec.get("n_assignments"), "n_assignments")
-            header = rec
-        elif kind == "assignment":
-            if header is None:
-                raise ValueError("NDJSON mapping stream must start with a header")
-            rec.pop("record")
-            assignments.append(rec)
-        elif kind == "footer":
-            if header is None:
-                raise ValueError("NDJSON mapping stream must start with a header")
-            debits = rec.get("external_debits", [])
-            saw_footer = True
-        else:
-            raise ValueError(f"unknown NDJSON mapping record {kind!r}")
-    if header is None:
-        raise ValueError("empty NDJSON mapping stream")
-    if saw_footer and len(assignments) != header["n_assignments"]:
-        raise ValueError(
-            f"NDJSON mapping stream carries {len(assignments)} assignments, "
-            f"header advertised {header['n_assignments']}"
-        )
-    return mapping_from_dict(
-        {
-            "format": _FORMAT_VERSION,
-            "kind": "mapping",
-            "scenario": header.get("scenario", scenario.name),
-            "assignments": assignments,
-            "external_debits": debits,
-        },
-        scenario,
-    )

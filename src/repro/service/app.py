@@ -40,8 +40,8 @@ Routes (all bodies JSON; streaming endpoints NDJSON):
     :mod:`repro.session.events` document per line, each at most
     :data:`MAX_EVENT_LINE_BYTES`); mapping deltas
     stream out (NDJSON response): per event one delta block — new or
-    changed assignments only, in the exact per-task encoding of the
-    full-mapping NDJSON stream — and after ``close`` a final footer.  A
+    changed assignments only (:mod:`repro.session.codec`, the one
+    NDJSON mapping stream) — and after ``close`` a final footer.  A
     rejected event yields one ``error`` record and ends the response;
     the session itself survives (events apply atomically).
 ``GET /v1/session/<id>``

@@ -20,11 +20,11 @@ Layers:
   the byte-identity oracle for every streamed session and the one replay
   path for loss/rejoin (churn) timelines;
 * :mod:`repro.session.codec` — NDJSON mapping *deltas*
-  (:class:`DeltaEncoder` / :func:`mapping_from_delta_ndjson`): after each
-  event only new, changed and retracted assignments are emitted, in the
-  exact ``assignment``-line encoding of
-  :func:`repro.io.serialization.iter_mapping_ndjson`, and the client
-  reassembles them — in any block order — into the full final mapping.
+  (:class:`DeltaEncoder` / :func:`mapping_from_delta_ndjson`), the one
+  streamed mapping encoding: after each event only new, changed and
+  retracted assignments are emitted, and the client reassembles them —
+  in any block order — into the full final mapping.  ``map --ndjson``
+  prints a finished mapping as one such block.
 
 The HTTP surface (open a session, stream events in, stream deltas out)
 lives in :mod:`repro.service.sessions`; the replan-frequency study

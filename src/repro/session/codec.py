@@ -1,4 +1,4 @@
-"""NDJSON mapping deltas: the session's outbound wire encoding.
+"""NDJSON mapping deltas: the one streamed encoding of a mapping.
 
 A live session never re-sends the whole mapping.  After each applied
 event the service emits one *delta block*:
@@ -9,12 +9,9 @@ event the service emits one *delta block*:
 * ``y`` ``retract`` lines (ascending task id) for assignments that were
   announced earlier but no longer stand (rolled back by a machine loss);
 * ``x`` ``assignment`` lines (ascending task id) for new or changed
-  assignments, in the exact per-task encoding of
-  :func:`repro.io.serialization.iter_mapping_ndjson` — the same
-  :func:`~repro.io.serialization.assignment_to_dict` document through the
-  same :func:`~repro.io.serialization.canonical_json_bytes`, so a client
-  holding the latest line per task holds a byte-identical slice of the
-  full-mapping stream.
+  assignments: :func:`~repro.io.serialization.assignment_to_dict` through
+  :func:`~repro.io.serialization.canonical_json_bytes`, the per-task
+  record of the canonical mapping document.
 
 An event that changes nothing (a quiet ``advance``) still emits its
 ``delta`` line with ``n_new = n_retracted = 0`` — the client can count
@@ -22,21 +19,28 @@ blocks against events.  ``close`` is followed by one ``footer`` line
 (``external_debits`` + final ``n_assignments``), after which the stream
 ends.
 
-:func:`mapping_from_delta_ndjson` reassembles a stream back into a
-replayed, validated :class:`~repro.sim.schedule.Schedule`.  Client reads
-may arrive out of order at *block* granularity (lines within a block stay
-together): blocks are sorted by ``seq`` before applying, and a gap in the
-sequence is rejected rather than silently skipped.
+A finished mapping streams the same way: ``python -m repro.experiments
+map --ndjson`` prints one block at cycle 0 with event ``close``, then the
+footer — byte for byte what the daemon streams for a session opened on
+the same scenario and closed at cycle 0.
+
+:func:`mapping_from_delta_ndjson` is the one decoder: it reassembles a
+stream back into a replayed, validated
+:class:`~repro.sim.schedule.Schedule`.  Client reads may arrive out of
+order at *block* granularity (lines within a block stay together):
+blocks are sorted by ``seq`` before applying, and a gap in the sequence
+is rejected rather than silently skipped.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Iterable, Iterator
 
 from repro.io.serialization import (
     _FORMAT_VERSION,
     _integer,
-    _ndjson_record,
+    _typed,
     assignment_to_dict,
     canonical_json_bytes,
     mapping_from_dict,
@@ -45,6 +49,17 @@ from repro.sim.schedule import Schedule
 from repro.workload.scenario import Scenario
 
 __all__ = ["DeltaEncoder", "mapping_from_delta_ndjson"]
+
+
+def _ndjson_record(raw: bytes | str, what: str) -> dict | None:
+    """One NDJSON line as a JSON object, ``None`` for a blank line."""
+    text = (raw.decode("ascii") if isinstance(raw, bytes) else raw).strip()
+    if not text:
+        return None
+    try:
+        return _typed(json.loads(text), dict, what)
+    except RecursionError as exc:
+        raise ValueError(f"{what} nests too deeply") from exc
 
 
 class DeltaEncoder:
@@ -108,8 +123,8 @@ class DeltaEncoder:
             yield line
 
     def footer_lines(self) -> Iterator[bytes]:
-        """The stream-terminating ``footer`` (same shape as the full
-        NDJSON encoding's, plus the final assignment count)."""
+        """The stream-terminating ``footer``: the external debits and the
+        final assignment count."""
         yield canonical_json_bytes(
             {
                 "record": "footer",

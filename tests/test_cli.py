@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from repro.experiments.__main__ import build_report, main
+from repro.heuristics import HEURISTIC_NAMES
 from repro.experiments.scale import SMOKE_SCALE
 
 
@@ -98,8 +99,41 @@ class TestMapSubcommand:
         rc = main(["map", "--generate", "8", "--seed", "1", "--ndjson"])
         assert rc == 0
         lines = capsysbinary.readouterr().out.splitlines()
-        assert json.loads(lines[0])["record"] == "header"
-        assert json.loads(lines[-1])["record"] == "footer"
+        head, footer = json.loads(lines[0]), json.loads(lines[-1])
+        assert head["record"] == "delta"
+        assert (head["seq"], head["cycle"], head["event"]) == (0, 0, "close")
+        assert head["n_new"] == len(lines) - 2
+        assert footer["record"] == "footer"
+        assert footer["n_assignments"] == head["n_new"]
+
+    @pytest.mark.parametrize("heuristic", HEURISTIC_NAMES)
+    def test_ndjson_is_a_session_closed_at_cycle_zero(
+        self, capsysbinary, heuristic
+    ):
+        """``map --ndjson`` prints the lines a service session opened on
+        the same scenario and closed at cycle 0 streams, and they decode
+        to ``map``'s canonical bytes."""
+        from repro.heuristics import generate_named_scenario
+        from repro.io.serialization import canonical_mapping_bytes, scenario_to_dict
+        from repro.service.worker import SessionHost, _ScenarioCache
+        from repro.session import mapping_from_delta_ndjson
+
+        argv = ["map", "--generate", "16", "--seed", "3", "--heuristic", heuristic]
+        assert main(argv + ["--ndjson"]) == 0
+        streamed = capsysbinary.readouterr().out
+        assert main(argv) == 0
+        canonical = capsysbinary.readouterr().out
+
+        doc = scenario_to_dict(generate_named_scenario(16, 3))
+        host = SessionHost(_ScenarioCache(1))
+        host.open("sess-1", "sha256:gen16", doc, {"heuristic": heuristic})
+        reply = host.apply("sess-1", [{"event": "close", "cycle": 0}])
+        assert reply["closed"] and not reply["errors"]
+        assert b"".join(reply["lines"]) == streamed
+
+        scenario = generate_named_scenario(16, 3)
+        decoded = mapping_from_delta_ndjson(streamed.splitlines(), scenario)
+        assert canonical_mapping_bytes(decoded) == canonical
 
     def test_unknown_heuristic_exits(self):
         with pytest.raises(SystemExit):

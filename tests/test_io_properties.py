@@ -1,5 +1,5 @@
 """Property-based round-trips for the JSON persistence layer, and
-fuzzing of the two mapping-stream decoders."""
+fuzzing of the one mapping-stream decoder on its two stream shapes."""
 
 import json
 
@@ -12,9 +12,7 @@ from repro.core.objective import Weights
 from repro.core.slrh import SLRH1, SlrhConfig
 from repro.heuristics import generate_named_scenario
 from repro.io.serialization import (
-    iter_mapping_ndjson,
     mapping_from_dict,
-    mapping_from_ndjson,
     mapping_to_dict,
     scenario_from_dict,
     scenario_to_dict,
@@ -80,16 +78,19 @@ def test_mapping_roundtrip_any_weights(seed, alpha10):
 
 # -- malformed mapping streams ------------------------------------------------
 #
-# Both decoders promise that a malformed or tampered stream is rejected with
-# ValueError; any other exception escaping is a bug.
+# The decoder promises that a malformed or tampered stream is rejected with
+# ValueError; any other exception escaping is a bug.  It is fuzzed on both
+# shapes it reads: a full mapping as one block (``map --ndjson``) and a
+# session's per-event blocks.
 
 _FUZZ_SCENARIO = generate_named_scenario(8, 1)
 _FUZZ_SCHEDULER = SLRH1(SlrhConfig(weights=Weights.from_alpha_beta(0.5, 0.2)))
 
 
 def _full_stream() -> list[bytes]:
-    lines = list(iter_mapping_ndjson(_FUZZ_SCHEDULER.map(_FUZZ_SCENARIO).schedule))
-    mapping_from_ndjson(lines, _FUZZ_SCENARIO)  # untampered, it decodes
+    encoder = DeltaEncoder(_FUZZ_SCHEDULER.map(_FUZZ_SCENARIO).schedule)
+    lines = [*encoder.delta_lines(cycle=0, event="close"), *encoder.footer_lines()]
+    mapping_from_delta_ndjson(lines, _FUZZ_SCENARIO)  # untampered, it decodes
     return lines
 
 
@@ -114,7 +115,6 @@ def _delta_stream() -> list[bytes]:
 
 
 _STREAMS = {"full": _full_stream(), "delta": _delta_stream()}
-_DECODERS = {"full": mapping_from_ndjson, "delta": mapping_from_delta_ndjson}
 
 _JSON = st.recursive(
     st.none()
@@ -144,19 +144,18 @@ _RECORD = st.fixed_dictionaries(
 )
 
 
-def _reject_only_with_value_error(kind: str, lines: list[bytes]) -> None:
+def _reject_only_with_value_error(lines: list[bytes]) -> None:
     try:
-        _DECODERS[kind](lines, _FUZZ_SCENARIO)
+        mapping_from_delta_ndjson(lines, _FUZZ_SCENARIO)
     except ValueError:
         pass
 
 
-@pytest.mark.parametrize("kind", sorted(_DECODERS))
 @settings(max_examples=150, deadline=None)
 @given(lines=st.lists(_JSON | _RECORD, min_size=1, max_size=5))
-def test_arbitrary_json_lines_raise_only_value_error(kind, lines):
+def test_arbitrary_json_lines_raise_only_value_error(lines):
     _reject_only_with_value_error(
-        kind, [json.dumps(doc).encode() + b"\n" for doc in lines]
+        [json.dumps(doc).encode() + b"\n" for doc in lines]
     )
 
 
@@ -171,7 +170,7 @@ def _records(doc):
             yield from _records(value)
 
 
-@pytest.mark.parametrize("kind", sorted(_DECODERS))
+@pytest.mark.parametrize("kind", sorted(_STREAMS))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_one_tampered_key_raises_only_value_error(kind, data):
@@ -184,5 +183,5 @@ def test_one_tampered_key_raises_only_value_error(kind, data):
     else:
         rec[key] = data.draw(_PLAUSIBLE | _JSON, label="value")
     _reject_only_with_value_error(
-        kind, [json.dumps(doc).encode() + b"\n" for doc in docs]
+        [json.dumps(doc).encode() + b"\n" for doc in docs]
     )

@@ -9,11 +9,9 @@ from repro.core.slrh import SLRH1
 from repro.io.serialization import (
     canonical_json_bytes,
     canonical_mapping_bytes,
-    iter_mapping_ndjson,
     load_mapping,
     load_scenario,
     mapping_from_dict,
-    mapping_from_ndjson,
     mapping_to_dict,
     save_mapping,
     save_scenario,
@@ -21,7 +19,21 @@ from repro.io.serialization import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from repro.session import (
+    DeltaEncoder,
+    SessionEngine,
+    SessionEvent,
+    mapping_from_delta_ndjson,
+    run_with_events,
+)
 from repro.sim.validate import ValidationError
+
+
+def _one_block(schedule) -> list[bytes]:
+    """A finished mapping as ``map --ndjson`` streams it: one delta block
+    at cycle 0 with event ``close``, then the footer."""
+    encoder = DeltaEncoder(schedule)
+    return [*encoder.delta_lines(cycle=0, event="close"), *encoder.footer_lines()]
 
 
 class TestScenarioRoundTrip:
@@ -200,47 +212,52 @@ class TestCanonicalEncoding:
 
 
 class TestNdjsonMappingStream:
+    """A finished mapping through the one NDJSON encoding, the session
+    delta stream, as a single block."""
+
     @pytest.fixture(scope="class")
     def mapped(self, small_scenario, mid_config):
         return SLRH1(mid_config).map(small_scenario)
 
     def test_roundtrip(self, mapped, small_scenario):
-        lines = list(iter_mapping_ndjson(mapped.schedule))
-        header = json.loads(lines[0])
-        assert header["record"] == "header"
-        assert header["n_assignments"] == mapped.schedule.n_mapped
+        lines = _one_block(mapped.schedule)
+        head = json.loads(lines[0])
+        assert head["record"] == "delta"
+        assert head["n_new"] == mapped.schedule.n_mapped
         assert len(lines) == mapped.schedule.n_mapped + 2
-        restored = mapping_from_ndjson(lines, small_scenario)
+        restored = mapping_from_delta_ndjson(lines, small_scenario)
         assert canonical_mapping_bytes(restored) == canonical_mapping_bytes(
             mapped.schedule
         )
 
     def test_partial_prefix_replays(self, mapped, small_scenario):
-        lines = list(iter_mapping_ndjson(mapped.schedule))
-        # Header + first assignments only, no footer: a resumable prefix.
-        # The first committed tasks are roots-first, so a topological
-        # prefix of the stream replays cleanly.
-        prefix = lines[:2]
-        restored = mapping_from_ndjson(prefix, small_scenario)
-        assert restored.n_mapped == 1
+        lines = _one_block(mapped.schedule)
+        # A prefix of whole blocks replays: here the block without its
+        # footer.  A block cut midway is rejected, like a tampered file.
+        restored = mapping_from_delta_ndjson(lines[:-1], small_scenario)
+        assert restored.n_mapped == mapped.schedule.n_mapped
+        with pytest.raises(ValueError, match="advertises"):
+            mapping_from_delta_ndjson(lines[:2], small_scenario)
 
     def test_text_lines_accepted(self, mapped, small_scenario):
-        text = [line.decode() for line in iter_mapping_ndjson(mapped.schedule)]
-        restored = mapping_from_ndjson(text, small_scenario)
+        text = [line.decode() for line in _one_block(mapped.schedule)]
+        restored = mapping_from_delta_ndjson(text, small_scenario)
         assert restored.n_mapped == mapped.schedule.n_mapped
 
     def test_malformed_streams_rejected(self, mapped, small_scenario):
-        lines = list(iter_mapping_ndjson(mapped.schedule))
+        lines = _one_block(mapped.schedule)
         with pytest.raises(ValueError, match="empty"):
-            mapping_from_ndjson([], small_scenario)
-        with pytest.raises(ValueError, match="header"):
-            mapping_from_ndjson(lines[1:2], small_scenario)
-        with pytest.raises(ValueError, match="past its footer"):
-            mapping_from_ndjson(lines + lines[1:2], small_scenario)
-        with pytest.raises(ValueError, match="advertised"):
-            mapping_from_ndjson([lines[0], lines[-1]], small_scenario)
+            mapping_from_delta_ndjson([], small_scenario)
+        with pytest.raises(ValueError, match="outside any delta block"):
+            mapping_from_delta_ndjson(lines[1:2], small_scenario)
+        with pytest.raises(ValueError, match="outside any delta block"):
+            mapping_from_delta_ndjson(lines + lines[1:2], small_scenario)
+        with pytest.raises(ValueError, match="advertises"):
+            mapping_from_delta_ndjson([lines[0], lines[-1]], small_scenario)
+        with pytest.raises(ValueError, match="missing block 1"):
+            mapping_from_delta_ndjson(lines[:-1] * 2, small_scenario)
         with pytest.raises(ValueError, match="duplicate"):
-            mapping_from_ndjson([lines[0], lines[0]], small_scenario)
+            mapping_from_delta_ndjson(lines + lines[-1:], small_scenario)
 
 
 class TestSessionMappingNdjson:
@@ -248,13 +265,11 @@ class TestSessionMappingNdjson:
     interleaved mid-run arrivals and machine losses, sunk-energy debits,
     and out-of-order client reads."""
 
-    @pytest.fixture(scope="class")
-    def sessioned(self, small_scenario, mid_config):
-        from repro.session import SessionEvent, run_with_events
-
-        quarter = int(small_scenario.tau / 4 / 0.1)
-        held = tuple(small_scenario.dag.topological_order[-3:])
-        events = [
+    @staticmethod
+    def _events(scenario):
+        quarter = int(scenario.tau / 4 / 0.1)
+        held = tuple(scenario.dag.topological_order[-3:])
+        return held, [
             SessionEvent("task_arrival", quarter // 2, task=held[0]),
             SessionEvent("machine_loss", quarter, machine=1),
             SessionEvent("task_arrival", quarter + 2, task=held[1]),
@@ -262,16 +277,34 @@ class TestSessionMappingNdjson:
             SessionEvent("task_arrival", 2 * quarter + 2, task=held[2]),
             SessionEvent("close", 4 * quarter),
         ]
+
+    @pytest.fixture(scope="class")
+    def sessioned(self, small_scenario, mid_config):
+        held, events = self._events(small_scenario)
         outcome = run_with_events(
             small_scenario, SLRH1(mid_config), events, pending=held
         )
         assert outcome.total_rolled_back > 0  # the loss actually bit
         return outcome
 
+    @pytest.fixture(scope="class")
+    def delta_stream(self, small_scenario, mid_config):
+        """The same events through a delta encoder, the way the service
+        streams them: one block per event, then the footer."""
+        held, events = self._events(small_scenario)
+        engine = SessionEngine(small_scenario, SLRH1(mid_config), pending=held)
+        encoder = DeltaEncoder(engine.schedule)
+        lines: list[bytes] = []
+        for ev in events:
+            engine.apply(ev)
+            lines.extend(encoder.delta_lines(cycle=ev.cycle, event=ev.kind))
+        lines.extend(encoder.footer_lines())
+        assert any(b'"record":"retract"' in line for line in lines)
+        return lines
+
     def test_full_stream_roundtrip(self, sessioned, small_scenario):
         schedule = sessioned.final.schedule
-        lines = list(iter_mapping_ndjson(schedule))
-        restored = mapping_from_ndjson(lines, small_scenario)
+        restored = mapping_from_delta_ndjson(_one_block(schedule), small_scenario)
         assert canonical_mapping_bytes(restored) == canonical_mapping_bytes(
             schedule
         )
@@ -285,60 +318,41 @@ class TestSessionMappingNdjson:
         import random
 
         schedule = sessioned.final.schedule
-        lines = list(iter_mapping_ndjson(schedule))
+        lines = _one_block(schedule)
         body = lines[1:-1]
         rng = random.Random(13)
         for _ in range(3):
             rng.shuffle(body)
-            restored = mapping_from_ndjson(
+            restored = mapping_from_delta_ndjson(
                 [lines[0], *body, lines[-1]], small_scenario
             )
             assert canonical_mapping_bytes(restored) == canonical_mapping_bytes(
                 schedule
             )
 
-    def test_partial_prefix_replays(self, sessioned, small_scenario):
-        schedule = sessioned.final.schedule
-        lines = list(iter_mapping_ndjson(schedule))
-        # Header plus all but the last three assignment lines, no footer:
-        # a client cut off mid-transfer still holds a replayable prefix
-        # (task-id order is topological for generated scenarios).
-        prefix = lines[1:-1][:-3]
-        restored = mapping_from_ndjson([lines[0], *prefix], small_scenario)
-        assert restored.n_mapped == schedule.n_mapped - 3
+    def test_partial_prefix_replays(self, delta_stream, small_scenario):
+        # A client cut off between blocks still holds a replayable prefix;
+        # one cut inside a block that carries assignments is rejected.
+        starts = [
+            i for i, line in enumerate(delta_stream) if b'"record":"delta"' in line
+        ]
+        for end in starts[1:]:
+            mapping_from_delta_ndjson(delta_stream[:end], small_scenario)
+        first_new = next(
+            i for i, line in enumerate(delta_stream)
+            if b'"record":"assignment"' in line
+        )
+        with pytest.raises(ValueError, match="advertises"):
+            mapping_from_delta_ndjson(delta_stream[:first_new], small_scenario)
 
     def test_delta_and_full_streams_agree(
-        self, sessioned, small_scenario, mid_config
+        self, sessioned, delta_stream, small_scenario
     ):
-        from repro.session import (
-            DeltaEncoder,
-            SessionEngine,
-            SessionEvent,
-            mapping_from_delta_ndjson,
-        )
-
+        # The per-event stream and the one-block stream of the final
+        # mapping land on the same bytes.
         schedule = sessioned.final.schedule
-        # Re-drive the identical stream through a delta encoder the way
-        # the service does: the delta reassembly and the full-stream
-        # encoding must land on the same bytes.
-        quarter = int(small_scenario.tau / 4 / 0.1)
-        held = tuple(small_scenario.dag.topological_order[-3:])
-        events = [
-            SessionEvent("task_arrival", quarter // 2, task=held[0]),
-            SessionEvent("machine_loss", quarter, machine=1),
-            SessionEvent("task_arrival", quarter + 2, task=held[1]),
-            SessionEvent("machine_rejoin", 2 * quarter, machine=1),
-            SessionEvent("task_arrival", 2 * quarter + 2, task=held[2]),
-            SessionEvent("close", 4 * quarter),
-        ]
-        engine = SessionEngine(small_scenario, SLRH1(mid_config), pending=held)
-        encoder = DeltaEncoder(engine.schedule)
-        lines: list[bytes] = []
-        for ev in events:
-            engine.apply(ev)
-            lines.extend(encoder.delta_lines(cycle=ev.cycle, event=ev.kind))
-        lines.extend(encoder.footer_lines())
-        restored = mapping_from_delta_ndjson(lines, small_scenario)
-        assert canonical_mapping_bytes(restored) == canonical_mapping_bytes(
-            schedule
-        )
+        for lines in (delta_stream, _one_block(schedule)):
+            restored = mapping_from_delta_ndjson(lines, small_scenario)
+            assert canonical_mapping_bytes(restored) == canonical_mapping_bytes(
+                schedule
+            )
