@@ -28,7 +28,7 @@ The per-tick scan runs on index arithmetic:
   — the plan's TEC delta — and finish time) and inlines the objective
   arithmetic of :meth:`ObjectiveFunction.after_plan` verbatim: the same
   float operations in the same order, so scores are bit-identical to
-  :func:`repro.core.pool.select_candidate`'s.  It runs for every slot
+  :func:`repro.core.pool.evaluate_versions`'s.  It runs for every slot
   whose score token is stale — a freshly replanned slot, or a clean one
   after a commit moved the aggregates — and materialises the winning
   version's :class:`~repro.sim.schedule.ExecutionPlan` from the columns

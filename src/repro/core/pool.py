@@ -55,43 +55,6 @@ class Candidate:
         return self.plan.version
 
 
-def select_candidate(
-    schedule: Schedule,
-    objective: ObjectiveFunction,
-    task: int,
-    plans: Iterable[ExecutionPlan],
-) -> Candidate | None:
-    """Score the feasible members of *plans* and return the best as a
-    :class:`Candidate` (``None`` if no plan is feasible).
-
-    This is the version-selection rule of the from-scratch build below;
-    :class:`repro.core.columnar.ColumnarPool` open-codes the same float
-    arithmetic in the same order, so a candidate's score and version
-    choice are identical on both kernel paths.
-    """
-    best: Candidate | None = None
-    for plan in plans:
-        if not plan.feasible:
-            continue
-        score = objective.after_plan(schedule, plan)
-        # Explicit tie rule: on equal score prefer the version that counts
-        # toward T100 (the primary) — equal objective at lower resource
-        # commitment never loses T100.  Spelled out (rather than relying on
-        # plan_versions yielding the primary first) so a reordering of the
-        # evaluation loop cannot silently flip version choices.
-        if (
-            best is None
-            or score > best.score
-            or (
-                score == best.score
-                and plan.version.counts_toward_t100
-                and not best.version.counts_toward_t100
-            )
-        ):
-            best = Candidate(task=task, plan=plan, score=score)
-    return best
-
-
 def evaluate_versions(
     schedule: Schedule,
     objective: ObjectiveFunction,
@@ -103,32 +66,23 @@ def evaluate_versions(
 ) -> Candidate | None:
     """Plan both versions of *task* on *machine*; return the better one.
 
-    Plans that are energy-infeasible at commit granularity (e.g. the primary
-    version no longer fits the battery, or a parent's machine cannot afford
-    the transmit energy) are dropped; returns ``None`` when neither version
-    survives.  With *ledger*, the dropped version (infeasible or outscored)
-    is recorded with its reason and margin.
+    This is the version-selection rule of the from-scratch build below;
+    :class:`repro.core.columnar.ColumnarPool` open-codes the same float
+    arithmetic in the same order, so a candidate's score and version
+    choice are identical on both kernel paths.  Plans that are
+    energy-infeasible at commit granularity (e.g. the primary version no
+    longer fits the battery, or a parent's machine cannot afford the
+    transmit energy) are dropped; returns ``None`` when neither version
+    survives.  With *ledger*, the dropped version (infeasible or
+    outscored) is recorded with its reason and margin.  Ledgered, traced
+    and plain runs take this one loop.
     """
     best: Candidate | None = None
-    tracer = schedule.tracer
-    if not tracer.enabled and ledger is None:
-        # Disabled-observability fast path: this function runs once per
-        # ready task per machine per tick, so even a no-op span call (the
-        # kwargs dict alone) and loser bookkeeping are measurable.  Keep
-        # this loop free of both; the byte-identity tests in
-        # tests/test_obs.py pin that both paths select the same versions.
-        return select_candidate(
-            schedule,
-            objective,
-            task,
-            schedule.plan_versions(
-                task, machine, not_before=not_before, insertion=insertion
-            ),
-        )
-    # Every plan that loses the selection is kept (a dethroned best included)
-    # and recorded against the *final* winner, so a task with more than two
-    # plans leaves a complete rejection trail in the ledger.
+    # With a ledger, every plan that loses the selection is kept (a
+    # dethroned best included) and recorded against the *final* winner, so
+    # a task with more than two plans leaves a complete rejection trail.
     losers: list[tuple[ExecutionPlan, float]] = []
+    tracer = schedule.tracer
     span = tracer.span("select", task=task, machine=machine) if tracer.enabled else NULL_SPAN
     with span:
         for plan in schedule.plan_versions(
@@ -146,7 +100,11 @@ def evaluate_versions(
                     )
                 continue
             score = objective.after_plan(schedule, plan)
-            # Same tie rule as the fast path above — keep the two in sync.
+            # Explicit tie rule: on equal score prefer the version that
+            # counts toward T100 (the primary) — equal objective at lower
+            # resource commitment never loses T100.  Spelled out (rather
+            # than relying on plan_versions yielding the primary first) so
+            # a reordering of the loop cannot silently flip version choices.
             if (
                 best is None
                 or score > best.score
@@ -156,10 +114,10 @@ def evaluate_versions(
                     and not best.version.counts_toward_t100
                 )
             ):
-                if best is not None:
+                if ledger is not None and best is not None:
                     losers.append((best.plan, best.score))
                 best = Candidate(task=task, plan=plan, score=score)
-            else:
+            elif ledger is not None:
                 losers.append((plan, score))
     if ledger is not None and best is not None:
         for lost_plan, lost_score in losers:
