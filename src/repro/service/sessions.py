@@ -51,7 +51,6 @@ import threading
 import time
 from typing import Iterator, Sequence
 
-from repro.heuristics import normalize_heuristic
 from repro.io.serialization import canonical_json_bytes
 from repro.obs.log import enabled as _obs_enabled
 from repro.obs.log import get_logger
@@ -189,17 +188,20 @@ class SessionManager:
     def open(self, body: dict) -> LiveSession:
         """Open a session from a ``POST /v1/session`` body.
 
+        The scenario, heuristic and (α, β) pass the validator ``/v1/map``
+        uses, :meth:`~repro.service.jobs.ShardRouter.request_key`.
         Raises ``KeyError`` for an unregistered scenario or unknown
         heuristic, ``ValueError``/``IndexError`` for a malformed spec,
         :class:`~repro.service.jobs.DrainingError` during shutdown and
         :class:`SessionLimitError` at capacity.
         """
-        scenario_id = body.get("scenario")
-        if not scenario_id:
-            raise ValueError("missing 'scenario' (a registered scenario id)")
-        if scenario_id not in self.registry:
-            raise KeyError(f"scenario {scenario_id!r} is not registered")
-        canonical = normalize_heuristic(body.get("heuristic", "slrh1"))
+        key = self.router.request_key(
+            body.get("scenario"),
+            body.get("heuristic", "slrh1"),
+            body.get("alpha"),
+            body.get("beta"),
+        )
+        scenario_id, canonical = key.scenario_id, key.heuristic
         # Validate the scheduler spec here (cheap, and the 400s must not
         # depend on which shard would host the session); the hosting
         # shard rebuilds it next to its engine.

@@ -257,6 +257,11 @@ class TestSessionErrors:
             ({"scenario": sid, "heuristic": "slrh1", "pending": [99]}, 400),
             ({"scenario": sid, "heuristic": "slrh1", "pending": "0,1"}, 400),
             ({"scenario": sid, "heuristic": "greedy", "pending": [1]}, 400),
+            # The /v1/map validator: types are checked, not coerced.
+            ({"scenario": sid, "alpha": False}, 400),
+            ({"scenario": sid, "alpha": "0.3"}, 400),
+            ({"scenario": sid, "heuristic": 5}, 400),
+            ({"scenario": 5}, 400),
         ]
         for body, expected in cases:
             status, _, resp = _post(base, "/v1/session", body)
