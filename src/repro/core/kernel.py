@@ -356,7 +356,7 @@ class StaticSlots:
 
     def _plan_fresh(self, idx: int, task: int, machine: int) -> None:
         """The ``rebuild`` oracle: fill the slot from a fresh plan pair."""
-        pair, _ = self._schedule._plan_pair(task, machine, 0.0, True)
+        pair = self._schedule._plan_pair(task, machine, 0.0, True)
         self._comms[idx] = pair[0].comms
         self._ready[idx] = pair[0].data_ready
         for vi, plan in enumerate(pair):

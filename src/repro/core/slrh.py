@@ -360,11 +360,3 @@ class SLRH3(SlrhScheduler):
 
     name = "SLRH-3"
     policy = TickPolicy(max_commits=None, refresh="rebuild")
-
-
-#: Registry used by experiment drivers and the CLI examples.
-SLRH_VARIANTS: dict[str, type[SlrhScheduler]] = {
-    "SLRH-1": SLRH1,
-    "SLRH-2": SLRH2,
-    "SLRH-3": SLRH3,
-}

@@ -242,10 +242,6 @@ class Schedule:
         """Whether every subtask has been mapped."""
         return len(self.assignments) == self.scenario.n_tasks
 
-    def meets_constraints(self) -> bool:
-        """Complete mapping within τ (energy holds by construction)."""
-        return self.is_complete and self._makespan <= self.scenario.tau + EPSILON
-
     # -- task-state queries --------------------------------------------------
 
     def is_mapped(self, task: int) -> bool:
@@ -409,23 +405,13 @@ class Schedule:
                 )
         return ""
 
-    def _shortfall_of(
-        self,
-        task: int,
-        machine: int,
-        version: Version,
-        exec_energy: float,
-        comms: tuple[PlannedComm, ...],
-    ) -> str:
-        """Empty string if the described plan's energy demand fits every
-        machine's available budget, else a human-readable reason."""
-        return self._demand_shortfall(
-            self._net_energy_demand(task, machine, version, exec_energy, comms)
-        )
-
     def _energy_shortfall(self, plan: "ExecutionPlan") -> str:
-        return self._shortfall_of(
-            plan.task, plan.machine, plan.version, plan.exec_energy, plan.comms
+        """Empty string if *plan*'s energy demand fits every machine's
+        available budget, else a human-readable reason."""
+        return self._demand_shortfall(
+            self._net_energy_demand(
+                plan.task, plan.machine, plan.version, plan.exec_energy, plan.comms
+            )
         )
 
     # -- planning -------------------------------------------------------------
@@ -526,14 +512,9 @@ class Schedule:
         machine: int,
         not_before: float,
         insertion: bool,
-    ) -> tuple[
-        tuple[ExecutionPlan, ExecutionPlan],
-        tuple[dict[int, float] | None, dict[int, float] | None],
-    ]:
+    ) -> tuple[ExecutionPlan, ExecutionPlan]:
         """Compute the (primary, secondary) plan pair for *task* on
-        *machine* — see :meth:`plan_versions` — together with each
-        version's per-machine net energy demand (``None`` when a machine
-        involved is offline: such a plan is dead whatever the budgets)."""
+        *machine* — see :meth:`plan_versions`."""
         self._check_plannable(task, machine)
         self.perf.inc("plan.pairs")
         comms, dr_floor = self._plan_comms_floor(task, machine, not_before)
@@ -543,18 +524,14 @@ class Schedule:
         exec_timeline = self.exec_timeline[machine]
         exec_facts = self.exec_facts(task, machine)
         plans = []
-        demands: list[dict[int, float] | None] = []
         for vi, version in enumerate((Version.PRIMARY, Version.SECONDARY)):
             duration, exec_energy = exec_facts[vi]
-            demand: dict[int, float] | None = None
             if offline:
                 reason = f"machine {machine} (or a required sender) is offline"
             else:
-                demand = self._net_energy_demand(
-                    task, machine, version, exec_energy, comms
+                reason = self._demand_shortfall(
+                    self._net_energy_demand(task, machine, version, exec_energy, comms)
                 )
-                reason = self._demand_shortfall(demand)
-            demands.append(demand)
             if reason:
                 # Dead plan: it can never be committed or scored, so the
                 # calendar gap search is wasted work — anchor it at its
@@ -580,7 +557,7 @@ class Schedule:
                     reason=reason,
                 )
             )
-        return (plans[0], plans[1]), (demands[0], demands[1])
+        return plans[0], plans[1]
 
     def plan(
         self,
@@ -615,7 +592,7 @@ class Schedule:
             If *task* is already mapped or has unmapped parents (callers
             draw from :meth:`ready_tasks`, so this indicates a logic error).
         """
-        pair = self._plan_pair(task, machine, not_before, insertion)[0]
+        pair = self._plan_pair(task, machine, not_before, insertion)
         if version is Version.PRIMARY:
             return pair[0]
         if version is Version.SECONDARY:
@@ -638,7 +615,7 @@ class Schedule:
         tick.  Returns (primary_plan, secondary_plan), semantically equal
         to two :meth:`plan` calls.  Every call computes afresh.
         """
-        return self._plan_pair(task, machine, not_before, insertion)[0]
+        return self._plan_pair(task, machine, not_before, insertion)
 
     # -- mutation ---------------------------------------------------------------
 

@@ -472,7 +472,7 @@ class TestStaticPlanMemo:
             nonlocal lookups, placed_versions
             lookups += 1
             idx = served(slots, task, machine, first_feasible=first_feasible)
-            fresh, _ = slots._schedule._plan_pair(task, machine, 0.0, True)
+            fresh = slots._schedule._plan_pair(task, machine, 0.0, True)
             placed = False
             for vi, plan in enumerate(fresh):
                 assert slots.feasible[vi][idx] == plan.feasible, (task, machine, vi)
@@ -591,7 +591,7 @@ class TestStaticPlanMemo:
             schedule._reserved[machine] -= held
         idx = look()
         replans = pairs("plan.pairs") - planned
-        fresh, _ = schedule._plan_pair(task, machine, 0.0, True)
+        fresh = schedule._plan_pair(task, machine, 0.0, True)
         for vi, plan in enumerate(fresh):
             assert slots.feasible[vi][idx] == plan.feasible
             if plan.feasible:

@@ -15,7 +15,7 @@ import urllib.request
 import pytest
 
 from repro.core.objective import Weights
-from repro.core.slrh import SLRH1, SlrhConfig
+from repro.core.slrh import SLRH1, SLRH2, SLRH3, SlrhConfig
 from repro.heuristics import generate_named_scenario, run_heuristic
 from repro.io.serialization import canonical_mapping_bytes
 from repro.obs import (
@@ -232,17 +232,15 @@ class TestTracedProductionRun:
     map is the production map, seen as one ``kernel.stall`` span per run
     of stall ticks."""
 
-    @pytest.mark.parametrize("name", ["SLRH-1", "SLRH-2", "SLRH-3"])
-    def test_traced_map_is_the_production_map(self, name):
-        from repro.core.slrh import SLRH_VARIANTS
-
+    @pytest.mark.parametrize("cls", [SLRH1, SLRH2, SLRH3], ids=lambda c: c.name)
+    def test_traced_map_is_the_production_map(self, cls):
         scenario = generate_named_scenario(48, 7)
         config = SlrhConfig(
             weights=Weights.from_alpha_beta(0.5, 0.2), kernel="columnar"
         )
-        plain = SLRH_VARIANTS[name](config).map(scenario)
+        plain = cls(config).map(scenario)
         tracer = Tracer()
-        traced = SLRH_VARIANTS[name](config).map(scenario, tracer=tracer)
+        traced = cls(config).map(scenario, tracer=tracer)
         _assert_same_run(plain, traced, tracer)
         assert len(tracer.spans_named("map")) == 1
 

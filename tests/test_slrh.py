@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.slrh import SLRH1, SLRH2, SLRH3, SLRH_VARIANTS, SlrhConfig
+from repro.core.slrh import SLRH1, SLRH2, SLRH3, SlrhConfig
 from repro.core.objective import Weights
 from repro.sim.validate import validate_schedule
 
@@ -32,9 +32,12 @@ class TestBasicRuns:
         assert a.schedule.summary() == b.schedule.summary()
 
     def test_registry(self):
-        assert SLRH_VARIANTS["SLRH-1"] is SLRH1
-        assert SLRH_VARIANTS["SLRH-2"] is SLRH2
-        assert SLRH_VARIANTS["SLRH-3"] is SLRH3
+        from repro.heuristics import SLRH_FAMILY, make_scheduler
+
+        built = [type(make_scheduler(name)) for name in SLRH_FAMILY]
+        assert built == list(ALL_VARIANTS)
+        assert [cls.name for cls in ALL_VARIANTS] == ["SLRH-1", "SLRH-2", "SLRH-3"]
+        assert type(make_scheduler("SLRH-2")) is SLRH2  # display names resolve
 
 
 class TestClockDiscipline:
